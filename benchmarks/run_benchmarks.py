@@ -513,7 +513,7 @@ def scheduler_ops_per_second(repeats: int) -> dict:
     occupancy is set by the density, not the backlog, so its pop cost stays
     flat from 10³ to 10⁵ pending events.
     """
-    from repro.federated.events import ClientUpdateArrival, make_scheduler
+    from repro.federated.events import CalendarQueue, ClientUpdateArrival, EventScheduler
     from repro.utils.rng import rng_from_seed
 
     sweep = {}
@@ -524,10 +524,10 @@ def scheduler_ops_per_second(repeats: int) -> dict:
             ClientUpdateArrival(time=float(t), client_id=i) for i, t in enumerate(times)
         ]
         row: dict = {}
-        for backend in ("heap", "calendar"):
+        for backend, make in (("heap", EventScheduler), ("calendar", CalendarQueue)):
             schedule_best = pop_best = float("inf")
             for _ in range(repeats):
-                scheduler = make_scheduler(backend)
+                scheduler = make()
                 start = time.perf_counter()
                 for event in events:
                     scheduler.schedule(event)

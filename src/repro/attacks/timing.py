@@ -75,8 +75,8 @@ class TimingSideChannel:
     # ------------------------------------------------------------------
     # Profiling (the adversary's background knowledge)
     # ------------------------------------------------------------------
-    def fit(self, records) -> dict[int, float]:
-        """Build per-client latency profiles from the warm-up window."""
+    def _warmup_latencies(self, records) -> dict[int, list[float]]:
+        """Observed latencies per client over the warm-up window."""
         samples: dict[int, list[float]] = {}
         used = 0
         for record in records:
@@ -89,6 +89,11 @@ class TimingSideChannel:
                 samples.setdefault(int(sender_id), []).append(
                     float(arrival_time) - float(record.round_start)
                 )
+        return samples
+
+    def fit(self, records) -> dict[int, float]:
+        """Build per-client latency profiles from the warm-up window."""
+        samples = self._warmup_latencies(records)
         self.profiles = {
             client: float(np.mean(values)) for client, values in sorted(samples.items())
         }
@@ -125,14 +130,30 @@ class TimingSideChannel:
 
         ``source`` is a :class:`~repro.federated.simulation.SimulationResult`
         or a plain list of :class:`~repro.federated.simulation.RoundRecord`.
+
+        Raises :class:`ValueError` when every warm-up arrival took the same
+        latency: without a latency model (or with one that gives every client
+        the same latency) all arrivals of a round land at one instant and pop
+        in client-id order, and nearest-profile matching (ties toward the
+        smaller id) would score that tie order as re-identification.
         """
         records = getattr(source, "rounds", source)
-        self.fit(records)
-        if not self.profiles:
+        warmup = {
+            latency for values in self._warmup_latencies(records).values() for latency in values
+        }
+        if not warmup:
             raise ValueError(
-                "no arrival timestamps to profile — run with a ScenarioConfig "
-                "(the legacy barrier loop records no event stream)"
+                "no arrival timestamps to profile — pass the records of a "
+                "FederatedSimulation run"
             )
+        if len(warmup) == 1:
+            raise ValueError(
+                f"every warm-up arrival took the same latency ({warmup.pop():g} s): the "
+                "run has no per-client latency model (ScenarioConfig.latency is unset "
+                "or the same for every client), so arrival order is the simulator's "
+                "client-id tie order, not a timing signal"
+            )
+        self.fit(records)
         warmup_left = self.warmup_rounds
         correct = 0
         total = 0

@@ -384,21 +384,10 @@ class AggregationPolicy:
         reference: dict | None = None,
         sample_weighted: bool = False,
         staleness_alpha: float | None = None,
-        shard_plan=None,
     ):
-        """Apply the rule; returns ``(state, kept_indices, dropped_indices)``.
-
-        With a :class:`~repro.federated.sharding.ShardPlan` covering the
-        cohort, every rule routes through its shard-composed implementation
-        (per-shard partials, pre-sorted blocks, Gram tiles) — byte-equal to
-        the serial path by the sharding module's merge-order contract.
-        """
+        """Apply the rule; returns ``(state, kept_indices, dropped_indices)``."""
         if not updates:
             raise ValueError("cannot aggregate an empty update list")
-        if shard_plan is not None and shard_plan.cohort_size == len(updates):
-            return self._aggregate_sharded(
-                updates, shard_plan, reference, sample_weighted, staleness_alpha
-            )
         count = len(updates)
         everyone = tuple(range(count))
         rule = self.rule
@@ -444,108 +433,6 @@ class AggregationPolicy:
                 select = count - f - 2
             select = max(1, min(select, count))
             state, selected = multi_krum(updates, f, select=select, return_selected=True)
-            kept = tuple(selected)
-        dropped = tuple(i for i in everyone if i not in kept)
-        return state, kept, dropped
-
-    def _aggregate_sharded(
-        self,
-        updates: list[ModelUpdate],
-        plan,
-        reference: dict | None,
-        sample_weighted: bool,
-        staleness_alpha: float | None,
-    ):
-        """Shard-composed rule application (byte-equal to the serial path).
-
-        Coordinate rules compose from per-shard partials (witness-checked
-        float64 sums, pre-sorted blocks, per-shard row norms); Krum variants
-        select at the root over the distance matrix assembled from per-shard
-        Gram tiles.  Imported lazily: sharding depends on this module's score
-        helpers, so the dependency must not be circular at import time.
-        """
-        from . import sharding
-        from .update import layerwise_staleness_mean, update_weights
-
-        count = len(updates)
-        everyone = tuple(range(count))
-        rule = self.rule
-        if rule in ("krum", "multi-krum") and count < 3:
-            rule = "mean"  # below the f + 3 floor even at f = 0
-        batch = FlatUpdateBatch.from_updates(updates)
-        schema = batch.schema
-        if rule == "mean":
-            # mirror aggregate_updates branch for branch, adding the witness
-            if staleness_alpha is not None and any(
-                "param_staleness" in u.metadata for u in updates
-            ):
-                return layerwise_staleness_mean(updates, staleness_alpha, sample_weighted), everyone, ()
-            weights = update_weights(updates, sample_weighted, staleness_alpha)
-            if weights is not None:
-                total = float(sum(weights))
-                if total <= 0:
-                    raise ValueError("weights must sum to a positive value")
-            state = schema.views(
-                sharding.sharded_flat_mean(batch.matrix, schema, plan, weights)
-            )
-            return state, everyone, ()
-        if rule == "median":
-            return schema.views(sharding.sharded_median(batch.matrix, plan)), everyone, ()
-        if rule == "trimmed":
-            trim = min(self.trim, max(0, (count - 1) // 2))
-            state = schema.views(
-                sharding.sharded_trimmed_mean(batch.matrix, schema, plan, trim)
-            )
-            return state, everyone, ()
-        if rule == "norm_filter":
-            if reference is None:
-                raise ValueError("norm_filter needs the pre-merge global state as reference")
-            if isinstance(reference, dict):
-                reference = np.concatenate(
-                    [
-                        np.asarray(reference[name], dtype=np.float64).ravel()
-                        for name in schema.names
-                    ]
-                )
-            deltas = batch.matrix.astype(np.float64) - np.asarray(reference, dtype=np.float64)
-            norms = sharding.sharded_row_norms(deltas, schema, plan)
-            if self.max_norm is not None:
-                bound = self.max_norm
-            else:
-                bound = self.norm_multiplier * float(np.median(norms))
-            mask = norms <= bound
-            if not mask.any():
-                raise ValueError(
-                    f"norm filter rejected every update (explicit max_norm={self.max_norm})"
-                )
-            kept = tuple(int(i) for i in np.flatnonzero(mask))
-            dropped = tuple(int(i) for i in np.flatnonzero(~mask))
-            # the kept subset is no longer plan-aligned: re-plan its rows for
-            # the witness check, keep the canonical slot-order value walk
-            kept_matrix = batch.matrix[list(kept)]
-            sub_plan = sharding.ShardPlan.build(
-                len(kept), min(plan.num_shards, len(kept))
-            )
-            state = schema.views(
-                sharding.sharded_flat_mean(kept_matrix, schema, sub_plan)
-            )
-            return state, kept, dropped
-        f = self._assumed_attackers(count)
-        if rule == "krum":
-            index = sharding.sharded_krum_select(batch.matrix, schema, plan, f)
-            state = schema.views(batch.matrix[index].copy())
-            kept = (index,)
-        else:
-            select = self.multi_select
-            if select is None:
-                select = count - f - 2
-            select = max(1, min(select, count))
-            selected = sharding.sharded_multi_krum_select(
-                batch.matrix, schema, plan, f, select
-            )
-            state = schema.views(
-                flat_mean([batch.matrix[i] for i in selected], schema)
-            )
             kept = tuple(selected)
         dropped = tuple(i for i in everyone if i not in kept)
         return state, kept, dropped

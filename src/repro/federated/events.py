@@ -30,27 +30,27 @@ same seed always yields the same event trace.  At equal timestamps a
 :class:`BufferFlush` sorts first (the round closes before same-instant
 arrivals from other rounds leak in), an arrival sorts before a
 :class:`RoundDeadline` (an update landing exactly at ``T`` is on time), and
-equal-time arrivals pop in insertion order (client order) — which is what
-keeps the default no-latency scenario bit-identical to the legacy barrier
-loop.
+equal-time arrivals pop in insertion order (client order) — so a round
+without a latency model merges its cohort in selection order.
 
 Scheduler backends
 ------------------
 Two implementations share the contract above (and a property-tested,
 bit-identical event trace):
 
-* :class:`EventScheduler` — the binary-heap reference.  ``schedule``/``pop``
-  are ``O(log n)`` in the number of pending events, which is fine for
-  hundreds of in-flight arrivals and increasingly wasteful at 10⁵+.
-* :class:`CalendarQueue` — a calendar/ladder queue.  Pending events are
-  bucketed by virtual-time epoch (``bucket_width`` simulated seconds per
-  bucket); the earliest bucket is promoted to a sorted *run* that pops by
-  pointer increment, events landing before the promotion boundary go to a
-  small overflow heap, and far-future events spill onto a coarse *ladder*
-  rung that is exploded into fine buckets only when the clock approaches it.
-  ``schedule`` is ``O(1)`` (an integer division and a list append) and
-  ``pop`` is ``O(1)`` amortized — the per-bucket sort touches each event
-  once, at C speed, regardless of how many other events are pending.
+* :class:`CalendarQueue` — the calendar/ladder queue every simulation runs
+  on.  Pending events are bucketed by virtual-time epoch (``bucket_width``
+  simulated seconds per bucket); the earliest bucket is promoted to a
+  sorted *run* that pops by pointer increment, events landing before the
+  promotion boundary go to a small overflow heap, and far-future events
+  spill onto a coarse *ladder* rung that is exploded into fine buckets only
+  when the clock approaches it.  ``schedule`` is ``O(1)`` (an integer
+  division and a list append) and ``pop`` is ``O(1)`` amortized — the
+  per-bucket sort touches each event once, at C speed, regardless of how
+  many other events are pending.
+* :class:`EventScheduler` — the binary-heap reference, ``O(log n)`` per
+  ``schedule``/``pop``.  No simulation builds it: it is the oracle the
+  tests compare :class:`CalendarQueue` against, event for event.
 
 Both backends keep incremental in-flight counters, so
 :meth:`VirtualClockScheduler.pending_arrival_count` and
@@ -76,8 +76,6 @@ __all__ = [
     "VirtualClockScheduler",
     "EventScheduler",
     "CalendarQueue",
-    "SCHEDULER_BACKENDS",
-    "make_scheduler",
     "FlushPolicy",
     "SyncFlushPolicy",
     "QuorumFlushPolicy",
@@ -484,21 +482,6 @@ class CalendarQueue(VirtualClockScheduler):
         for bucket in self._coarse.values():
             entries.extend(bucket)
         return entries
-
-
-#: Selectable virtual-clock backends, by name.
-SCHEDULER_BACKENDS = ("calendar", "heap")
-
-
-def make_scheduler(backend: str = "calendar", start_time: float = 0.0) -> VirtualClockScheduler:
-    """Instantiate a scheduler backend by name (see :data:`SCHEDULER_BACKENDS`)."""
-    if backend == "calendar":
-        return CalendarQueue(start_time)
-    if backend == "heap":
-        return EventScheduler(start_time)
-    raise ValueError(
-        f"unknown scheduler backend {backend!r}; choose from {SCHEDULER_BACKENDS}"
-    )
 
 
 # ----------------------------------------------------------------------

@@ -7,17 +7,19 @@ and to replace the broadcast model (active ∇Sim).  The aggregation logic
 itself is honest in both cases — the paper's malicious server still wants the
 main task to converge.
 
-Memory model: the server keeps **no per-round history by default**.  Earlier
-versions retained every update of every round in ``received_log``, which
-grows without bound in long-running deployments; retention is now opt-in via
-``retain_received`` (``None`` = unlimited, ``n`` = a bounded ring of the last
-``n`` rounds, ``0`` = off).  Attacks and analyses that need history register
-a :class:`ServerObserver` instead and decide their own retention.
+Every merge goes through the server's one
+:class:`~repro.federated.aggregation.AggregationPolicy` — the default policy
+is the classical FedAvg mean — whether the round was trained serially,
+cohort-batched, or on leaf shards.
+
+Memory model: the server keeps **no per-round history**.  The simulation
+owns the one received-update history (``retain_received_updates``); attacks
+and analyses that need more register a :class:`ServerObserver` and decide
+their own retention.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Protocol
 
 import numpy as np
@@ -25,7 +27,9 @@ import numpy as np
 from ..nn import Module
 from .aggregation import AggregationPolicy, AggregationReport
 from .integrity import RoundTranscript, state_digest, update_digest
-from .update import ModelUpdate, aggregate_updates
+# ``aggregate_updates`` stays bound here: perfbench's harness test reads
+# ``server.aggregate_updates`` to check that its tracer restores the binding.
+from .update import ModelUpdate, aggregate_updates  # noqa: F401
 
 __all__ = ["ServerObserver", "AggregationServer"]
 
@@ -49,13 +53,11 @@ class AggregationServer:
         initial_state: dict,
         sample_weighted: bool = False,
         broadcast_hook: Callable[[int, dict], dict] | None = None,
-        retain_received: int | None = 0,
         staleness_alpha: float | None = None,
         fault_injector=None,
         fault_ledger=None,
-        policy: AggregationPolicy | None = None,
+        policy: AggregationPolicy = AggregationPolicy(),
         transcript: RoundTranscript | None = None,
-        num_shards: int = 0,
     ) -> None:
         self.global_state = {k: np.asarray(v, dtype=np.float32).copy() for k, v in initial_state.items()}
         self.sample_weighted = sample_weighted
@@ -65,30 +67,16 @@ class AggregationServer:
         self.broadcast_hook = broadcast_hook
         self.observers: list[ServerObserver] = []
         self.round_index = 0
-        if retain_received is not None and retain_received < 0:
-            raise ValueError(f"retain_received must be >= 0 or None, got {retain_received}")
-        self._retain_received = retain_received
         #: fault plane hooks — injected merge failures retry with backoff
         self._fault_injector = fault_injector
         self._fault_ledger = fault_ledger
-        #: selectable robust-aggregation rule; ``None`` is the classical mean
+        #: the aggregation rule every merge applies (default: the mean)
         self.policy = policy
-        if num_shards < 0:
-            raise ValueError(f"num_shards must be >= 0, got {num_shards}")
-        #: leaf-shard count of the sharded merge path (0 = the serial
-        #: reference).  Clamped per round to the cohort size: every rule then
-        #: composes from per-shard partials / Gram tiles, byte-equal to the
-        #: serial path by the sharding module's merge-order contract.
-        self.num_shards = num_shards
         #: hash-chained audit log of every merge (always on — pure SHA-256
         #: bookkeeping, no RNG or numeric effect on the aggregate)
         self.transcript = transcript if transcript is not None else RoundTranscript()
         #: what the last merge kept/dropped (participant-level filtering)
         self.last_aggregation_report: AggregationReport | None = None
-        #: rounds of received updates, newest last (empty unless opted in)
-        self.received_log: "deque[list[ModelUpdate]]" = deque(
-            maxlen=retain_received if retain_received is not None else None
-        )
         self._last_broadcast: dict | None = None
 
     @classmethod
@@ -144,37 +132,13 @@ class AggregationServer:
                 ledger.record(
                     "merge", -1, self.round_index, attempt, "retried", delay_seconds=delay
                 )
-        if self._retain_received is None or self._retain_received > 0:
-            self.received_log.append(updates)
-        policy = self.policy
-        shard_plan = self._shard_plan(len(updates))
-        if shard_plan is not None:
-            effective = policy if policy is not None else AggregationPolicy()
-            new_state, kept, dropped = effective.aggregate(
-                updates,
-                reference=self.global_state,
-                sample_weighted=self.sample_weighted,
-                staleness_alpha=self.staleness_alpha,
-                shard_plan=shard_plan,
-            )
-            rule = effective.rule
-        elif policy is None or policy.rule == "mean":
-            new_state = aggregate_updates(
-                updates,
-                sample_weighted=self.sample_weighted,
-                staleness_alpha=self.staleness_alpha,
-            )
-            kept: tuple[int, ...] = tuple(range(len(updates)))
-            dropped: tuple[int, ...] = ()
-            rule = "mean"
-        else:
-            new_state, kept, dropped = policy.aggregate(
-                updates,
-                reference=self.global_state,
-                sample_weighted=self.sample_weighted,
-                staleness_alpha=self.staleness_alpha,
-            )
-            rule = policy.rule
+        rule = self.policy.rule
+        new_state, kept, dropped = self.policy.aggregate(
+            updates,
+            reference=self.global_state,
+            sample_weighted=self.sample_weighted,
+            staleness_alpha=self.staleness_alpha,
+        )
         self.last_aggregation_report = AggregationReport(rule=rule, kept=kept, dropped=dropped)
         self.transcript.append(
             round_index=self.round_index,
@@ -186,11 +150,3 @@ class AggregationServer:
         self.global_state = new_state
         self.round_index += 1
         return self.global_state
-
-    def _shard_plan(self, cohort_size: int):
-        """The round's merge-side shard plan, or ``None`` for the serial path."""
-        if self.num_shards <= 0:
-            return None
-        from .sharding import ShardPlan
-
-        return ShardPlan.build(cohort_size, min(self.num_shards, cohort_size))

@@ -1,51 +1,39 @@
-"""Sharded hierarchical aggregation over a multiprocess shared-memory plane.
+"""Sharded training plane over a multiprocess shared-memory data plane.
 
-The flat parameter plane (PR 2) made a round one contiguous ``(N, D)``
-float32 matrix.  This module splits that matrix *hierarchically*, mirroring
-the paper's mix-cascade topology: a :class:`ShardPlan` deterministically
-partitions the selected cohort into contiguous row-slices, one per **leaf
-aggregator**; a :class:`ShardWorker` process pool trains each slice and
-reduces its shard partials out-of-GIL, writing rows in place over
-``multiprocessing.shared_memory``; and the **root** assembles the plane,
-cross-checks every leaf's partial reduction, and merges.
+The flat parameter plane makes a round one contiguous ``(N, D)`` float32
+matrix.  This module splits the *training* of that matrix hierarchically,
+mirroring the paper's mix-cascade topology: a :class:`ShardPlan`
+deterministically partitions the selected cohort into contiguous
+row-slices, one per **leaf**; a :class:`ShardWorker` process pool trains
+each slice out-of-GIL, writing rows in place over
+``multiprocessing.shared_memory``, and reduces the slice's partial witness;
+and the **root** assembles the plane, cross-checks every leaf's witness, and
+chains the shard transcript.  Shards train, witness, and chain — they never
+merge.  The server merges the round once, through its
+:class:`~repro.federated.aggregation.AggregationPolicy`, exactly as it
+merges a serially trained round.
 
-Merge-order determinism contract
---------------------------------
-Float addition is not associative, so naively adding per-shard partial sums
-in shard order would *not* reproduce the serial reduction bit for bit.  The
-contract that keeps every aggregate byte-identical to the ``shards=0``
-reference is therefore fixed and documented here:
-
-* **Leaf reduction** — each leaf accumulates its rows *sequentially in slot
-  order* into a float64 partial.  These partials are **integrity witnesses**:
-  the root checks that their shard-ordered sum matches the plane's canonical
-  column sum (a corrupted or torn shard write fails loudly with
-  :class:`ShardIntegrityError`), but they are never the value source.
-* **Root merge** — the root reduces the *assembled* plane with the exact
-  slot-order walk of :func:`~repro.federated.flat.flat_mean` (including its
-  size-1-span re-reduction).  Because every shard plan partitions the slots
-  into contiguous ascending slices, the canonical walk is independent of the
-  plan — aggregates are bit-identical for every ``num_shards`` by
-  construction, which the property tests regression-lock.
-* **Order statistics** (median / trimmed mean) — each leaf pre-sorts its row
-  block per column; the root merges the pre-sorted runs.  Sorting is
-  value-exact (no arithmetic), so the merged order statistics equal the
-  global ones byte for byte.
-* **Krum / multi-Krum** — distances are global, so selection runs *at the
-  root* over the pairwise distance matrix assembled from per-shard partial
-  Gram tiles: for spans ``X`` of shards ``s, t``, the tile
-  ``d²[s,t] = |X_s|² + |X_t|² − 2·X_s X_tᵀ`` is accumulated per parameter
-  span in float64 via ``np.einsum`` (whose row-blocked products are
-  bitwise-reproducible, unlike BLAS GEMM tiling) — the assembled matrix is
-  bit-identical to the single-tile Gram, property-tested.
+Merge-order contract
+--------------------
+* **Leaf witness** — each leaf accumulates its rows *sequentially in slot
+  order* into a float64 partial, computed in the worker that wrote them.
+  The root checks that the shard-ordered sum of these partials matches the
+  assembled plane's column sum (a torn or corrupted leaf write fails loudly
+  with :class:`ShardIntegrityError`).  The witnesses are never the
+  aggregate's value source.
+* **Root merge** — updates leave the engine in cohort (slot) order, each row
+  byte-equal to in-process training's, and the server applies its one rule
+  to them.  Every shard plan partitions the slots into contiguous
+  ascending slices, so the merge input — and hence every aggregate, for all
+  six rules — is bit-identical for every ``num_shards`` by construction,
+  which the end-to-end tests regression-lock.
 
 Trust boundary: the shard chains of :class:`ShardedTranscript` attest the
 *data plane* — which leaf trained which clients and the exact bytes each row
 carried before any defense ran — while the server's
 :class:`~repro.federated.integrity.RoundTranscript` continues to attest the
-post-defense merge.  Krum's selection requires the full distance matrix, so
-it executes inside the root's trust domain; the leaves only ever see their
-own rows plus the Gram tiles they export.
+post-defense merge.  Every rule executes in the root's trust domain; the
+leaves only ever see their own rows.
 
 Fault model: a leaf aggregator is just another crashable entity.
 ``FaultConfig.shard_crash_rate`` drives deterministic crash draws per
@@ -71,10 +59,8 @@ import numpy as np
 
 from ..nn.serialization import StateSchema, _intern_schema, schema_of
 from ..utils.rng import stable_seed  # noqa: F401  (re-exported draw key space)
-from .aggregation import _check_krum_cohort, _krum_scores, _multi_krum_selection
 from .client import ClientPopulation, train_rows_into
 from .cohort import CohortTrainer
-from .flat import flat_mean, row_norms
 from .integrity import TranscriptError, _entry_hash, update_digest
 from .update import ModelUpdate
 
@@ -90,15 +76,6 @@ __all__ = [
     "ShardRootEntry",
     "ShardedTranscript",
     "shard_partial_sum",
-    "sharded_flat_mean",
-    "sharded_sorted",
-    "sharded_median",
-    "sharded_trimmed_mean",
-    "sharded_row_norms",
-    "einsum_gram_sq_distances",
-    "sharded_gram_sq_distances",
-    "sharded_krum_select",
-    "sharded_multi_krum_select",
 ]
 
 #: execution backends for the sharded plane — ``inline`` runs every leaf in
@@ -176,7 +153,7 @@ class ShardPlan:
 
 
 # ----------------------------------------------------------------------
-# Shard algebra (each byte-equal to the serial flat-plane path)
+# Leaf witnesses
 # ----------------------------------------------------------------------
 def shard_partial_sum(rows: np.ndarray) -> np.ndarray:
     """One leaf's partial reduction: sequential slot-order float64 row sum.
@@ -209,138 +186,6 @@ def _check_partials(
             f"(max abs deviation {worst:.3e}) — a leaf wrote a torn or "
             f"corrupted row slice"
         )
-
-
-def sharded_flat_mean(
-    matrix: np.ndarray,
-    schema: StateSchema,
-    plan: ShardPlan,
-    weights: list[float] | None = None,
-    check: bool = True,
-) -> np.ndarray:
-    """Shard-composed mean: leaf witnesses + the root's canonical slot walk.
-
-    Byte-equal to ``flat_mean(list(matrix), schema, weights)`` for every
-    plan by the merge-order contract.  With ``check`` (unweighted only), the
-    per-shard float64 partial sums are verified against the canonical column
-    sum before the merge is trusted.
-    """
-    if matrix.shape[0] != plan.cohort_size:
-        raise ShardingError(
-            f"matrix has {matrix.shape[0]} rows but the plan covers {plan.cohort_size}"
-        )
-    if check and weights is None:
-        partials = [shard_partial_sum(matrix[a:b]) for a, b in plan.bounds]
-        _check_partials(matrix, plan, partials)
-    return flat_mean(list(matrix), schema, weights)
-
-
-def sharded_sorted(matrix: np.ndarray, plan: ShardPlan) -> np.ndarray:
-    """Column-wise sort composed from per-shard pre-sorted blocks.
-
-    Each leaf sorts its own row block (the parallelizable bulk of the
-    comparisons); the root merges the pre-sorted runs.  Sorting is
-    value-exact, so the result is byte-equal to ``np.sort(matrix, axis=0)``.
-    """
-    blocks = [np.sort(matrix[a:b], axis=0) for a, b in plan.bounds]
-    if len(blocks) == 1:
-        return blocks[0]
-    return np.sort(np.concatenate(blocks, axis=0), axis=0)
-
-
-def sharded_median(matrix: np.ndarray, plan: ShardPlan) -> np.ndarray:
-    """Coordinate-wise median over pre-sorted shard blocks (byte-equal)."""
-    return np.median(sharded_sorted(matrix, plan), axis=0).astype(np.float32)
-
-
-def sharded_trimmed_mean(
-    matrix: np.ndarray, schema: StateSchema, plan: ShardPlan, trim: int
-) -> np.ndarray:
-    """Trimmed mean over pre-sorted shard blocks, canonical-order merged."""
-    count = matrix.shape[0]
-    if trim < 0:
-        raise ValueError(f"trim must be >= 0, got {trim}")
-    if 2 * trim >= count:
-        raise ValueError(f"trim={trim} removes all of {count} updates")
-    ordered = sharded_sorted(matrix, plan)
-    kept = ordered[trim : count - trim]
-    return flat_mean(list(kept), schema).astype(np.float32)
-
-
-def sharded_row_norms(
-    matrix: np.ndarray, schema: StateSchema, plan: ShardPlan
-) -> np.ndarray:
-    """Per-row norms computed leaf-by-leaf (row-independent, byte-equal)."""
-    return np.concatenate([row_norms(matrix[a:b], schema) for a, b in plan.bounds])
-
-
-def einsum_gram_sq_distances(matrix: np.ndarray, schema: StateSchema) -> np.ndarray:
-    """Pairwise squared distances via per-span float64 ``einsum`` Grams.
-
-    The single-tile reference the sharded tile assembly is property-tested
-    against.  ``einsum`` (not BLAS GEMM) because its row-blocked products are
-    bitwise-reproducible under partitioning, which GEMM's cache-tiled
-    accumulation order is not.
-    """
-    count = matrix.shape[0]
-    d2 = np.zeros((count, count), dtype=np.float64)
-    for offset, size in zip(schema.offsets, schema.sizes):
-        block = matrix[:, offset : offset + size].astype(np.float64)
-        sq = np.einsum("ij,ij->i", block, block)
-        d2 += sq[:, None] + sq[None, :] - 2.0 * np.einsum("ik,jk->ij", block, block)
-    np.fill_diagonal(d2, 0.0)
-    return d2
-
-
-def sharded_gram_sq_distances(
-    matrix: np.ndarray, schema: StateSchema, plan: ShardPlan
-) -> np.ndarray:
-    """Pairwise squared distances assembled from per-shard Gram tiles.
-
-    Each leaf pair ``(s, t)`` contributes the tile
-    ``|X_s|² + |X_t|² − 2·X_s X_tᵀ`` per parameter span, accumulated in
-    schema order — bit-identical to :func:`einsum_gram_sq_distances` for
-    every plan, so root-side Krum sees exactly the global distance matrix.
-    """
-    count = matrix.shape[0]
-    if count != plan.cohort_size:
-        raise ShardingError(
-            f"matrix has {count} rows but the plan covers {plan.cohort_size}"
-        )
-    d2 = np.zeros((count, count), dtype=np.float64)
-    for offset, size in zip(schema.offsets, schema.sizes):
-        blocks = [
-            matrix[a:b, offset : offset + size].astype(np.float64) for a, b in plan.bounds
-        ]
-        sqs = [np.einsum("ij,ij->i", block, block) for block in blocks]
-        for s, (a, b) in enumerate(plan.bounds):
-            for t, (c, d) in enumerate(plan.bounds):
-                tile = np.einsum("ik,jk->ij", blocks[s], blocks[t])
-                d2[a:b, c:d] += sqs[s][:, None] + sqs[t][None, :] - 2.0 * tile
-    np.fill_diagonal(d2, 0.0)
-    return d2
-
-
-def sharded_krum_select(
-    matrix: np.ndarray, schema: StateSchema, plan: ShardPlan, num_attackers: int
-) -> int:
-    """Root-side Krum selection over shard-assembled Gram tiles."""
-    _check_krum_cohort(matrix.shape[0], num_attackers)
-    scores = _krum_scores(sharded_gram_sq_distances(matrix, schema, plan), num_attackers)
-    return int(np.argmin(scores))
-
-
-def sharded_multi_krum_select(
-    matrix: np.ndarray,
-    schema: StateSchema,
-    plan: ShardPlan,
-    num_attackers: int,
-    select: int,
-) -> list[int]:
-    """Root-side multi-Krum selection over shard-assembled Gram tiles."""
-    _check_krum_cohort(matrix.shape[0], num_attackers)
-    scores = _krum_scores(sharded_gram_sq_distances(matrix, schema, plan), num_attackers)
-    return _multi_krum_selection(scores, select)
 
 
 # ----------------------------------------------------------------------
@@ -712,7 +557,7 @@ def _release_resources(resources: _ShardResources) -> None:
 
 
 class ShardedRoundEngine:
-    """The root of the sharded data plane: plans, dispatches, and merges.
+    """The root of the sharded data plane: plans, dispatches, and assembles.
 
     Owns the per-round :class:`ShardPlan`, the (optional) spawn pool plus its
     shared-memory plane, the crash/retry/failover resolution through the
@@ -951,7 +796,7 @@ class ShardedRoundEngine:
 
         merge_start = time.perf_counter()
         # Root assembly: one copy out of the shared plane (the segment is
-        # reused next round), then the canonical cross-checked reduction.
+        # reused next round), then the witness cross-check.
         matrix = np.array(shared_rows[: len(cohort)], dtype=np.float32, copy=True)
         partials = [results[shard][1] for shard in range(plan.num_shards)]
         _check_partials(matrix, plan, partials)

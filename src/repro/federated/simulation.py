@@ -18,11 +18,14 @@ moves the round loop from the paper's idealized synchronous flow to a
 production regime: per-round client churn (availability models), stragglers
 cut by a deadline (latency models), and FedBuff-style buffered-async
 aggregation where the server merges the first ``buffer_size`` arrivals and
-late updates land in later rounds down-weighted by their staleness.
+late updates land in later rounds down-weighted by their staleness.  The
+default ``ScenarioConfig()`` (also what ``scenario=None`` means) is the
+paper's flow: everyone selected trains, arrives at the broadcast instant,
+and is merged in selection order.
 
 Virtual-time round engine
 -------------------------
-Scenario rounds execute as a discrete-event simulation over one persistent
+Every round executes as a discrete-event simulation over one persistent
 virtual clock (:mod:`repro.federated.events`): each dispatched client's
 update arrives at ``dispatch_time + latency``, the server consumes arrivals
 *in time order*, and the three round-closure schemes are three flush
@@ -34,13 +37,13 @@ on the event stream rather than inferred from bookkeeping, and in-flight
 async updates genuinely stay in transit (their arrival events survive the
 round boundary and pop whenever the clock reaches them).
 
-With no scenario configured the round loop takes exactly the legacy barrier
-code path (bit-identical, regression-tested), and every scenario decision is
+There is one round loop and one event queue (a
+:class:`~repro.federated.events.CalendarQueue`).  Every scenario decision is
 a pure function of ``(seed, client_id, round)`` with deterministic event
-tie-breaking, so results remain bit-identical across ``parallelism``
-settings.  Local training always runs through the flat-plane thread pool
-before its arrival events are scheduled — virtual time orders the *arrivals*,
-not the training computation.
+tie-breaking, so results remain bit-identical across ``parallelism``,
+``cohort_batching`` (Linear nets) and ``num_shards`` settings.  Local
+training always runs to completion before its arrival events are scheduled
+— virtual time orders the *arrivals*, not the training computation.
 """
 
 from __future__ import annotations
@@ -65,16 +68,15 @@ from ..utils.rng import rng_from_seed, stable_seed
 from .client import ClientPopulation, FederatedClient, LocalTrainingConfig
 from .cohort import CohortTrainer
 from .events import (
-    SCHEDULER_BACKENDS,
     BufferedFlushPolicy,
     BufferFlush,
+    CalendarQueue,
     ClientUpdateArrival,
     FlushPolicy,
     QuorumFlushPolicy,
     RoundDeadline,
     SyncFlushPolicy,
     TransmissionFailure,
-    make_scheduler,
 )
 from .adversary import AdversaryInjector, AdversaryLedger, update_contributors
 from .aggregation import AGGREGATION_RULES, AggregationPolicy
@@ -99,9 +101,9 @@ class SimulationConfig:
     parallelism settings — and ``parallelism=1`` takes the exact sequential
     code path.  ``None`` sizes the pool to the machine.
 
-    ``scenario`` opts the round loop into churn/straggler/async operation
-    (see :class:`~repro.federated.scenario.ScenarioConfig`); ``None`` keeps
-    the paper's idealized synchronous flow, bit for bit.
+    ``scenario`` sets the round loop's churn/straggler/async regime (see
+    :class:`~repro.federated.scenario.ScenarioConfig`); ``None`` means
+    ``ScenarioConfig()``, the paper's idealized synchronous flow.
     """
 
     rounds: int
@@ -115,28 +117,24 @@ class SimulationConfig:
     #: mixing-quality extensions).  Disable for long/large runs where the
     #: per-round history would grow without bound.
     retain_received_updates: bool = True
-    #: churn / straggler / async operating regime; ``None`` = paper flow.
+    #: churn / straggler / async operating regime; ``None`` means
+    #: ``ScenarioConfig()`` (the paper flow).
     scenario: ScenarioConfig | None = None
     #: server aggregation rule — a name from
     #: :data:`~repro.federated.aggregation.AGGREGATION_RULES` or a full
     #: :class:`~repro.federated.aggregation.AggregationPolicy`.  ``"mean"``
-    #: (the default) takes the classical FedAvg path, bit for bit.
+    #: (the default) is classical FedAvg.
     aggregation: "str | AggregationPolicy" = "mean"
-    #: virtual-clock backend — ``"calendar"`` (bucketed calendar/ladder
-    #: queue, O(1) amortized pop at any backlog) or ``"heap"`` (the binary
-    #: heap reference).  Both pop bit-identical event traces; the knob exists
-    #: so regressions can be bisected against the reference.
-    scheduler: str = "calendar"
-    #: leaf-shard count of the sharded data plane.  ``0`` (the default) keeps
-    #: the serial in-process round path — the bit-identity reference.
-    #: ``>= 1`` partitions every round's cohort into that many leaf
-    #: aggregators (training + per-shard reduction + hierarchical transcript),
-    #: byte-equal to the reference by the merge-order contract of
-    #: :mod:`repro.federated.sharding`; a round whose cohort is smaller than
+    #: leaf-shard count of the sharded training plane.  ``0`` (the default)
+    #: trains in process.  ``>= 1`` partitions every round's cohort into
+    #: that many leaf shards (training + partial witness + hierarchical
+    #: transcript); the server still merges the round once, and the rows are
+    #: byte-equal to in-process training by the contract of
+    #: :mod:`repro.federated.sharding`.  A round whose cohort is smaller than
     #: ``num_shards`` raises a typed ``ShardPlanError``.
     num_shards: int = 0
-    #: how leaf shards execute — ``"inline"`` (in-process, the sharded
-    #: algebra without IPC) or ``"process"`` (a spawn pool over
+    #: how leaf shards execute — ``"inline"`` (in-process, the shard
+    #: workers without IPC) or ``"process"`` (a spawn pool over
     #: ``multiprocessing.shared_memory``; requires a picklable ``model_fn``
     #: such as :class:`~repro.experiments.models.ModelFactory`).
     shard_backend: str = "inline"
@@ -152,11 +150,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.scheduler not in SCHEDULER_BACKENDS:
-            raise ValueError(
-                f"unknown scheduler backend {self.scheduler!r}; choose from "
-                f"{SCHEDULER_BACKENDS}"
-            )
+        if self.scenario is None:
+            object.__setattr__(self, "scenario", ScenarioConfig())
         if isinstance(self.aggregation, str) and self.aggregation not in AGGREGATION_RULES:
             raise ValueError(
                 f"unknown aggregation rule {self.aggregation!r}; choose one of "
@@ -172,19 +167,17 @@ class SimulationConfig:
             raise ValueError(f"parallelism must be >= 1 (or None for auto), got {self.parallelism}")
         if self.num_shards < 0:
             raise ValueError(
-                f"num_shards must be >= 0 (0 = the serial reference), got {self.num_shards}"
+                f"num_shards must be >= 0 (0 = train in process), got {self.num_shards}"
             )
         if self.shard_backend not in SHARD_BACKENDS:
             raise ValueError(
                 f"unknown shard backend {self.shard_backend!r}; choose from {SHARD_BACKENDS}"
             )
 
-    def aggregation_policy(self) -> "AggregationPolicy | None":
-        """The server policy this config selects (``None`` = classical mean)."""
+    def aggregation_policy(self) -> AggregationPolicy:
+        """The server policy this config selects."""
         if isinstance(self.aggregation, AggregationPolicy):
             return self.aggregation
-        if self.aggregation == "mean":
-            return None
         return AggregationPolicy(rule=self.aggregation)
 
 
@@ -192,10 +185,11 @@ class SimulationConfig:
 class RoundRecord:
     """Metrics captured at the end of one learning round.
 
-    The ``num_*`` counters and ``simulated_duration`` describe the scenario
-    engine's view of the round (selection → churn → deadline → buffer); under
-    the legacy flow they degenerate to "everyone selected arrived, nothing
-    was stale, duration 0".
+    The ``num_*`` counters and ``simulated_duration`` describe the event
+    engine's view of the round (selection → churn → deadline → buffer).
+    Under the default ``ScenarioConfig()`` they degenerate to "everyone
+    selected arrived at the broadcast instant, nothing was stale, duration
+    0", and ``arrival_times`` still lists every merged arrival.
     """
 
     round_index: int
@@ -230,8 +224,8 @@ class RoundRecord:
     #: round that finally merged it.
     merged_latencies: list[float] = field(default_factory=list)
     #: fraction of the round during which the average merged participant sat
-    #: idle after uploading (waiting for the round to close); 0 under the
-    #: legacy barrier flow
+    #: idle after uploading (waiting for the round to close); 0 when the
+    #: round took no simulated time
     idle_fraction: float = 0.0
     #: merged updates per simulated second (0 when the round took no
     #: simulated time, i.e. no latency model was configured)
@@ -379,8 +373,7 @@ class FederatedSimulation:
         # point-for-point (and exactly equal for MixNN vs classical FL).
         self._selection_rng = rng_from_seed(stable_seed(config.seed, "selection"))
         self._defense_rng = rng_from_seed(stable_seed(config.seed, "defense"))
-        # The simulation owns its received-update history (the server keeps
-        # none by default — see AggregationServer.retain_received).
+        # The run's one received-update history (the server keeps none).
         self._received_log: list[list[ModelUpdate]] = []
         # Completed-round records live on the instance (not a run() local) so
         # checkpoint/resume can restart mid-run from the last finished round.
@@ -388,8 +381,8 @@ class FederatedSimulation:
         # The persistent virtual clock: arrival/deadline/flush events live
         # here across rounds, so buffered-async updates genuinely stay in
         # transit over round boundaries (their events pop when the clock
-        # reaches them).  Only consulted when a scenario is configured.
-        self._scheduler = make_scheduler(config.scheduler)
+        # reaches them).
+        self._scheduler = CalendarQueue()
         # One evaluation replica per simulation: model_accuracy would
         # otherwise rebuild a scratch model from model_fn every round.
         self._eval_model: Module | None = None
@@ -409,20 +402,21 @@ class FederatedSimulation:
         # Fault plane: one injector (pure hash draws, stateless) and one
         # append-only ledger per run.  Without a FaultConfig the injector is
         # None and every fault hook below is a no-op.
-        faults = scenario.faults if scenario is not None else None
+        faults = scenario.faults
         self.fault_ledger = FaultLedger()
         self._fault_injector = FaultInjector(config.seed, faults) if faults is not None else None
         # Byzantine adversary plane: same shape as the fault plane — one
         # deterministic injector, one append-only ledger.  Without an
         # AdversaryConfig both are inert and every hook below is a no-op.
-        adversary = scenario.adversary if scenario is not None else None
         self.adversary_ledger = AdversaryLedger()
         self._adversary_injector = (
-            AdversaryInjector(config.seed, adversary) if adversary is not None else None
+            AdversaryInjector(config.seed, scenario.adversary)
+            if scenario.adversary is not None
+            else None
         )
-        # Sharded data plane: one root-side engine per run, owning the shard
-        # plan, the (lazy) spawn pool + shared-memory plane, and the
-        # hierarchical transcript.  num_shards=0 keeps the serial reference.
+        # Sharded training plane: one root-side engine per run, owning the
+        # shard plan, the (lazy) spawn pool + shared-memory plane, and the
+        # hierarchical transcript.  num_shards=0 trains in process.
         self._shard_engine: ShardedRoundEngine | None = None
         if config.num_shards >= 1:
             self._shard_engine = ShardedRoundEngine(
@@ -455,14 +449,11 @@ class FederatedSimulation:
             # fault plane needs the staleness discount even in sync mode
             # (aggregation is unchanged until something stale actually lands).
             staleness_alpha=(
-                scenario.staleness_alpha
-                if scenario is not None and (scenario.is_async or faults is not None)
-                else None
+                scenario.staleness_alpha if scenario.is_async or faults is not None else None
             ),
             fault_injector=self._fault_injector,
             fault_ledger=self.fault_ledger,
             policy=config.aggregation_policy(),
-            num_shards=config.num_shards,
         )
         if self._fault_injector is not None:
             self.defense.attach_fault_plane(self._fault_injector, self.fault_ledger)
@@ -473,16 +464,6 @@ class FederatedSimulation:
                 attack.truth = {c.client_id: c.attribute for c in dataset.clients()}
             self.server.add_observer(attack)
 
-    @property
-    def clients(self) -> list[FederatedClient]:
-        """Every participant, materialized.
-
-        Compatibility surface for eager-era callers; at population scale use
-        :attr:`population` instead — materializing a million replicas is
-        exactly what the descriptor plane avoids.
-        """
-        return self.population.clients()
-
     # ------------------------------------------------------------------
     # Round loop
     # ------------------------------------------------------------------
@@ -491,8 +472,7 @@ class FederatedSimulation:
 
         The draw is over the population *size* — one ``rng.choice`` call and
         ``clients_per_round`` id lookups, regardless of how many clients
-        exist — and consumes exactly the stream the legacy draw over
-        ``self.clients`` did, so selection is bit-identical.
+        exist — so selecting never materializes a client.
         """
         count = self.config.clients_per_round
         size = len(self.population)
@@ -506,11 +486,10 @@ class FederatedSimulation:
     ) -> list[ModelUpdate]:
         """Train a round's cohort, by id, through the configured data plane.
 
-        With ``num_shards=0`` this is the serial reference (materialize +
-        thread-pool training); with shards the cohort routes through the
-        :class:`~repro.federated.sharding.ShardedRoundEngine`, bit-identical
-        by the merge-order contract.  Callers release the cohort afterwards
-        exactly as before.
+        With ``num_shards=0`` this trains in process (cohort-batched, or
+        materialize + thread-pool training); with shards the cohort routes
+        through the :class:`~repro.federated.sharding.ShardedRoundEngine`,
+        bit-identical rows either way.  The caller releases the cohort.
         """
         if self._shard_engine is not None:
             return self._shard_engine.train_round(client_ids, broadcast_state, round_index)
@@ -563,7 +542,7 @@ class FederatedSimulation:
         return self._eval_model
 
     # ------------------------------------------------------------------
-    # Scenario engine (virtual-time, event-driven)
+    # Event engine (virtual time)
     # ------------------------------------------------------------------
     def _schedule_transmission(
         self, update: ModelUpdate, dispatch_time: float, origin_round: int, attempt: int
@@ -720,7 +699,7 @@ class FederatedSimulation:
     def _scenario_round(
         self, broadcast_state: dict, round_index: int
     ) -> tuple[list[ModelUpdate], list[ModelUpdate], RoundRecord]:
-        """One churn/straggler/async round on the virtual clock.
+        """Dispatch, train, and replay one round on the virtual clock.
 
         Returns ``(arrivals, trained, stats)``: the updates the server will
         see this round (what the defense processes), the updates trained this
@@ -772,8 +751,8 @@ class FederatedSimulation:
         if not scenario.is_async:
             # Sync-mode stragglers can never be merged (the round closes at
             # the deadline without them), so their training is skipped
-            # entirely — dropped work, exactly as under the legacy loop (and
-            # at population scale they are never even materialized).
+            # entirely — dropped work (at population scale they are never
+            # even materialized).
             if scenario.deadline is not None:
                 arriver_ids = [
                     cid for cid in surviving_ids if latencies[cid] <= scenario.deadline
@@ -917,19 +896,7 @@ class FederatedSimulation:
         retransmission_mark = self.fault_ledger.retransmissions
         adversary_mark = len(self.adversary_ledger.entries)
         broadcast_state = self.server.broadcast()
-
-        if self.config.scenario is None:
-            selected_ids = self._select_client_ids()
-            updates = self._train_cohort(selected_ids, broadcast_state, round_index)
-            self.population.release(selected_ids)
-            trained = updates
-            record = RoundRecord(
-                round_index=round_index,
-                global_accuracy=float("nan"),
-                num_selected=len(selected_ids),
-            )
-        else:
-            updates, trained, record = self._scenario_round(broadcast_state, round_index)
+        updates, trained, record = self._scenario_round(broadcast_state, round_index)
         mean_loss = self._mean_local_loss(trained)
 
         received = self.defense.process_round(
@@ -941,9 +908,8 @@ class FederatedSimulation:
 
         record.num_aggregated = len(received)
         report = self.server.last_aggregation_report
-        if report is not None:
-            record.num_filtered = len(report.dropped)
-        if self._adversary_injector is not None and report is not None:
+        record.num_filtered = len(report.dropped)
+        if self._adversary_injector is not None:
             # Resolve pending poison by who actually contributed to the merge:
             # kept slots' contributors (incl. chimera layer sources) carried
             # the poison into the model; dropped-only contributors were

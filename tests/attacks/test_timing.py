@@ -10,6 +10,7 @@ from repro.federated import (
     FixedLatency,
     LocalTrainingConfig,
     LogNormalLatency,
+    RandomDropout,
     ScenarioConfig,
     SimulationConfig,
 )
@@ -68,6 +69,19 @@ class TestValidation:
         probe = TimingSideChannel(warmup_rounds=2)
         with pytest.raises(ValueError, match="warm-up"):
             probe.run(make_records([{0: 1.0, 1: 2.0}] * 2))
+
+    def test_identical_warmup_latencies_raise(self):
+        probe = TimingSideChannel(warmup_rounds=2)
+        with pytest.raises(ValueError, match="latency model"):
+            probe.run(make_records([{0: 0.0, 1: 0.0, 2: 0.0}] * 4))
+
+    def test_one_distinct_warmup_latency_is_enough(self):
+        """The guard fires only when *every* warm-up latency is the same."""
+        probe = TimingSideChannel(warmup_rounds=2)
+        warmup = [{0: 1.0, 1: 1.0, 2: 1.0}, {0: 1.0, 1: 1.0, 2: 3.0}]
+        report = probe.run(make_records(warmup + [{0: 1.0, 1: 1.0, 2: 2.0}] * 2))
+        assert [r for r, _ in report.per_round] == [2, 3]
+        assert probe.profiles == {0: 1.0, 1: 1.0, 2: 2.0}
 
 
 class TestReidentification:
@@ -132,7 +146,26 @@ class TestOnSimulationResult:
         # ~10x lift over the 1/24 random-assignment baseline
         assert spread_report.advantage > 0.25
 
-    def test_legacy_loop_has_no_event_stream(self, tiny_motionsense):
-        result = run_sim(tiny_motionsense, scenario=None, rounds=2)
-        with pytest.raises(ValueError, match="arrival timestamps"):
+    @pytest.mark.parametrize(
+        "scenario",
+        [ScenarioConfig(), ScenarioConfig(availability=RandomDropout(0.2))],
+        ids=["default", "dropout"],
+    )
+    def test_run_without_latency_model_is_rejected(self, tiny_motionsense, scenario):
+        """Without a latency model every arrival lands at the round start and
+        pops in client-id order; scoring that tie order would report a leak
+        that does not exist."""
+        result = run_sim(tiny_motionsense, scenario, rounds=3)
+        assert all(r.arrival_times for r in result.rounds)
+        with pytest.raises(ValueError, match="latency model"):
+            TimingSideChannel().run(result)
+
+    def test_uniform_latency_model_is_rejected(self, tiny_motionsense):
+        """A latency model that gives every client the same delay carries no
+        timing signal either: arrivals still pop in client-id order."""
+        scenario = ScenarioConfig(latency=FixedLatency(seconds=0.5))
+        result = run_sim(tiny_motionsense, scenario, rounds=3)
+        for record in result.rounds:
+            assert {t - record.round_start for _, t in record.arrival_times} == {0.5}
+        with pytest.raises(ValueError, match="same for every client"):
             TimingSideChannel().run(result)

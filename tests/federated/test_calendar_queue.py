@@ -12,7 +12,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.defenses import NoDefense
+from repro.defenses import MixNNDefense, NoDefense
 from repro.experiments.models import model_fn_for
 from repro.federated import (
     AdversaryConfig,
@@ -27,11 +27,10 @@ from repro.federated import (
     RandomDropout,
     RoundDeadline,
     ScenarioConfig,
-    SCHEDULER_BACKENDS,
     SimulationConfig,
     TransmissionFailure,
-    make_scheduler,
 )
+from repro.mixnn.enclave import SGXEnclaveSim
 from repro.utils.rng import rng_from_seed
 
 
@@ -164,19 +163,6 @@ class TestCalendarMatchesHeap:
 
 
 class TestBackendFactory:
-    def test_make_scheduler_backends(self):
-        assert isinstance(make_scheduler("calendar"), CalendarQueue)
-        assert isinstance(make_scheduler("heap"), EventScheduler)
-        assert set(SCHEDULER_BACKENDS) == {"calendar", "heap"}
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown scheduler backend"):
-            make_scheduler("splay-tree")
-        with pytest.raises(ValueError, match="unknown scheduler backend"):
-            SimulationConfig(
-                rounds=1, local=LocalTrainingConfig(), scheduler="splay-tree"
-            )
-
     def test_calendar_parameter_validation(self):
         with pytest.raises(ValueError, match="bucket_width"):
             CalendarQueue(bucket_width=0.0)
@@ -187,6 +173,8 @@ class TestBackendFactory:
 
 
 SCENARIOS = {
+    # no latency model: every arrival ties at the round start
+    "paper-flow": ScenarioConfig(),
     "sync-deadline": ScenarioConfig(
         availability=RandomDropout(0.2),
         latency=LogNormalLatency(median=1.0, sigma=0.8),
@@ -230,7 +218,7 @@ def record_trace(result):
 
 
 class TestFullSimulationBackendIdentity:
-    def run(self, dataset, scenario, backend, parallelism=1, rounds=3):
+    def run(self, dataset, scenario, backend, parallelism=1, rounds=3, defense=None):
         config = SimulationConfig(
             rounds=rounds,
             local=LocalTrainingConfig(local_epochs=1, batch_size=32),
@@ -239,9 +227,14 @@ class TestFullSimulationBackendIdentity:
             parallelism=parallelism,
             track_per_client_accuracy=False,
             scenario=scenario,
-            scheduler=backend,
         )
-        sim = FederatedSimulation(dataset, model_fn_for(dataset), config, defense=NoDefense())
+        sim = FederatedSimulation(
+            dataset, model_fn_for(dataset), config, defense=defense or NoDefense()
+        )
+        assert isinstance(sim._scheduler, CalendarQueue)
+        if backend == "heap":
+            # swap in the heap oracle before round 0 to replay the whole run
+            sim._scheduler = EventScheduler()
         return sim.run()
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -249,6 +242,21 @@ class TestFullSimulationBackendIdentity:
         heap = self.run(tiny_motionsense, SCENARIOS[name], "heap")
         calendar = self.run(tiny_motionsense, SCENARIOS[name], "calendar")
         assert record_trace(heap) == record_trace(calendar)
+        for key in heap.final_state:
+            np.testing.assert_array_equal(heap.final_state[key], calendar.final_state[key])
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_backends_identical_with_mixnn_proxy(self, tiny_motionsense, keypair, name):
+        """The proxy mixes arrivals in pop order, so the two queues must hand
+        it the same order — ties at one instant included."""
+
+        def defense():
+            return MixNNDefense(enclave=SGXEnclaveSim(keypair=keypair), rng=rng_from_seed(7))
+
+        heap = self.run(tiny_motionsense, SCENARIOS[name], "heap", defense=defense())
+        calendar = self.run(tiny_motionsense, SCENARIOS[name], "calendar", defense=defense())
+        assert record_trace(heap) == record_trace(calendar)
+        assert heap.transcript.head == calendar.transcript.head
         for key in heap.final_state:
             np.testing.assert_array_equal(heap.final_state[key], calendar.final_state[key])
 
@@ -269,7 +277,6 @@ class TestFullSimulationBackendIdentity:
             seed=11,
             track_per_client_accuracy=False,
             scenario=scenario,
-            scheduler="calendar",
         )
         first = FederatedSimulation(
             tiny_motionsense, model_fn_for(tiny_motionsense), config, defense=NoDefense()

@@ -10,11 +10,19 @@ from repro.federated.client import (
     evaluate_accuracy,
     train_locally,
 )
+from repro.federated.aggregation import (
+    AGGREGATION_RULES,
+    AggregationPolicy,
+    AggregationReport,
+)
+from repro.federated.integrity import state_digest
 from repro.federated.server import AggregationServer
-from repro.federated.update import ModelUpdate
+from repro.federated.update import ModelUpdate, aggregate_updates
 from repro.experiments.models import paper_cnn
 from repro.nn import Linear, Sequential, ReLU
 from repro.utils.rng import rng_from_seed
+
+from ..conftest import make_updates
 
 
 def linear_model(seed: int = 0):
@@ -174,34 +182,67 @@ class TestAggregationServer:
         )
         np.testing.assert_allclose(server.broadcast()["w"], 7.0)
 
-    def test_received_log_is_off_by_default(self):
-        """No unbounded history: retention is opt-in."""
-        server = AggregationServer({"w": np.zeros(3, dtype=np.float32)})
-        for _ in range(3):
-            server.broadcast()
-            server.receive_and_aggregate(self._updates([1.0]))
-        assert len(server.received_log) == 0
-
-    def test_received_log_unlimited_when_opted_in(self):
-        server = AggregationServer({"w": np.zeros(3, dtype=np.float32)}, retain_received=None)
-        for _ in range(3):
-            server.broadcast()
-            server.receive_and_aggregate(self._updates([1.0]))
-        assert len(server.received_log) == 3
-
-    def test_received_log_bounded_retention(self):
-        server = AggregationServer({"w": np.zeros(3, dtype=np.float32)}, retain_received=2)
-        for value in (1.0, 2.0, 3.0):
-            server.broadcast()
-            server.receive_and_aggregate(self._updates([value]))
-        assert len(server.received_log) == 2
-        # the ring keeps the newest rounds
-        np.testing.assert_allclose(server.received_log[-1][0].state["w"], 3.0)
-
-    def test_negative_retention_rejected(self):
-        with pytest.raises(ValueError):
-            AggregationServer({"w": np.zeros(3, dtype=np.float32)}, retain_received=-1)
-
     def test_from_model(self, small_model):
         server = AggregationServer.from_model(small_model)
         assert set(server.global_state) == set(small_model.state_dict())
+
+
+class TestServerMergePolicy:
+    """Every merge goes through the server's one AggregationPolicy."""
+
+    @pytest.mark.parametrize(
+        "sample_weighted,staleness_alpha",
+        [(False, None), (True, None), (False, 0.5)],
+        ids=["plain", "sample-weighted", "staleness"],
+    )
+    def test_default_policy_is_the_fedavg_mean(
+        self, small_model, sample_weighted, staleness_alpha
+    ):
+        updates = make_updates(small_model, count=5, seed=1)
+        for index, update in enumerate(updates):
+            update.num_samples = 10 * (index + 1)
+            update.metadata["staleness"] = index % 3
+        server = AggregationServer(
+            small_model.state_dict(),
+            sample_weighted=sample_weighted,
+            staleness_alpha=staleness_alpha,
+        )
+        assert server.policy == AggregationPolicy()
+        server.broadcast()
+        state = server.receive_and_aggregate(updates)
+        expected = aggregate_updates(
+            updates, sample_weighted=sample_weighted, staleness_alpha=staleness_alpha
+        )
+        assert list(state) == list(expected)
+        for name in expected:
+            np.testing.assert_array_equal(state[name], expected[name])
+        assert server.last_aggregation_report == AggregationReport(
+            rule="mean", kept=tuple(range(5)), dropped=()
+        )
+
+    @pytest.mark.parametrize("rule", AGGREGATION_RULES)
+    def test_every_rule_merges_through_the_policy(self, small_model, rule):
+        updates = make_updates(small_model, count=7, seed=2)
+        outlier = 3
+        for name in updates[outlier].state:
+            updates[outlier].state[name] = updates[outlier].state[name] + 5.0
+        policy = AggregationPolicy(rule=rule)
+        server = AggregationServer(small_model.state_dict(), policy=policy)
+        reference = {name: value.copy() for name, value in server.global_state.items()}
+        server.broadcast()
+        state = server.receive_and_aggregate(updates)
+
+        expected, kept, dropped = policy.aggregate(updates, reference=reference)
+        for name in expected:
+            np.testing.assert_array_equal(state[name], expected[name])
+        assert server.last_aggregation_report == AggregationReport(
+            rule=rule, kept=kept, dropped=dropped
+        )
+        entry = server.transcript.entries[-1]
+        assert (entry.rule, entry.kept) == (rule, kept)
+        assert entry.aggregate_digest == state_digest(expected)
+        if rule in ("norm_filter", "krum", "multi-krum"):
+            assert outlier in dropped  # participant-level filtering
+        else:
+            assert dropped == ()
+

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.defenses import MixNNDefense
 from repro.federated import (
     FederatedSimulation,
     FixedLatency,
@@ -21,6 +22,8 @@ from repro.federated.events import (
     SyncFlushPolicy,
 )
 from repro.experiments.models import paper_cnn
+from repro.mixnn.enclave import SGXEnclaveSim
+from repro.utils.rng import rng_from_seed
 
 
 def model_fn_for_dataset(dataset):
@@ -59,8 +62,8 @@ class TestEventScheduler:
         assert scheduler.now == 5.0
 
     def test_equal_time_arrivals_pop_in_insertion_order(self):
-        """The tie-break that keeps the default scenario bit-identical to the
-        legacy barrier loop: same-time arrivals come out in client order."""
+        """The tie-break that merges a round without a latency model in
+        selection order: same-time arrivals come out in client order."""
         scheduler = EventScheduler()
         for client_id in (7, 3, 11, 5):
             scheduler.schedule(ClientUpdateArrival(time=0.0, client_id=client_id))
@@ -131,8 +134,8 @@ class TestFlushPolicies:
 
 class TestEngineDeterminism:
     def test_no_scenario_bit_identical_to_default_scenario(self, tiny_motionsense):
-        """The tentpole regression guard: the legacy barrier loop and the
-        event engine with a default ScenarioConfig produce the same bits."""
+        """``scenario=None`` means ``ScenarioConfig()``: same bits, and the
+        same (degenerate) event stream."""
         legacy = run_sim(tiny_motionsense, scenario=None)
         events = run_sim(tiny_motionsense, scenario=ScenarioConfig())
         assert legacy.accuracy_curve() == events.accuracy_curve()
@@ -141,10 +144,30 @@ class TestEngineDeterminism:
         ]
         for name in legacy.final_state:
             np.testing.assert_array_equal(legacy.final_state[name], events.final_state[name])
-        # the event engine additionally records the (degenerate) event stream
-        for record in events.rounds:
+        # every round records its (degenerate) event stream
+        for record in legacy.rounds + events.rounds:
             assert record.simulated_duration == 0.0
             assert len(record.arrival_times) == record.num_aggregated
+
+    def test_mixnn_paper_flow_runs_on_the_event_engine(self, tiny_motionsense, keypair):
+        """The paper's MixNN flow takes the same event loop: every selected
+        client arrives at the broadcast instant, in client-id order."""
+        config = SimulationConfig(
+            rounds=2,
+            local=LocalTrainingConfig(local_epochs=1, batch_size=32),
+            clients_per_round=6,
+            seed=0,
+            track_per_client_accuracy=False,
+        )
+        defense = MixNNDefense(enclave=SGXEnclaveSim(keypair=keypair), rng=rng_from_seed(7))
+        result = FederatedSimulation(
+            tiny_motionsense, model_fn_for_dataset(tiny_motionsense), config, defense=defense
+        ).run()
+        for record in result.rounds:
+            senders = [sender for sender, _ in record.arrival_times]
+            assert senders == sorted(senders)
+            assert len(senders) == record.num_selected == record.num_aggregated == 6
+            assert {time for _, time in record.arrival_times} == {record.round_start}
 
     @pytest.mark.parametrize(
         "scenario",

@@ -264,7 +264,7 @@ class TestStalenessWeighting:
 
 class TestScenarioRounds:
     def test_no_scenario_bit_identical_to_default_scenario(self, tiny_motionsense):
-        """Regression guard: ScenarioConfig() defaults == legacy round loop."""
+        """``scenario=None`` and ``ScenarioConfig()`` run the same round."""
         legacy = run_sim(tiny_motionsense, scenario=None)
         default = run_sim(tiny_motionsense, scenario=ScenarioConfig())
         assert legacy.accuracy_curve() == default.accuracy_curve()

@@ -1,4 +1,4 @@
-"""Sharded aggregation plane: plan, shard algebra, transcript, engine, faults.
+"""Sharded training plane: plan, leaf witnesses, transcript, engine, faults.
 
 Marked ``sharded`` so the whole plane can be exercised quickly::
 
@@ -19,6 +19,8 @@ from repro.federated import (
     FaultConfig,
     FederatedSimulation,
     LocalTrainingConfig,
+    LogNormalLatency,
+    RandomDropout,
     ScenarioConfig,
     ShardedRoundEngine,
     ShardIntegrityError,
@@ -27,22 +29,9 @@ from repro.federated import (
     ShardPlanError,
     SimulationConfig,
 )
-from repro.federated.aggregation import AGGREGATION_RULES, _krum_scores
-from repro.federated.flat import flat_mean, row_norms
+from repro.federated.aggregation import AGGREGATION_RULES
 from repro.federated.integrity import TranscriptError
-from repro.federated.sharding import (
-    _check_partials,
-    einsum_gram_sq_distances,
-    shard_partial_sum,
-    sharded_flat_mean,
-    sharded_gram_sq_distances,
-    sharded_krum_select,
-    sharded_median,
-    sharded_multi_krum_select,
-    sharded_row_norms,
-    sharded_sorted,
-    sharded_trimmed_mean,
-)
+from repro.federated.sharding import _check_partials, shard_partial_sum
 from repro.nn.serialization import _intern_schema, schema_of
 from repro.utils.rng import rng_from_seed
 
@@ -130,77 +119,29 @@ class TestShardPlan:
 
 
 class TestShardAlgebra:
-    """Every composed reduction byte-equal to its single-process counterpart."""
+    """Leaf witnesses cross-checked against the plane's column sum."""
 
-    @pytest.mark.parametrize("shards", [1, 2, 3, 5])
-    def test_sharded_flat_mean_is_byte_equal(self, shards):
+    @pytest.mark.parametrize("shards", [1, 2, 3, 5, 11])
+    def test_honest_partials_pass_for_every_plan(self, shards):
+        """Uneven slices included: what every leaf honestly sums passes."""
         schema = small_schema()
-        matrix = random_matrix(schema, 11, seed=1)
+        matrix = random_matrix(schema, 11, seed=shards)
         plan = ShardPlan.build(11, shards)
-        serial = flat_mean(list(matrix), schema)
-        np.testing.assert_array_equal(sharded_flat_mean(matrix, schema, plan), serial)
+        partials = [shard_partial_sum(matrix[a:b]) for a, b in plan.bounds]
+        _check_partials(matrix, plan, partials)
 
-    def test_weighted_mean_is_byte_equal(self):
+    @pytest.mark.parametrize("shard", [0, 1, 2, 3])
+    def test_torn_row_in_any_shard_is_caught(self, shard):
+        """A plane row that changed after its leaf summed it — the torn write
+        the witness exists to catch — fails the check whichever shard owns it."""
         schema = small_schema()
-        matrix = random_matrix(schema, 9, seed=2)
-        weights = [float(i + 1) for i in range(9)]
-        plan = ShardPlan.build(9, 4)
-        serial = flat_mean(list(matrix), schema, weights)
-        np.testing.assert_array_equal(
-            sharded_flat_mean(matrix, schema, plan, weights), serial
-        )
-
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_sharded_sort_and_median(self, shards):
-        schema = small_schema()
-        matrix = random_matrix(schema, 12, seed=3)
-        plan = ShardPlan.build(12, shards)
-        np.testing.assert_array_equal(
-            sharded_sorted(matrix, plan), np.sort(matrix, axis=0)
-        )
-        np.testing.assert_array_equal(
-            sharded_median(matrix, plan),
-            np.median(matrix, axis=0).astype(np.float32),
-        )
-
-    def test_sharded_trimmed_mean(self):
-        schema = small_schema()
-        matrix = random_matrix(schema, 10, seed=4)
-        plan = ShardPlan.build(10, 3)
-        ordered = np.sort(matrix, axis=0)
-        serial = flat_mean(list(ordered[2:8]), schema).astype(np.float32)
-        np.testing.assert_array_equal(
-            sharded_trimmed_mean(matrix, schema, plan, trim=2), serial
-        )
-
-    def test_sharded_row_norms(self):
-        schema = small_schema()
-        matrix = random_matrix(schema, 10, seed=5).astype(np.float64)
+        matrix = random_matrix(schema, 10, seed=10)
         plan = ShardPlan.build(10, 4)
-        np.testing.assert_array_equal(
-            sharded_row_norms(matrix, schema, plan), row_norms(matrix, schema)
-        )
-
-    @pytest.mark.parametrize("shards", [1, 2, 3, 4, 7])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_gram_tiles_match_the_global_einsum(self, shards, seed):
-        """Property test of the Krum path: tile assembly is bit-identical."""
-        schema = small_schema()
-        matrix = random_matrix(schema, 14, seed=seed)
-        plan = ShardPlan.build(14, shards)
-        np.testing.assert_array_equal(
-            sharded_gram_sq_distances(matrix, schema, plan),
-            einsum_gram_sq_distances(matrix, schema),
-        )
-
-    def test_krum_selection_matches_the_reference_scores(self):
-        schema = small_schema()
-        matrix = random_matrix(schema, 9, seed=6)
-        plan = ShardPlan.build(9, 3)
-        scores = _krum_scores(einsum_gram_sq_distances(matrix, schema), 2)
-        assert sharded_krum_select(matrix, schema, plan, 2) == int(np.argmin(scores))
-        selected = sharded_multi_krum_select(matrix, schema, plan, 2, select=4)
-        assert selected == sorted(int(i) for i in np.argsort(scores, kind="stable")[:4])
+        partials = [shard_partial_sum(matrix[a:b]) for a, b in plan.bounds]
+        torn = matrix.copy()
+        torn[plan.bounds[shard][1] - 1, -1] += 1.0  # last row of the slice
+        with pytest.raises(ShardIntegrityError, match="disagree"):
+            _check_partials(torn, plan, partials)
 
     def test_corrupted_partial_raises_integrity_error(self):
         schema = small_schema()
@@ -218,11 +159,22 @@ class TestShardAlgebra:
         with pytest.raises(ShardIntegrityError, match="partials"):
             _check_partials(matrix, plan, [shard_partial_sum(matrix)])
 
-    def test_plan_matrix_mismatch_raises(self):
-        schema = small_schema()
-        matrix = random_matrix(schema, 8, seed=9)
-        with pytest.raises(ShardingError, match="rows"):
-            sharded_flat_mean(matrix, schema, ShardPlan.build(6, 2), check=False)
+
+EVENT_SCENARIOS = {
+    "dropout-deadline": ScenarioConfig(
+        availability=RandomDropout(0.2),
+        latency=LogNormalLatency(median=1.0, sigma=0.8),
+        deadline=3.0,
+    ),
+    "buffered-async": ScenarioConfig(
+        latency=LogNormalLatency(median=1.0, sigma=1.0),
+        aggregation="buffered-async",
+        buffer_size=3,
+    ),
+    "stragglers": ScenarioConfig(
+        latency=LogNormalLatency(median=1.0, sigma=0.6, straggler_fraction=0.3)
+    ),
+}
 
 
 class TestBitIdentity:
@@ -250,6 +202,30 @@ class TestBitIdentity:
         for name, value in serial.final_state.items():
             np.testing.assert_array_equal(value, result.final_state[name])
         assert result.transcript.head == serial.transcript.head
+
+    @pytest.mark.parametrize("shards", [3, 5])
+    def test_uneven_plans_match_serial(self, tiny_motionsense, shards):
+        """Slices of unequal size still hand the root the canonical slot order."""
+        serial = make_sim(tiny_motionsense, num_shards=0, clients_per_round=7).run()
+        result = make_sim(tiny_motionsense, num_shards=shards, clients_per_round=7).run()
+        for name, value in serial.final_state.items():
+            np.testing.assert_array_equal(value, result.final_state[name])
+        assert result.transcript.head == serial.transcript.head
+        result.shard_transcript.verify()
+
+    @pytest.mark.parametrize("name", sorted(EVENT_SCENARIOS))
+    def test_event_scenarios_match_serial(self, tiny_motionsense, name):
+        """Churn, deadlines and buffering run on the same event loop whether
+        the cohort trains in process or on shards."""
+        scenario = EVENT_SCENARIOS[name]
+        serial = make_sim(tiny_motionsense, num_shards=0, scenario=scenario).run()
+        result = make_sim(tiny_motionsense, num_shards=2, scenario=scenario).run()
+        for key, value in serial.final_state.items():
+            np.testing.assert_array_equal(value, result.final_state[key])
+        assert result.transcript.head == serial.transcript.head
+        assert [r.arrival_times for r in result.rounds] == [
+            r.arrival_times for r in serial.rounds
+        ]
 
     def test_serial_path_has_no_shard_transcript(self, tiny_motionsense):
         assert make_sim(tiny_motionsense, num_shards=0).run().shard_transcript is None

@@ -9,10 +9,13 @@ import pytest
 from repro.defenses import GaussianNoiseDefense, NoDefense
 from repro.experiments.models import paper_cnn
 from repro.federated import (
+    AggregationPolicy,
     FederatedSimulation,
     LocalTrainingConfig,
+    ScenarioConfig,
     SimulationConfig,
 )
+from repro.federated.aggregation import AGGREGATION_RULES
 from repro.federated.update import ModelUpdate
 
 
@@ -39,9 +42,27 @@ class TestSimulationConfig:
         config = SimulationConfig(rounds=3, local=LocalTrainingConfig())
         assert config.clients_per_round is None
         assert config.track_per_client_accuracy
+        # the paper flow and the mean are ordinary values, not a separate path
+        assert config.scenario == ScenarioConfig()
+        assert config.aggregation_policy() == AggregationPolicy()
 
 
 class TestFederatedSimulation:
+    @pytest.mark.parametrize("rule", AGGREGATION_RULES)
+    def test_server_merges_with_the_configured_policy(self, tiny_motionsense, fast_config, rule):
+        config = replace(fast_config, aggregation=rule, track_per_client_accuracy=False)
+        sim = FederatedSimulation(tiny_motionsense, model_fn_for_dataset(tiny_motionsense), config)
+        assert sim.server.policy == config.aggregation_policy() == AggregationPolicy(rule=rule)
+        result = sim.run()
+        assert [entry.rule for entry in result.transcript.entries] == [rule] * config.rounds
+
+    def test_policy_instance_is_used_as_is(self, tiny_motionsense, fast_config):
+        policy = AggregationPolicy(rule="trimmed", trim=2)
+        config = replace(fast_config, aggregation=policy)
+        sim = FederatedSimulation(tiny_motionsense, model_fn_for_dataset(tiny_motionsense), config)
+        assert config.aggregation_policy() is policy
+        assert sim.server.policy is policy
+
     def test_runs_configured_rounds(self, tiny_motionsense, fast_config):
         sim = FederatedSimulation(tiny_motionsense, model_fn_for_dataset(tiny_motionsense), fast_config)
         result = sim.run()
