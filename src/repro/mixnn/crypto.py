@@ -14,7 +14,10 @@ The DEM hot path is vectorized: keystream blocks are generated in bulk (a
 JIT-compiled fused keystream+XOR over OpenSSL when available, else batched
 ``hashlib`` midstate forks XORed via ``np.bitwise_xor``), producing bytes
 identical to the original per-block reference implementation, which is kept
-and cross-checked by :func:`selftest`.
+and cross-checked by :func:`selftest`.  Every modular exponentiation (the KEM
+on both sides and the Miller–Rabin witnesses) goes through :func:`_mod_exp`:
+OpenSSL's Montgomery exponentiation in the same native helper, else Python's
+``pow``, which returns the same integers.
 
 This is a *functional reproduction* of the pipeline (sizes, flow and failure
 modes), adequate for the systems evaluation it supports.  It is **not**
@@ -28,7 +31,7 @@ import functools
 import hashlib
 import hmac as hmac_mod
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,6 +58,17 @@ class CryptoError(Exception):
     """Raised on malformed or tampered ciphertexts."""
 
 
+def _mod_exp(base: int, exponent: int, modulus: int) -> int:
+    """``pow(base, exponent, modulus)`` for an odd modulus.
+
+    Runs on OpenSSL (releasing the GIL) when the native helper is built and
+    falls back to Python's big-int ``pow`` otherwise.
+    """
+    if native.load() is not None:
+        return native.mod_exp(base, exponent, modulus)
+    return pow(base, exponent, modulus)
+
+
 # ----------------------------------------------------------------------
 # Prime generation (Miller–Rabin)
 # ----------------------------------------------------------------------
@@ -73,7 +87,7 @@ def _is_probable_prime(n: int, rounds: int = 40) -> bool:
         r += 1
     for _ in range(rounds):
         a = secrets.randbelow(n - 3) + 2
-        x = pow(a, d, n)
+        x = _mod_exp(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):
@@ -117,15 +131,26 @@ class KeyPair:
     """RSA key pair held by the enclave (private exponent never leaves it).
 
     ``p``/``q`` are optional: when the factorization is known the private
-    operation uses the CRT (two half-size exponentiations, ~3× faster); a
-    key pair built from ``(public, d)`` alone still decrypts via plain
-    ``pow(c, d, n)``.
+    operation uses the CRT, two half-size exponentiations.  At 1024 bits on
+    a 2-vCPU Xeon VM that takes ~0.12 ms on OpenSSL against ~0.35 ms for
+    plain ``c^d mod n``, and ~1.4 ms against ~4 ms on the Python ``pow``
+    fallback.  A key pair built from ``(public, d)`` alone still decrypts
+    via plain ``c^d mod n``.  The CRT exponents and coefficient are derived
+    once, at construction, so they are in place before any decrypt thread
+    can see the key pair.
     """
 
     public: PublicKey
     d: int  # private exponent
     p: int | None = None
     q: int | None = None
+    #: ``(d mod (p-1), d mod (q-1), q^-1 mod p)``, or ``None`` without factors
+    _crt: tuple[int, int, int] | None = field(init=False, default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        p, q = self.p, self.q
+        if p is not None and q is not None:
+            object.__setattr__(self, "_crt", (self.d % (p - 1), self.d % (q - 1), pow(q, -1, p)))
 
     @property
     def n(self) -> int:
@@ -133,20 +158,23 @@ class KeyPair:
 
     def private_op(self, c: int) -> int:
         """Compute ``c^d mod n``, via CRT when the factors are available."""
-        if self.p is None or self.q is None:
-            return pow(c, self.d, self.n)
+        if self._crt is None:
+            return _mod_exp(c, self.d, self.n)
         p, q = self.p, self.q
-        mp = pow(c % p, self.d % (p - 1), p)
-        mq = pow(c % q, self.d % (q - 1), q)
-        h = (pow(q, -1, p) * (mp - mq)) % p
+        dp, dq, q_inv = self._crt
+        mp = _mod_exp(c, dp, p)
+        mq = _mod_exp(c, dq, q)
+        h = (q_inv * (mp - mq)) % p
         return mq + h * q
 
 
 def process_keypair(bits: int = 1024) -> KeyPair:
     """A process-wide cached key pair for simulation components.
 
-    Prime generation costs ~0.2 s; experiment sweeps and test suites that
-    build many enclaves share one key pair through this helper.  Anything
+    Generating a 1024-bit key pair costs ~0.01 s of CPU on OpenSSL and
+    ~0.1 s on the Python ``pow`` fallback (medians; single draws range over
+    about 3x); experiment sweeps and test suites that build many enclaves
+    share one key pair through this helper.  Anything
     modelling *distinct* enclaves should call :func:`generate_keypair`.
     """
     return _cached_keypair(bits)
@@ -242,11 +270,19 @@ def stream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
     return _xor_bulk(data, _keystream_bulk(key, nonce, len(data)))
 
 
-def selftest() -> bool:
-    """Cross-check every keystream/XOR path against the reference implementation.
+def _selftest_int(label: bytes, bits: int) -> int:
+    """A deterministic ``bits``-bit integer drawn from ``label``."""
+    return int.from_bytes(hashlib.shake_256(label).digest((bits + 7) // 8), "big") >> (-bits % 8)
 
-    Exercised at module scale (empty, sub-block, block-aligned and multi-block
-    lengths).  Raises :class:`CryptoError` on any divergence.
+
+def selftest() -> bool:
+    """Cross-check every native path against its reference implementation.
+
+    The keystream/XOR paths are exercised at module scale (empty, sub-block,
+    block-aligned and multi-block lengths); the native ``mod_exp`` against
+    ``pow`` from a 1-bit to a 2048-bit modulus, with a base above the
+    modulus and exponents from 0 up to the modulus size.  Raises
+    :class:`CryptoError` on any divergence.
     """
     for length in (0, 1, 31, 32, 33, 64, 100, 1023, 4096):
         key = hashlib.sha256(b"selftest-key%d" % length).digest()
@@ -260,6 +296,13 @@ def selftest() -> bool:
         if native.available() and length > 0:
             if native.ctr_sha256_xor(key + nonce, data) != expected:
                 raise CryptoError(f"native path diverges from reference at length {length}")
+    if native.available():
+        for bits in (1, 17, 512, 1024, 2048):
+            modulus = _selftest_int(b"selftest-modulus%d" % bits, bits) | 1
+            base = _selftest_int(b"selftest-base%d" % bits, bits + 8)
+            for exponent in (0, 1, _E, _selftest_int(b"selftest-exponent%d" % bits, bits)):
+                if native.mod_exp(base, exponent, modulus) != pow(base, exponent, modulus):
+                    raise CryptoError(f"native mod_exp diverges from pow at {bits} bits")
     return True
 
 
@@ -285,7 +328,7 @@ def encrypt(public: PublicKey, plaintext: bytes) -> bytes:
     m = int.from_bytes(padded, "big")
     if m >= public.n:
         raise CryptoError("padded key does not fit the modulus")
-    kem = pow(m, public.e, public.n).to_bytes(public.modulus_bytes, "big")
+    kem = _mod_exp(m, public.e, public.n).to_bytes(public.modulus_bytes, "big")
     nonce = secrets.token_bytes(_NONCE_BYTES)
     enc_key = hashlib.sha256(session_key + b"enc").digest()
     mac_key = hashlib.sha256(session_key + b"mac").digest()

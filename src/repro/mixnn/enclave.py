@@ -241,9 +241,10 @@ class SGXEnclaveSim:
     ) -> list:
         """Decrypt a batch of updates, raising throughput with a thread pool.
 
-        The RSA-KEM, the fused native keystream and the HMAC all release the
-        GIL (big-int ``pow`` aside), so concurrent decryption scales on real
-        cores.  Accounting stays deterministic: costs are charged and memory
+        The RSA-KEM's OpenSSL exponentiation, the fused native keystream and
+        the HMAC all release the GIL, so concurrent decryption scales on real
+        cores (on the ``pow`` fallback without the native helper, the KEM
+        holds it).  Accounting stays deterministic: costs are charged and memory
         allocated serially in *message order* after all plaintexts are
         recovered, so the simulated clock and EPC counters are bit-identical
         to a sequential run.

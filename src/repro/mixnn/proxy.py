@@ -304,7 +304,7 @@ class MixNNProxy:
         """Ingest a batch of messages through the decryption pool, no flush.
 
         Ciphertexts are decrypted concurrently (:meth:`SGXEnclaveSim.decrypt_many`
-        — the DEM and MAC release the GIL), while the §4.3 mixing state machine
+        — the KEM, DEM and MAC release the GIL), while the §4.3 mixing state machine
         itself runs in message order, so the emission sequence and RNG draws
         are identical to calling :meth:`receive` one message at a time.  The
         EPC accounting honestly reflects the batch buffering: all decrypted

@@ -1,18 +1,21 @@
-"""Optional native acceleration for the SHA-256 CTR stream cipher.
+"""Optional native acceleration for the MixNN hybrid cipher.
 
 The MixNN DEM (:mod:`repro.mixnn.crypto`) XORs payloads with a keystream of
 ``SHA256(key || nonce || counter)`` blocks.  Generating that keystream one
 ``hashlib`` call at a time costs ~35 ms/MB of Python dispatch; the hashing
-itself is ~5 ms/MB of native work.  This module JIT-compiles (via ``cffi``
-against OpenSSL's ``libcrypto``) a single C function that fuses keystream
-generation and the XOR into one pass, and caches the built extension on disk
-keyed by a hash of its source, so compilation happens once per machine.
+itself is ~5 ms/MB of native work.  Its RSA-KEM spends ~1.4 ms of Python
+big-int ``pow`` on the two 512-bit CRT halves of a 1024-bit private
+operation; OpenSSL's Montgomery exponentiation does both in ~0.12 ms.  This
+module JIT-compiles (via ``cffi`` against OpenSSL's ``libcrypto``) one small
+extension with two C functions, a fused keystream+XOR and a modular
+exponentiation, and caches the built extension on disk keyed by a hash of its
+source, so compilation happens once per machine.  Both calls release the GIL.
 
 Everything degrades gracefully: if ``cffi``, a C compiler, or ``libcrypto``
 is unavailable (or ``REPRO_NO_NATIVE=1`` is set) :func:`load` returns ``None``
-and callers fall back to the pure-Python bulk path.  Correctness of the
-native path against the reference implementation is checked by
-``repro.mixnn.crypto.selftest()``.
+and callers fall back to the pure-Python bulk keystream and to ``pow``.
+Correctness of the native paths against the reference implementations is
+checked by ``repro.mixnn.crypto.selftest()``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import os
 import sys
 import tempfile
 
-__all__ = ["load", "ctr_sha256_xor", "available"]
+__all__ = ["load", "ctr_sha256_xor", "mod_exp", "available"]
 
 _MODULE_NAME = "_repro_ctr_native"
 
@@ -31,38 +34,69 @@ _CDEF = (
     "void ctr_sha256_xor(const unsigned char *prefix, size_t prefix_len, "
     "unsigned long long start, const unsigned char *data, size_t len, "
     "unsigned char *out);"
+    "int mod_exp(const unsigned char *base, size_t base_len, "
+    "const unsigned char *exponent, size_t exponent_len, "
+    "const unsigned char *modulus, size_t modulus_len, unsigned char *out);"
 )
 
 _SOURCE = r"""
+#include <openssl/bn.h>
+#include <openssl/err.h>
 #include <openssl/sha.h>
-#include <string.h>
 
 /* XOR `data` with the keystream SHA256(prefix || be64(start + i)) for
- * consecutive 32-byte blocks i.  Uses the legacy SHA256_* API: unlike the
- * one-shot SHA256()/EVP path it performs no per-call algorithm fetch, which
- * dominates at 56-byte messages. */
+ * consecutive 32-byte blocks i.  The prefix is absorbed once and its hash
+ * state copied for every block, so any prefix length works.  Uses the legacy
+ * SHA256_* API: unlike the one-shot SHA256()/EVP path it performs no
+ * per-call algorithm fetch, which dominates at 56-byte messages. */
 void ctr_sha256_xor(const unsigned char *prefix, size_t prefix_len,
                     unsigned long long start, const unsigned char *data,
                     size_t len, unsigned char *out) {
-    unsigned char msg[256];
+    unsigned char counter[8];
     unsigned char block[SHA256_DIGEST_LENGTH];
-    SHA256_CTX ctx;
+    SHA256_CTX midstate, ctx;
     size_t nblocks = (len + 31) / 32;
-    if (prefix_len > sizeof(msg) - 8)
-        prefix_len = sizeof(msg) - 8;
-    memcpy(msg, prefix, prefix_len);
+    SHA256_Init(&midstate);
+    SHA256_Update(&midstate, prefix, prefix_len);
     for (size_t i = 0; i < nblocks; i++) {
         unsigned long long c = start + i;
         for (int j = 0; j < 8; j++)
-            msg[prefix_len + j] = (unsigned char)(c >> (56 - 8 * j));
-        SHA256_Init(&ctx);
-        SHA256_Update(&ctx, msg, prefix_len + 8);
+            counter[j] = (unsigned char)(c >> (56 - 8 * j));
+        ctx = midstate;
+        SHA256_Update(&ctx, counter, 8);
         SHA256_Final(block, &ctx);
         size_t off = 32 * i;
         size_t n = (len - off < 32) ? (len - off) : 32;
         for (size_t j = 0; j < n; j++)
             out[off + j] = data[off + j] ^ block[j];
     }
+}
+
+/* out = base^exponent mod modulus over big-endian magnitudes, written as
+ * exactly modulus_len bytes.  The caller guarantees an odd modulus and
+ * base < modulus.  Returns 1 on success, 0 on failure. */
+int mod_exp(const unsigned char *base, size_t base_len,
+            const unsigned char *exponent, size_t exponent_len,
+            const unsigned char *modulus, size_t modulus_len,
+            unsigned char *out) {
+    int ok = 0;
+    BN_CTX *ctx = BN_CTX_new();
+    BIGNUM *b = BN_bin2bn(base, (int)base_len, NULL);
+    BIGNUM *e = BN_bin2bn(exponent, (int)exponent_len, NULL);
+    BIGNUM *m = BN_bin2bn(modulus, (int)modulus_len, NULL);
+    BIGNUM *r = BN_new();
+    if (ctx && b && e && m && r
+        && BN_mod_exp_mont_consttime(r, b, e, m, ctx, NULL)
+        && BN_bn2binpad(r, out, (int)modulus_len) == (int)modulus_len)
+        ok = 1;
+    else
+        ERR_clear_error();
+    BN_free(r);
+    BN_free(m);
+    BN_clear_free(e);
+    BN_clear_free(b);
+    BN_CTX_free(ctx);
+    return ok;
 }
 """
 
@@ -114,16 +148,8 @@ def _import_from(directory: str):
 
 
 def _build() -> "tuple | None":
-    from cffi import FFI
-
-    ffi = FFI()
-    ffi.cdef(_CDEF)
-    ffi.set_source(
-        _MODULE_NAME,
-        _SOURCE,
-        libraries=["crypto"],
-        extra_compile_args=["-O2", "-Wno-deprecated-declarations"],
-    )
+    # A warm cache is imported directly (~1 ms): importing cffi and parsing
+    # the cdef would add ~0.04 s of CPU to every process for nothing.
     cache = _cache_dir()
     module = None
     if os.path.isdir(cache):
@@ -132,6 +158,16 @@ def _build() -> "tuple | None":
         except Exception:
             module = None
     if module is None:
+        from cffi import FFI
+
+        ffi = FFI()
+        ffi.cdef(_CDEF)
+        ffi.set_source(
+            _MODULE_NAME,
+            _SOURCE,
+            libraries=["crypto"],
+            extra_compile_args=["-O2", "-Wno-deprecated-declarations"],
+        )
         build_dir = tempfile.mkdtemp(prefix="repro-native-build-")
         ffi.compile(tmpdir=build_dir)
         try:
@@ -165,7 +201,7 @@ def load():
 
 
 def available() -> bool:
-    """Whether the fused native CTR path can be used on this machine."""
+    """Whether the native CTR and ``mod_exp`` paths can be used on this machine."""
     return load() is not None
 
 
@@ -188,3 +224,36 @@ def ctr_sha256_xor(prefix: bytes, data: bytes, start: int = 0) -> bytes:
         _ffi.from_buffer(out),
     )
     return bytes(out)
+
+
+def mod_exp(base: int, exponent: int, modulus: int) -> int:
+    """``pow(base, exponent, modulus)`` via OpenSSL's ``BN_mod_exp_mont_consttime``.
+
+    Montgomery multiplication needs an odd modulus, so an even or
+    non-positive ``modulus`` raises :class:`ValueError`, as does a negative
+    ``exponent``.  Any ``base`` is accepted and reduced into ``[0, modulus)``
+    first, so every operand handed to C fits the ``modulus``-sized output.
+    Requires the native library, like :func:`ctr_sha256_xor`.
+    """
+    if modulus < 1 or not modulus & 1:
+        raise ValueError(f"modulus must be odd and positive, got {modulus}")
+    if exponent < 0:
+        raise ValueError(f"exponent must be non-negative, got {exponent}")
+    lib = load()
+    if lib is None:
+        raise RuntimeError("native mod_exp helper is not available on this machine")
+    base %= modulus
+    size = (modulus.bit_length() + 7) // 8
+    exponent_bytes = exponent.to_bytes((exponent.bit_length() + 7) // 8, "big")
+    out = bytearray(size)
+    if not lib.mod_exp(
+        _ffi.from_buffer(base.to_bytes(size, "big")),
+        size,
+        _ffi.from_buffer(exponent_bytes),
+        len(exponent_bytes),
+        _ffi.from_buffer(modulus.to_bytes(size, "big")),
+        size,
+        _ffi.from_buffer(out),
+    ):
+        raise RuntimeError("OpenSSL BN_mod_exp_mont_consttime failed")
+    return int.from_bytes(out, "big")

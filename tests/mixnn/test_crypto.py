@@ -1,5 +1,7 @@
 """Hybrid encryption: round trips, tampering, key handling, fast-path equivalence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,25 @@ from repro.utils import native
 @pytest.fixture(scope="module")
 def kp():
     return process_keypair()
+
+
+def _native_must_not_run(*args, **kwargs):
+    raise AssertionError("native helper called on the pure-Python path")
+
+
+def _force_fallback(patch) -> None:
+    """Run on the pure-Python paths, as without cffi, a compiler or OpenSSL."""
+    patch.setattr(native, "load", lambda: None)
+    patch.setattr(native, "mod_exp", _native_must_not_run)
+    patch.setattr(native, "ctr_sha256_xor", _native_must_not_run)
+
+
+@pytest.fixture()
+def no_native(monkeypatch):
+    _force_fallback(monkeypatch)
+
+
+needs_native = pytest.mark.skipif(not native.available(), reason="native helper unavailable")
 
 
 class TestPrimes:
@@ -120,7 +141,16 @@ class TestKeystreamEquivalence:
         data, stream = b"\x00\xff\x55" * 100, b"\xaa" * 300
         assert _xor_bulk(data, stream) == _xor_reference(data, stream)
 
-    @pytest.mark.skipif(not native.available(), reason="native CTR helper unavailable")
+    @pytest.mark.parametrize("prefix_len", [48, 248, 249, 320])
+    def test_stream_xor_matches_reference_at_any_prefix_length(self, prefix_len):
+        # key || nonce is the keystream prefix; 48 bytes is the DEM's own.
+        key = (bytes(range(256)) * 2)[: prefix_len - _NONCE_BYTES]
+        nonce = b"\x09" * _NONCE_BYTES
+        data = b"long prefix " * 20
+        expected = _xor_reference(data, _keystream_reference(key, nonce, len(data)))
+        assert stream_xor(key, nonce, data) == expected
+
+    @needs_native
     def test_native_path_matches_reference(self):
         key, nonce = b"\x07" * 32, b"\x08" * _NONCE_BYTES
         data = b"\x42" * 100_003
@@ -142,6 +172,65 @@ class TestCRTDecryption:
     def test_generated_keypairs_carry_factors(self, kp):
         assert kp.p is not None and kp.q is not None
         assert kp.p * kp.q == kp.n
+
+    def test_crt_parameters_derived_once_at_construction(self, kp):
+        assert kp._crt == (kp.d % (kp.p - 1), kp.d % (kp.q - 1), pow(kp.q, -1, kp.p))
+        assert KeyPair(public=kp.public, d=kp.d)._crt is None
+        # Derived, so neither shown nor compared, and rebuilt on replace.
+        assert "_crt" not in repr(kp)
+        assert dataclasses.replace(kp) == kp
+        assert dataclasses.replace(kp)._crt == kp._crt
+
+    @needs_native
+    def test_kem_runs_on_native_mod_exp(self, kp, monkeypatch):
+        calls = []
+        real = native.mod_exp
+
+        def counting(base, exponent, modulus):
+            calls.append(modulus)
+            return real(base, exponent, modulus)
+
+        monkeypatch.setattr(native, "mod_exp", counting)
+        assert decrypt(kp, encrypt(kp.public, b"kem on OpenSSL")) == b"kem on OpenSSL"
+        # The public op under n, then both CRT halves.
+        assert calls == [kp.n, kp.p, kp.q]
+
+
+class TestPurePythonFallback:
+    """Without the native helper every path falls back to ``pow`` and hashlib."""
+
+    def test_round_trip(self, kp, no_native):
+        payload = np.random.default_rng(2).integers(0, 256, 10_001, dtype=np.uint8).tobytes()
+        assert decrypt(kp, encrypt(kp.public, payload)) == payload
+
+    @needs_native
+    def test_native_ciphertext_decrypts_on_fallback(self, kp, monkeypatch):
+        blob = encrypt(kp.public, b"made with OpenSSL")
+        with monkeypatch.context() as patch:
+            _force_fallback(patch)
+            assert decrypt(kp, blob) == b"made with OpenSSL"
+
+    @needs_native
+    def test_fallback_ciphertext_decrypts_on_native(self, kp, monkeypatch):
+        with monkeypatch.context() as patch:
+            _force_fallback(patch)
+            blob = encrypt(kp.public, b"made with pow")
+        assert decrypt(kp, blob) == b"made with pow"
+
+    def test_private_op_matches_plain_pow(self, kp, no_native):
+        message = 24681357913579
+        c = pow(message, kp.public.e, kp.n)
+        assert kp.private_op(c) == pow(c, kp.d, kp.n) == message
+        assert KeyPair(public=kp.public, d=kp.d).private_op(c) == message
+
+    def test_miller_rabin(self, no_native):
+        assert not _is_probable_prime(561)
+        assert _is_probable_prime(2**127 - 1)
+
+    def test_keygen(self, no_native):
+        fresh = generate_keypair(bits=512)
+        assert fresh.p * fresh.q == fresh.n
+        assert decrypt(fresh, encrypt(fresh.public, b"pow only")) == b"pow only"
 
 
 class TestTampering:
