@@ -6,7 +6,7 @@ federated pipeline and the ∇Sim attack consume.  See DESIGN.md §2 for the
 substitution rationale.
 """
 
-from .base import ArrayDataset, ClientDataset, DataLoader, train_test_split
+from .base import ArrayDataset, ClientDataset, train_test_split
 from .cifar10 import PREFERENCE_GROUPS, SyntheticCIFAR10
 from .federated import DirichletReshard, FederatedDataset
 from .lfw import SyntheticLFW
@@ -25,7 +25,6 @@ from .population import LazyFederatedDataset, SyntheticPopulation
 __all__ = [
     "ArrayDataset",
     "ClientDataset",
-    "DataLoader",
     "train_test_split",
     "FederatedDataset",
     "DirichletReshard",

@@ -1,23 +1,22 @@
-"""Dataset containers and batching.
+"""Dataset containers and splits.
 
-The federated pipeline works with three views of data:
+The federated pipeline works with two views of data:
 
 * :class:`ArrayDataset` — plain ``(X, y)`` arrays (global test sets, attack
   background corpora);
 * :class:`ClientDataset` — one participant's local data plus the participant's
-  *sensitive attribute* (the thing ∇Sim tries to infer);
-* :class:`DataLoader` — shuffled mini-batch iteration with an explicit RNG so
-  local training is reproducible per (client, round).
+  *sensitive attribute* (the thing ∇Sim tries to infer).
+
+Local training batches by index (:func:`repro.federated.client.epoch_batches`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
-__all__ = ["ArrayDataset", "ClientDataset", "DataLoader", "train_test_split"]
+__all__ = ["ArrayDataset", "ClientDataset", "train_test_split"]
 
 
 @dataclass
@@ -72,40 +71,6 @@ class ClientDataset:
             f"ClientDataset(id={self.client_id}, train={len(self.train)}, "
             f"test={len(self.test)}, attribute={self.attribute})"
         )
-
-
-class DataLoader:
-    """Mini-batch iterator with per-epoch shuffling."""
-
-    def __init__(
-        self,
-        dataset: ArrayDataset,
-        batch_size: int,
-        rng: np.random.Generator,
-        shuffle: bool = True,
-        drop_last: bool = False,
-    ) -> None:
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        self.dataset = dataset
-        self.batch_size = batch_size
-        self.rng = rng
-        self.shuffle = shuffle
-        self.drop_last = drop_last
-
-    def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
-
-    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        n = len(self.dataset)
-        order = self.rng.permutation(n) if self.shuffle else np.arange(n)
-        stop = n - (n % self.batch_size) if self.drop_last else n
-        for start in range(0, stop, self.batch_size):
-            idx = order[start : start + self.batch_size]
-            yield self.dataset.features[idx], self.dataset.labels[idx]
 
 
 def train_test_split(

@@ -4,6 +4,13 @@ Each round, a client receives the broadcast model state, refines it locally
 on its private data (step ❷ of Figure 2 — Adam, a configured number of local
 epochs and batch size, per §6.1.4), and returns a :class:`ModelUpdate` with
 the refined parameters.
+
+:func:`local_sgd` is the one local-training loop.  A client trains alone
+through :func:`train_locally`, which runs the loop on its own model; the
+cohort-batched plane (:mod:`repro.federated.cohort`) runs the same loop on a
+model stacked over a leading client axis.  ∇Sim's reference models
+(:mod:`repro.attacks.background`) train through :func:`train_locally` too,
+with the participants' own recipe.
 """
 
 from __future__ import annotations
@@ -13,8 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from ..data.base import ArrayDataset, ClientDataset, DataLoader
-from ..nn import Adam, CrossEntropyLoss, Module, Tensor, no_grad
+from ..data.base import ArrayDataset, ClientDataset
+from ..nn import Adam, GradTape, Module, Tensor, no_grad
+from ..nn import functional as F
 from ..utils.rng import rng_from_seed, stable_seed
 from .update import ModelUpdate
 
@@ -22,6 +30,8 @@ __all__ = [
     "LocalTrainingConfig",
     "FederatedClient",
     "ClientPopulation",
+    "epoch_batches",
+    "local_sgd",
     "train_locally",
     "train_rows_into",
     "evaluate_accuracy",
@@ -43,27 +53,65 @@ class LocalTrainingConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
+def epoch_batches(rngs, n: int, batch_size: int, lead: tuple[int, ...] = ()) -> list[np.ndarray]:
+    """One epoch's batch schedule for every client of a (possibly stacked) model.
+
+    Client ``i`` draws ``rngs[i].permutation(n)`` once and takes its samples
+    in that order, ``batch_size`` at a time (the last batch may be short), so
+    each sample is seen exactly once per epoch.  Returns the index batches,
+    each of shape ``(*lead, <= batch_size)``, with ``rngs`` in ``lead``'s
+    row-major order.
+    """
+    orders = np.stack([rng.permutation(n) for rng in rngs]).reshape(*lead, n)
+    return [orders[..., start : start + batch_size] for start in range(0, n, batch_size)]
+
+
+def local_sgd(
+    model: Module,
+    features: np.ndarray,
+    labels: np.ndarray,
+    config: LocalTrainingConfig,
+    rngs,
+) -> np.ndarray:
+    """The local-training loop: Adam on the softmax cross-entropy, in place.
+
+    ``model`` is an ordinary model (``labels`` of shape ``(n,)``) or one
+    whose parameters carry leading client axes ``L`` (``labels`` of shape
+    ``(*L, n)``, ``features`` ``(*L, n, ...)``); ``rngs`` holds one generator
+    per client.  Every step records on a :class:`~repro.nn.GradTape` and
+    backpropagates by one reverse walk of it.  Returns the last batch's
+    loss per client, an array of shape ``L`` (NaN when ``n == 0``).
+    """
+    model.train()
+    optimizer = Adam(model.parameters(), lr=config.learning_rate)
+    lead, n = labels.shape[:-1], labels.shape[-1]
+    # Open-mesh client indices: ``features[rows + (idx,)]`` gathers each
+    # client's own batch; ``rows`` is empty for an ordinary model.
+    rows = tuple(axis[..., None] for axis in np.ix_(*map(np.arange, lead)))
+    seed = np.ones(lead, dtype=np.float32)
+    last_losses = np.full(lead, np.nan, dtype=np.float32)
+    tape = GradTape()
+    for _ in range(config.local_epochs):
+        for idx in epoch_batches(rngs, n, config.batch_size, lead):
+            batch = rows + (idx,)
+            with tape:
+                loss = F.cross_entropy(model(Tensor(features[batch])), labels[batch])
+            optimizer.zero_grad()
+            tape.backward(loss, seed)
+            optimizer.step()
+            tape.clear()
+            last_losses = loss.data
+    return last_losses
+
+
 def train_locally(
     model: Module,
     dataset: ArrayDataset,
     config: LocalTrainingConfig,
     rng: np.random.Generator,
 ) -> float:
-    """Run the local SGD/Adam loop in place; return the final batch loss."""
-    model.train()
-    optimizer = Adam(model.parameters(), lr=config.learning_rate)
-    criterion = CrossEntropyLoss()
-    loader = DataLoader(dataset, batch_size=config.batch_size, rng=rng, shuffle=True)
-    last_loss = float("nan")
-    for _ in range(config.local_epochs):
-        for features, labels in loader:
-            logits = model(Tensor(features))
-            loss = criterion(logits, labels)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            last_loss = loss.item()
-    return last_loss
+    """Run :func:`local_sgd` on one model in place; return the final batch loss."""
+    return float(local_sgd(model, dataset.features, dataset.labels, config, [rng]))
 
 
 def train_rows_into(

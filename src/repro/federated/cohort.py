@@ -1,12 +1,16 @@
 """Cohort-batched local training: one stacked forward/backward per round.
 
-Every selected client shares one architecture, so a round's local SGD is M
-independent instances of the same small computation.  This module fuses them:
-the cohort's weights live in one ``(M, D)`` flat block (rows in
+Every selected client shares one architecture, so a round's local training
+is M independent instances of the same small computation.  This module stacks
+them: the cohort's weights live in one ``(M, D)`` flat block (rows in
 :class:`~repro.nn.serialization.StateSchema` order, exactly the row layout of
-the sharded data plane), each parameter is an ``(M, *shape)`` zero-copy view
-into that block, and each Adam step trains all M clients in a single batched
-forward/backward over ``(M, B, ...)`` minibatches.
+the sharded data plane), and :func:`build_cohort_model` copies the template's
+ordinary layers with ``(M, *shape)`` parameters that are zero-copy views into
+that block.  The kernels of :mod:`repro.nn.functional` take the leading
+client axis as they are, and the one local-training loop,
+:func:`~repro.federated.client.local_sgd`, trains the stacked model exactly
+as it trains a single client's: same batch schedule, same tape, same
+in-place Adam.
 
 Numerical contract (also in README "Cohort-batched training"):
 
@@ -29,38 +33,26 @@ per group; per-client results do not depend on the grouping.
 
 from __future__ import annotations
 
+import copy
+from collections import OrderedDict
+
 import numpy as np
 
-from ..nn import (
-    CohortAdam,
-    CohortAvgPool2d,
-    CohortConv2d,
-    CohortFlatten,
-    CohortLinear,
-    CohortLocallyConnected2d,
-    CohortMaxPool2d,
-    GradTape,
-    Module,
-    Parameter,
-    ReLU,
-    Sequential,
-    Sigmoid,
-    Tanh,
-    Tensor,
-)
-from ..nn import functional as F
+from ..nn import Module, Parameter, Sequential
 from ..nn.layers import (
     AvgPool2d,
     Conv2d,
-    Dropout,
     Flatten,
     Linear,
     LocallyConnected2d,
     MaxPool2d,
+    ReLU,
+    Sigmoid,
+    Tanh,
 )
 from ..nn.serialization import StateSchema
 from ..utils.rng import rng_from_seed, stable_seed
-from .client import ClientPopulation
+from .client import ClientPopulation, local_sgd
 from .update import ModelUpdate
 
 __all__ = ["CohortBatchingError", "CohortTrainer", "build_cohort_model"]
@@ -70,76 +62,48 @@ class CohortBatchingError(TypeError):
     """The model architecture cannot be trained in cohort-batched mode."""
 
 
-#: template layer type -> builder(layer, params) for the batched twin.
-#: ``params`` is the (weight, bias) pair of block views, or ``None`` for
-#: parameterless layers.
-_STATELESS = (ReLU, Tanh, Sigmoid)
-
-
-def _cohort_layer(layer: Module, weight: Parameter | None, bias: Parameter | None) -> Module:
-    if isinstance(layer, Linear):
-        return CohortLinear(weight, bias)
-    if isinstance(layer, Conv2d):
-        return CohortConv2d(weight, bias, stride=layer.stride, padding=layer.padding)
-    if isinstance(layer, LocallyConnected2d):
-        return CohortLocallyConnected2d(weight, bias, stride=layer.stride)
-    if isinstance(layer, MaxPool2d):
-        return CohortMaxPool2d(layer.kernel_size)
-    if isinstance(layer, AvgPool2d):
-        return CohortAvgPool2d(layer.kernel_size)
-    if isinstance(layer, Flatten):
-        return CohortFlatten()
-    if isinstance(layer, _STATELESS):
-        return type(layer)()
-    if isinstance(layer, Dropout):
-        raise CohortBatchingError(
-            "Dropout draws from per-replica RNG state and is not supported in "
-            "cohort-batched mode; train with cohort_batching=False"
-        )
-    raise CohortBatchingError(
-        f"layer {type(layer).__name__} has no cohort-batched twin; "
-        "train with cohort_batching=False"
-    )
+#: layers whose forward pass takes a leading client axis as it is (not
+#: ``Dropout``: its mask comes from per-replica RNG state)
+_STACKABLE = (
+    Linear, Conv2d, LocallyConnected2d, MaxPool2d, AvgPool2d, Flatten, ReLU, Tanh, Sigmoid
+)
 
 
 def validate_cohort_template(template: Module) -> None:
-    """Raise :class:`CohortBatchingError` if ``template`` cannot be batched."""
+    """Raise :class:`CohortBatchingError` if ``template`` cannot be stacked."""
     if not isinstance(template, Sequential):
         raise CohortBatchingError(
             f"cohort batching requires a Sequential model, got {type(template).__name__}"
         )
     for layer in template:
-        _cohort_layer(layer, None, None)
+        if not isinstance(layer, _STACKABLE):
+            raise CohortBatchingError(
+                f"layer {type(layer).__name__} cannot be stacked over a client axis; "
+                "train with cohort_batching=False"
+            )
 
 
 def build_cohort_model(template: Sequential, block: np.ndarray, schema: StateSchema) -> Module:
-    """The batched twin of ``template`` over an ``(M, D)`` flat weight block.
+    """``template`` stacked over the rows of an ``(M, D)`` flat weight block.
 
-    Every parameter of the returned model is a zero-copy ``(M, *shape)`` view
-    into ``block`` — training writes straight through, so after the local
-    loop row ``m`` of ``block`` *is* client ``m``'s refined flat state.
+    Each layer is a shallow copy of the template's whose parameters are
+    zero-copy ``(M, *shape)`` views into ``block`` — training writes straight
+    through, so after the local loop row ``m`` of ``block`` *is* client
+    ``m``'s refined flat state.
     """
-    if not isinstance(template, Sequential):
-        raise CohortBatchingError(
-            f"cohort batching requires a Sequential model, got {type(template).__name__}"
-        )
+    validate_cohort_template(template)
     m = block.shape[0]
-
-    def view_param(name: str) -> Parameter:
-        offset, size, shape = schema._index[name]
-        view = block[:, offset : offset + size].reshape((m,) + tuple(shape))
-        if not np.shares_memory(view, block):  # pragma: no cover - layout guard
-            raise CohortBatchingError(f"parameter {name!r} view does not alias the block")
-        return Parameter(view)
-
     layers: list[Module] = []
     for index, layer in enumerate(template):
-        weight = bias = None
-        if getattr(layer, "weight", None) is not None:
-            weight = view_param(f"layer{index}.weight")
-        if getattr(layer, "bias", None) is not None:
-            bias = view_param(f"layer{index}.bias")
-        layers.append(_cohort_layer(layer, weight, bias))
+        stacked = copy.copy(layer)
+        stacked._parameters = OrderedDict()  # the template keeps its own table
+        for name in layer._parameters:
+            offset, size, shape = schema._index[f"layer{index}.{name}"]
+            view = block[:, offset : offset + size].reshape((m,) + tuple(shape))
+            setattr(stacked, name, Parameter(view))
+        if isinstance(layer, Flatten):
+            stacked.start_dim = layer.start_dim + 1
+        layers.append(stacked)
     return Sequential(*layers)
 
 
@@ -163,47 +127,6 @@ class CohortTrainer:
         #: broadcast block); built once, validated once.
         self.template = self._model_fn(rng_from_seed(self._seed))
         validate_cohort_template(self.template)
-
-    # ------------------------------------------------------------------
-    # Core batched loop
-    # ------------------------------------------------------------------
-    def _train_block(
-        self,
-        block: np.ndarray,
-        features: np.ndarray,
-        labels: np.ndarray,
-        rngs: list[np.random.Generator],
-    ) -> np.ndarray:
-        """Local-SGD the ``(M, D)`` block in place; return per-client losses.
-
-        ``features``/``labels`` are ``(M, n, ...)`` stacks; ``rngs`` the
-        per-client generators (same construction as the serial path).
-        """
-        m, n = labels.shape
-        config = self._config
-        model = build_cohort_model(self.template, block, self.schema)
-        optimizer = CohortAdam(model.parameters(), lr=config.learning_rate)
-        batch = config.batch_size
-        row_sel = np.arange(m)[:, None]
-        seed_grad = np.ones(m, dtype=np.float32)
-        last_losses = np.full(m, np.nan, dtype=np.float32)
-        tape = GradTape()
-        for _ in range(config.local_epochs):
-            # One permutation per client per epoch — the DataLoader schedule.
-            orders = np.stack([rng.permutation(n) for rng in rngs])
-            for start in range(0, n, batch):
-                idx = orders[:, start : start + batch]
-                xb = features[row_sel, idx]
-                yb = labels[row_sel, idx]
-                with tape:
-                    logits = model(Tensor(xb))
-                    loss = F.cohort_cross_entropy(logits, yb)
-                    optimizer.zero_grad()
-                    tape.backward(loss, seed_grad)
-                    optimizer.step()
-                tape.clear()
-                last_losses = loss.data
-        return last_losses
 
     # ------------------------------------------------------------------
     # Row-plane entry points
@@ -234,8 +157,6 @@ class CohortTrainer:
         broadcast_row = self.schema.pack(broadcast_state)
         seed = self._seed
         for n, positions in groups.items():
-            if n == 0:
-                raise CohortBatchingError("cannot train a client with an empty dataset")
             m = len(positions)
             block = np.repeat(broadcast_row[None, :], m, axis=0)
             features = np.stack([datasets[p].features for p in positions])
@@ -243,7 +164,8 @@ class CohortTrainer:
             rngs = [
                 rng_from_seed(stable_seed(seed, pairs[p][1], round_index)) for p in positions
             ]
-            losses = self._train_block(block, features, labels, rngs)
+            model = build_cohort_model(self.template, block, self.schema)
+            losses = local_sgd(model, features, labels, self._config, rngs)
             for j, p in enumerate(positions):
                 slot, client_id = pairs[p]
                 rows[slot] = block[j]

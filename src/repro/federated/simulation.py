@@ -138,13 +138,13 @@ class SimulationConfig:
     #: ``multiprocessing.shared_memory``; requires a picklable ``model_fn``
     #: such as :class:`~repro.experiments.models.ModelFactory`).
     shard_backend: str = "inline"
-    #: train each round's cohort as one stacked ``(M, ...)`` batched
-    #: forward/backward (see :mod:`repro.federated.cohort`) instead of one
-    #: client at a time.  ``False`` (the default) keeps the serial reference.
-    #: Per-client results are bit-identical to serial for Linear/elementwise
-    #: architectures and within 1e-6 relative tolerance for conv/locally
-    #: connected ones; composes with ``num_shards`` (each shard trains its
-    #: slice as one stacked pass).
+    #: stack each round's equal-size clients over a leading axis and train
+    #: them in one pass of the local loop (see :mod:`repro.federated.cohort`)
+    #: instead of one client at a time.  ``False`` (the default) trains
+    #: client by client through the same loop.  Per-client results are
+    #: bit-identical to serial for Linear/elementwise architectures and
+    #: within 1e-6 relative tolerance for conv/locally connected ones;
+    #: composes with ``num_shards`` (each shard stacks its slice).
     cohort_batching: bool = False
 
     def __post_init__(self) -> None:

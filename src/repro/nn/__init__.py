@@ -11,12 +11,6 @@ from . import functional
 from .init import glorot_uniform, he_normal, he_uniform, normal, zeros
 from .layers import (
     AvgPool2d,
-    CohortAvgPool2d,
-    CohortConv2d,
-    CohortFlatten,
-    CohortLinear,
-    CohortLocallyConnected2d,
-    CohortMaxPool2d,
     Conv2d,
     Dropout,
     Flatten,
@@ -29,7 +23,7 @@ from .layers import (
 )
 from .loss import BCEWithLogitsLoss, CrossEntropyLoss, MSELoss
 from .module import Module, Parameter, Sequential
-from .optim import SGD, Adam, CohortAdam, Optimizer
+from .optim import SGD, Adam, Optimizer
 from .serialization import (
     StateSpec,
     flatten,
@@ -65,19 +59,12 @@ __all__ = [
     "Tanh",
     "Sigmoid",
     "Dropout",
-    "CohortLinear",
-    "CohortConv2d",
-    "CohortLocallyConnected2d",
-    "CohortMaxPool2d",
-    "CohortAvgPool2d",
-    "CohortFlatten",
     "CrossEntropyLoss",
     "MSELoss",
     "BCEWithLogitsLoss",
     "Optimizer",
     "SGD",
     "Adam",
-    "CohortAdam",
     "StateSpec",
     "spec_of",
     "flatten",

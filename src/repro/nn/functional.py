@@ -12,6 +12,19 @@ Implements the operations required by the architectures in the MixNN paper:
 
 Convolution is implemented with ``im2col``/``col2im`` over
 ``numpy.lib.stride_tricks`` so the heavy lifting stays inside BLAS matmuls.
+
+Leading client axes
+-------------------
+Every kernel takes optional leading axes ``L`` in front of its usual
+operands: an ``(*L, N, ...)`` input meets ``(*L, ...)`` parameters (and
+``(*L, N)`` labels), and slice ``l`` of the output depends on slice ``l`` of
+the operands alone.  ``L = ()`` is an ordinary model; ``L = (M,)`` is M
+clients stacked over one ``(M, D)`` weight block
+(:mod:`repro.federated.cohort`).  A kernel reads ``len(L)`` from its
+parameter's rank (the loss from its labels').  Per slice, ``linear``, the
+pools and the losses are bitwise equal to the unstacked call; ``conv2d`` and
+``locally_connected2d`` batch their einsum contraction over ``L``, which may
+reassociate the reduction, and agree within 1e-6 relative tolerance.
 """
 
 from __future__ import annotations
@@ -19,7 +32,11 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Tensor, as_tensor, is_grad_enabled
+from .tensor import Tensor, _unbroadcast, as_tensor, is_grad_enabled
+
+#: einsum labels of the leading client axes.  Explicit subscripts, because
+#: parsing an ``...`` costs more than a small contraction.
+_LEAD = "mabcdefg"
 
 __all__ = [
     "im2col",
@@ -36,12 +53,6 @@ __all__ = [
     "mse_loss",
     "dropout",
     "one_hot",
-    "cohort_linear",
-    "cohort_conv2d",
-    "cohort_max_pool2d",
-    "cohort_avg_pool2d",
-    "cohort_locally_connected2d",
-    "cohort_cross_entropy",
 ]
 
 
@@ -110,92 +121,97 @@ def conv2d(
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """2-D convolution over an ``(N, C, H, W)`` input.
+    """2-D convolution over an ``(*L, N, C, H, W)`` input.
 
-    ``weight`` has shape ``(O, C, KH, KW)`` and ``bias`` shape ``(O,)``.
+    ``weight`` has shape ``(*L, O, C, KH, KW)`` and ``bias`` ``(*L, O)``.
+    Zero padding happens inside the kernel, and so does slicing it off the
+    input gradient.
     """
     x = as_tensor(x)
-    if padding:
-        x = x.pad2d(padding)
-    n, c, h, w = x.shape
-    o, c_w, kh, kw = weight.shape
+    lead = weight.shape[:-4]
+    xd = x.data
+    pad = int(padding)
+    if pad:
+        xd = np.pad(xd, ((0, 0),) * (xd.ndim - 2) + ((pad, pad), (pad, pad)))
+    n, c, h, w = xd.shape[-4:]
+    o, c_w, kh, kw = weight.shape[-4:]
     if c != c_w:
         raise ValueError(f"channel mismatch: input has {c}, weight expects {c_w}")
-    cols = im2col(x.data, (kh, kw), stride)  # (N, C*KH*KW, OH, OW)
+    cols = im2col(xd.reshape(-1, c, h, w), (kh, kw), stride)  # (*L·N, C*KH*KW, OH, OW)
     _, k, oh, ow = cols.shape
-    flat_cols = cols.reshape(n, k, oh * ow)
-    w_flat = weight.data.reshape(o, k)
-    out_data = np.einsum("ok,nkp->nop", w_flat, flat_cols, optimize=True).reshape(n, o, oh, ow)
+    flat_cols = cols.reshape(*lead, n, k, oh * ow)
+    w_flat = weight.data.reshape(*lead, o, k)
+    m = _LEAD[: len(lead)]
+    out_data = np.einsum(f"{m}ok,{m}nkp->{m}nop", w_flat, flat_cols, optimize=True)
+    out_data = out_data.reshape(*lead, n, o, oh, ow)
     if bias is not None:
-        out_data = out_data + bias.data.reshape(1, o, 1, 1)
+        out_data = out_data + bias.data.reshape(*lead, 1, o, 1, 1)
 
-    parents = [x, weight] + ([bias] if bias is not None else [])
+    parents = (x, weight) + ((bias,) if bias is not None else ())
     if not (is_grad_enabled() and any(p.requires_grad for p in parents)):
         return Tensor._lean(out_data, "conv2d")
 
     def backward(grad: np.ndarray) -> None:
-        grad_flat = grad.reshape(n, o, oh * ow)
+        grad_flat = grad.reshape(*lead, n, o, oh * ow)
         if weight.requires_grad:
-            dw = np.einsum("nop,nkp->ok", grad_flat, flat_cols, optimize=True)
+            dw = np.einsum(f"{m}nop,{m}nkp->{m}ok", grad_flat, flat_cols, optimize=True)
             weight._accumulate(dw.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
+            bias._accumulate(grad.sum(axis=(-4, -2, -1)))
         if x.requires_grad:
-            dcols = np.einsum("ok,nop->nkp", w_flat, grad_flat, optimize=True)
-            dx = col2im(dcols.reshape(n, k, oh, ow), (n, c, h, w), (kh, kw), stride)
+            dcols = np.einsum(f"{m}ok,{m}nop->{m}nkp", w_flat, grad_flat, optimize=True)
+            dx = col2im(dcols.reshape(-1, k, oh, ow), (cols.shape[0], c, h, w), (kh, kw), stride)
+            dx = dx.reshape(xd.shape)
+            if pad:
+                dx = dx[..., pad:-pad, pad:-pad]
             x._accumulate(dx)
 
-    return Tensor._make(out_data, parents, backward, "conv2d")
+    return Tensor._record(out_data, parents, backward, "conv2d")
+
+
+def _pool_blocks(x: Tensor, kernel: int) -> np.ndarray:
+    """``x`` as ``(..., OH, kernel, OW, kernel)`` blocks of its two trailing axes."""
+    *batch, h, w = x.shape
+    if h % kernel or w % kernel:
+        raise ValueError(f"spatial dims {(h, w)} not divisible by pool kernel {kernel}")
+    return x.data.reshape(*batch, h // kernel, kernel, w // kernel, kernel)
 
 
 def max_pool2d(x: Tensor, kernel: int) -> Tensor:
-    """Non-overlapping max pooling with ``stride == kernel``.
+    """Non-overlapping max pooling (``stride == kernel``) of the two trailing axes.
 
     Spatial dimensions must be divisible by ``kernel`` (the experiment
     architectures are sized so this always holds).
     """
     x = as_tensor(x)
-    n, c, h, w = x.shape
-    if h % kernel or w % kernel:
-        raise ValueError(f"spatial dims {(h, w)} not divisible by pool kernel {kernel}")
-    oh, ow = h // kernel, w // kernel
-    blocks = x.data.reshape(n, c, oh, kernel, ow, kernel)
-    out_data = blocks.max(axis=(3, 5))
+    blocks = _pool_blocks(x, kernel)
+    out_data = blocks.max(axis=(-3, -1))
     if not (is_grad_enabled() and x.requires_grad):
         return Tensor._lean(out_data, "max_pool2d")
-    mask = blocks == out_data[:, :, :, None, :, None]
+    mask = blocks == out_data[..., :, None, :, None]
     # Break ties deterministically: scale by inverse tie-count.
-    counts = mask.sum(axis=(3, 5), keepdims=True)
+    counts = mask.sum(axis=(-3, -1), keepdims=True)
 
     def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            g = grad[:, :, :, None, :, None] * mask / counts
-            x._accumulate(g.reshape(n, c, h, w))
+        g = grad[..., :, None, :, None] * mask / counts
+        x._accumulate(g.reshape(x.shape))
 
-    return Tensor._make(out_data, (x,), backward, "max_pool2d")
+    return Tensor._record(out_data, (x,), backward, "max_pool2d")
 
 
 def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
-    """Non-overlapping average pooling with ``stride == kernel``."""
+    """Non-overlapping average pooling (``stride == kernel``) of the two trailing axes."""
     x = as_tensor(x)
-    n, c, h, w = x.shape
-    if h % kernel or w % kernel:
-        raise ValueError(f"spatial dims {(h, w)} not divisible by pool kernel {kernel}")
-    oh, ow = h // kernel, w // kernel
-    blocks = x.data.reshape(n, c, oh, kernel, ow, kernel)
-    out_data = blocks.mean(axis=(3, 5))
+    blocks = _pool_blocks(x, kernel)
+    out_data = blocks.mean(axis=(-3, -1))
     if not (is_grad_enabled() and x.requires_grad):
         return Tensor._lean(out_data, "avg_pool2d")
 
     def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            g = np.broadcast_to(
-                grad[:, :, :, None, :, None] / (kernel * kernel),
-                (n, c, oh, kernel, ow, kernel),
-            )
-            x._accumulate(g.reshape(n, c, h, w).copy())
+        g = np.broadcast_to(grad[..., :, None, :, None] / (kernel * kernel), blocks.shape)
+        x._accumulate(g.reshape(x.shape))
 
-    return Tensor._make(out_data, (x,), backward, "avg_pool2d")
+    return Tensor._record(out_data, (x,), backward, "avg_pool2d")
 
 
 def locally_connected2d(
@@ -206,14 +222,15 @@ def locally_connected2d(
 ) -> Tensor:
     """Locally connected layer: convolution with *untied* weights.
 
-    ``weight`` has shape ``(O, OH, OW, C * KH * KW)`` — each output location
-    owns its own filter bank, exactly as in DeepFace's L-layers.  ``bias`` has
-    shape ``(O, OH, OW)``.  ``KH``/``KW`` are inferred from the weight and
-    input geometry.
+    ``weight`` has shape ``(*L, O, OH, OW, C * KH * KW)`` — each output
+    location owns its own filter bank, exactly as in DeepFace's L-layers.
+    ``bias`` has shape ``(*L, O, OH, OW)`` and the input ``(*L, N, C, H, W)``.
+    ``KH``/``KW`` are inferred from the weight and input geometry.
     """
     x = as_tensor(x)
-    n, c, h, w = x.shape
-    o, oh, ow, k = weight.shape
+    lead = weight.shape[:-4]
+    n, c, h, w = x.shape[-4:]
+    o, oh, ow, k = weight.shape[-4:]
     # Solve the (square) kernel size from k = C * KH * KW and the geometry.
     khw = k // c
     kh = int(round(khw**0.5))
@@ -226,34 +243,60 @@ def locally_connected2d(
         raise ValueError(
             f"weight spatial shape {(oh, ow)} does not match computed output {(expected_oh, expected_ow)}"
         )
-    cols = im2col(x.data, (kh, kw), stride)  # (N, K, OH, OW)
-    out_data = np.einsum("oyxk,nkyx->noyx", weight.data, cols, optimize=True)
+    cols = im2col(x.data.reshape(-1, c, h, w), (kh, kw), stride)  # (*L·N, K, OH, OW)
+    flat_n = cols.shape[0]
+    cols = cols.reshape(*lead, n, k, oh, ow)
+    m = _LEAD[: len(lead)]
+    out_data = np.einsum(f"{m}oyxk,{m}nkyx->{m}noyx", weight.data, cols, optimize=True)
     if bias is not None:
-        out_data = out_data + bias.data[None]
+        out_data = out_data + bias.data[..., None, :, :, :]
 
-    parents = [x, weight] + ([bias] if bias is not None else [])
+    parents = (x, weight) + ((bias,) if bias is not None else ())
     if not (is_grad_enabled() and any(p.requires_grad for p in parents)):
         return Tensor._lean(out_data, "locally_connected2d")
 
     def backward(grad: np.ndarray) -> None:
         if weight.requires_grad:
-            dw = np.einsum("noyx,nkyx->oyxk", grad, cols, optimize=True)
+            dw = np.einsum(f"{m}noyx,{m}nkyx->{m}oyxk", grad, cols, optimize=True)
             weight._accumulate(dw)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=0))
+            bias._accumulate(grad.sum(axis=-4))
         if x.requires_grad:
-            dcols = np.einsum("oyxk,noyx->nkyx", weight.data, grad, optimize=True)
-            x._accumulate(col2im(dcols, (n, c, h, w), (kh, kw), stride))
+            dcols = np.einsum(f"{m}oyxk,{m}noyx->{m}nkyx", weight.data, grad, optimize=True)
+            dx = col2im(dcols.reshape(flat_n, k, oh, ow), (flat_n, c, h, w), (kh, kw), stride)
+            x._accumulate(dx.reshape(x.shape))
 
-    return Tensor._make(out_data, parents, backward, "locally_connected2d")
+    return Tensor._record(out_data, parents, backward, "locally_connected2d")
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` with ``weight`` of shape ``(out, in)``."""
-    out = as_tensor(x) @ weight.T
+    """Affine map ``x @ weight.T + bias`` in one op.
+
+    ``x`` has shape ``(*L, B, in)``, ``weight`` ``(*L, out, in)`` and
+    ``bias`` ``(*L, out)``.  Broadcast ``np.matmul`` runs one 2-D GEMM per
+    leading slice, so every slice is bitwise the unstacked product.
+    """
+    x = as_tensor(x)
+    out_data = np.matmul(x.data, np.swapaxes(weight.data, -1, -2))
     if bias is not None:
-        out = out + bias
-    return out
+        out_data = out_data + bias.data[..., None, :]
+
+    parents = (x, weight) + ((bias,) if bias is not None else ())
+    if not (is_grad_enabled() and any(p.requires_grad for p in parents)):
+        return Tensor._lean(out_data, "linear")
+
+    def backward(grad: np.ndarray) -> None:
+        if weight.requires_grad:
+            # d(W.T) then transpose, as the unfused ``x @ W.T`` differentiates:
+            # the same GEMM arguments, hence the same bits.
+            dwt = np.matmul(np.swapaxes(x.data, -1, -2), grad)
+            weight._accumulate(_unbroadcast(np.swapaxes(dwt, -1, -2), weight.shape))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(grad.sum(axis=-2), bias.shape))
+        if x.requires_grad:
+            x._accumulate(np.matmul(grad, weight.data))
+
+    return Tensor._record(out_data, parents, backward, "linear")
 
 
 # ----------------------------------------------------------------------
@@ -279,14 +322,19 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def nll_loss(log_probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of integer ``labels`` under ``log_probs``."""
+    """Negative log-likelihood of integer ``labels`` under ``log_probs``.
+
+    ``labels`` has shape ``(*L, B)`` and ``log_probs`` ``(*L, B, K)``; the
+    loss is averaged over the batch axis, so it has shape ``L``.
+    """
     labels = np.asarray(labels, dtype=np.int64)
-    picked = log_probs[np.arange(labels.shape[0]), labels]
-    return -picked.mean()
+    picked = log_probs[np.ix_(*map(np.arange, labels.shape)) + (labels,)]
+    return -picked.mean(axis=-1)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Numerically stable softmax cross-entropy with integer labels."""
+    """Numerically stable softmax cross-entropy with integer labels, averaged
+    over the batch axis (shape ``L``, see :func:`nll_loss`)."""
     return nll_loss(log_softmax(logits, axis=-1), labels)
 
 
@@ -302,205 +350,3 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool = T
     keep = 1.0 - rate
     mask = (rng.random(x.shape) < keep).astype(np.float32) / keep
     return x * Tensor(mask)
-
-
-# ----------------------------------------------------------------------
-# Cohort-batched kernels
-# ----------------------------------------------------------------------
-# These operate on a leading client axis ``M``: M clients' independent
-# forward/backward passes fused into single batched numpy calls.  Inputs
-# carry shapes ``(M, B, ...)`` and parameters ``(M, ...)`` — row ``m`` of
-# every array belongs to client ``m`` and never mixes with other rows.
-#
-# Numerical contract (see README "Cohort-batched training"):
-# * ``cohort_linear`` uses broadcast ``np.matmul``, which numpy evaluates
-#   as one 2-D GEMM per leading slice — per-client results are
-#   bit-identical to the serial ``linear`` path.
-# * ``cohort_cross_entropy`` composes the same generic tensor ops as the
-#   serial loss along the last axis — also bit-identical per client.
-# * ``cohort_conv2d`` / ``cohort_locally_connected2d`` batch their
-#   einsum contractions over ``M``, which may reassociate the reduction —
-#   per-client results agree with serial within 1e-6 relative tolerance.
-
-
-def cohort_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Batched affine map over a leading client axis.
-
-    ``x`` has shape ``(M, B, in)``, ``weight`` ``(M, out, in)`` and ``bias``
-    ``(M, out)``.  Each client slice computes ``x[m] @ weight[m].T + bias[m]``
-    bit-identically to the serial :func:`linear`.
-    """
-    x = as_tensor(x)
-    out_data = np.matmul(x.data, np.swapaxes(weight.data, -1, -2))
-    if bias is not None:
-        out_data = out_data + bias.data[:, None, :]
-
-    parents = [x, weight] + ([bias] if bias is not None else [])
-    if not (is_grad_enabled() and any(p.requires_grad for p in parents)):
-        return Tensor._lean(out_data, "cohort_linear")
-
-    def backward(grad: np.ndarray) -> None:
-        if weight.requires_grad:
-            # Mirror the serial (x @ W.T) decomposition: d(W.T) then transpose,
-            # so the per-slice GEMM arguments — and hence bits — match exactly.
-            dwt = np.matmul(np.swapaxes(x.data, -1, -2), grad)
-            weight._accumulate(np.swapaxes(dwt, -1, -2))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=1))
-        if x.requires_grad:
-            x._accumulate(np.matmul(grad, weight.data))
-
-    return Tensor._record(out_data, tuple(parents), backward, "cohort_linear")
-
-
-def cohort_conv2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None = None,
-    stride: int = 1,
-    padding: int = 0,
-) -> Tensor:
-    """Batched 2-D convolution: ``(M, N, C, H, W)`` input, ``(M, O, C, KH, KW)``
-    weights, ``(M, O)`` bias — one einsum for the whole cohort."""
-    x = as_tensor(x)
-    xd = x.data
-    p = int(padding)
-    if p:
-        xd = np.pad(xd, ((0, 0), (0, 0), (0, 0), (p, p), (p, p)))
-    m, n, c, h, w = xd.shape
-    m_w, o, c_w, kh, kw = weight.shape
-    if c != c_w:
-        raise ValueError(f"channel mismatch: input has {c}, weight expects {c_w}")
-    cols = im2col(xd.reshape(m * n, c, h, w), (kh, kw), stride)
-    _, k, oh, ow = cols.shape
-    flat_cols = cols.reshape(m, n, k, oh * ow)
-    w_flat = weight.data.reshape(m, o, k)
-    out_data = np.einsum("mok,mnkp->mnop", w_flat, flat_cols, optimize=True).reshape(m, n, o, oh, ow)
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(m, 1, o, 1, 1)
-
-    parents = [x, weight] + ([bias] if bias is not None else [])
-    if not (is_grad_enabled() and any(p_.requires_grad for p_ in parents)):
-        return Tensor._lean(out_data, "cohort_conv2d")
-
-    def backward(grad: np.ndarray) -> None:
-        grad_flat = grad.reshape(m, n, o, oh * ow)
-        if weight.requires_grad:
-            dw = np.einsum("mnop,mnkp->mok", grad_flat, flat_cols, optimize=True)
-            weight._accumulate(dw.reshape(weight.shape))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(1, 3, 4)))
-        if x.requires_grad:
-            dcols = np.einsum("mok,mnop->mnkp", w_flat, grad_flat, optimize=True)
-            dx = col2im(dcols.reshape(m * n, k, oh, ow), (m * n, c, h, w), (kh, kw), stride)
-            dx = dx.reshape(m, n, c, h, w)
-            if p:
-                dx = dx[:, :, :, p:-p, p:-p]
-            x._accumulate(dx)
-
-    return Tensor._record(out_data, tuple(parents), backward, "cohort_conv2d")
-
-
-def cohort_max_pool2d(x: Tensor, kernel: int) -> Tensor:
-    """Batched non-overlapping max pooling over ``(M, N, C, H, W)`` input."""
-    x = as_tensor(x)
-    m, n, c, h, w = x.shape
-    if h % kernel or w % kernel:
-        raise ValueError(f"spatial dims {(h, w)} not divisible by pool kernel {kernel}")
-    oh, ow = h // kernel, w // kernel
-    blocks = x.data.reshape(m, n, c, oh, kernel, ow, kernel)
-    out_data = blocks.max(axis=(4, 6))
-    if not (is_grad_enabled() and x.requires_grad):
-        return Tensor._lean(out_data, "cohort_max_pool2d")
-    mask = blocks == out_data[:, :, :, :, None, :, None]
-    counts = mask.sum(axis=(4, 6), keepdims=True)
-
-    def backward(grad: np.ndarray) -> None:
-        g = grad[:, :, :, :, None, :, None] * mask / counts
-        x._accumulate(g.reshape(m, n, c, h, w))
-
-    return Tensor._record(out_data, (x,), backward, "cohort_max_pool2d")
-
-
-def cohort_avg_pool2d(x: Tensor, kernel: int) -> Tensor:
-    """Batched non-overlapping average pooling over ``(M, N, C, H, W)`` input."""
-    x = as_tensor(x)
-    m, n, c, h, w = x.shape
-    if h % kernel or w % kernel:
-        raise ValueError(f"spatial dims {(h, w)} not divisible by pool kernel {kernel}")
-    oh, ow = h // kernel, w // kernel
-    blocks = x.data.reshape(m, n, c, oh, kernel, ow, kernel)
-    out_data = blocks.mean(axis=(4, 6))
-    if not (is_grad_enabled() and x.requires_grad):
-        return Tensor._lean(out_data, "cohort_avg_pool2d")
-
-    def backward(grad: np.ndarray) -> None:
-        g = np.broadcast_to(
-            grad[:, :, :, :, None, :, None] / (kernel * kernel),
-            (m, n, c, oh, kernel, ow, kernel),
-        )
-        x._accumulate(g.reshape(m, n, c, h, w).copy())
-
-    return Tensor._record(out_data, (x,), backward, "cohort_avg_pool2d")
-
-
-def cohort_locally_connected2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None = None,
-    stride: int = 1,
-) -> Tensor:
-    """Batched locally connected layer: ``(M, O, OH, OW, C*KH*KW)`` weights,
-    ``(M, O, OH, OW)`` bias over an ``(M, N, C, H, W)`` input."""
-    x = as_tensor(x)
-    m, n, c, h, w = x.shape
-    m_w, o, oh, ow, k = weight.shape
-    khw = k // c
-    kh = int(round(khw**0.5))
-    kw = khw // kh
-    if c * kh * kw != k:
-        raise ValueError(f"weight patch size {k} incompatible with {c} input channels")
-    expected_oh = (h - kh) // stride + 1
-    expected_ow = (w - kw) // stride + 1
-    if (oh, ow) != (expected_oh, expected_ow):
-        raise ValueError(
-            f"weight spatial shape {(oh, ow)} does not match computed output {(expected_oh, expected_ow)}"
-        )
-    cols = im2col(x.data.reshape(m * n, c, h, w), (kh, kw), stride).reshape(m, n, k, oh, ow)
-    out_data = np.einsum("moyxk,mnkyx->mnoyx", weight.data, cols, optimize=True)
-    if bias is not None:
-        out_data = out_data + bias.data[:, None]
-
-    parents = [x, weight] + ([bias] if bias is not None else [])
-    if not (is_grad_enabled() and any(p.requires_grad for p in parents)):
-        return Tensor._lean(out_data, "cohort_locally_connected2d")
-
-    def backward(grad: np.ndarray) -> None:
-        if weight.requires_grad:
-            dw = np.einsum("mnoyx,mnkyx->moyxk", grad, cols, optimize=True)
-            weight._accumulate(dw)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=1))
-        if x.requires_grad:
-            dcols = np.einsum("moyxk,mnoyx->mnkyx", weight.data, grad, optimize=True)
-            dx = col2im(dcols.reshape(m * n, k, oh, ow), (m * n, c, h, w), (kh, kw), stride)
-            x._accumulate(dx.reshape(m, n, c, h, w))
-
-    return Tensor._record(out_data, tuple(parents), backward, "cohort_locally_connected2d")
-
-
-def cohort_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Per-client softmax cross-entropy over a leading client axis.
-
-    ``logits`` has shape ``(M, B, K)`` and ``labels`` ``(M, B)``; returns the
-    ``(M,)`` vector of per-client mean losses.  Composed from the same generic
-    tensor ops as the serial :func:`cross_entropy` along the last axis, so
-    each client's loss — and its backward — is bit-identical to the serial
-    path.  Clients are independent, so seeding backward with ``ones(M)``
-    yields exactly each client's own gradient in its parameter rows.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    m, b = labels.shape
-    log_probs = log_softmax(logits, axis=-1)
-    picked = log_probs[np.arange(m)[:, None], np.arange(b)[None, :], labels]
-    return -picked.mean(axis=-1)

@@ -28,12 +28,6 @@ __all__ = [
     "Tanh",
     "Sigmoid",
     "Dropout",
-    "CohortLinear",
-    "CohortConv2d",
-    "CohortLocallyConnected2d",
-    "CohortMaxPool2d",
-    "CohortAvgPool2d",
-    "CohortFlatten",
 ]
 
 
@@ -173,10 +167,14 @@ class AvgPool2d(Module):
 
 
 class Flatten(Module):
-    """Flatten all but the batch dimension."""
+    """Flatten every axis from ``start_dim`` on (by default all but the batch axis)."""
+
+    def __init__(self, start_dim: int = 1) -> None:
+        super().__init__()
+        self.start_dim = start_dim
 
     def forward(self, x: Tensor) -> Tensor:
-        return x.flatten_batch()
+        return x.reshape(*x.shape[: self.start_dim], -1)
 
 
 class ReLU(Module):
@@ -192,92 +190,6 @@ class Tanh(Module):
 class Sigmoid(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.sigmoid()
-
-
-class CohortLinear(Module):
-    """Batched :class:`Linear` over a leading client axis.
-
-    ``weight`` is an ``(M, out, in)`` parameter and ``bias`` ``(M, out)`` —
-    typically views into a cohort's ``(M, D)`` flat weight block.
-    """
-
-    def __init__(self, weight: Parameter, bias: Parameter | None = None) -> None:
-        super().__init__()
-        self.weight = weight
-        self.bias = bias
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.cohort_linear(x, self.weight, self.bias)
-
-    def __repr__(self) -> str:
-        m, out, inp = self.weight.shape
-        return f"CohortLinear(cohort={m}, in={inp}, out={out})"
-
-
-class CohortConv2d(Module):
-    """Batched :class:`Conv2d`: ``(M, O, C, KH, KW)`` weights, ``(M, O)`` bias."""
-
-    def __init__(
-        self,
-        weight: Parameter,
-        bias: Parameter | None = None,
-        stride: int = 1,
-        padding: int = 0,
-    ) -> None:
-        super().__init__()
-        self.weight = weight
-        self.bias = bias
-        self.stride = stride
-        self.padding = padding
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.cohort_conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
-
-    def __repr__(self) -> str:
-        m, o, c, k, _ = self.weight.shape
-        return f"CohortConv2d(cohort={m}, in={c}, out={o}, k={k})"
-
-
-class CohortLocallyConnected2d(Module):
-    """Batched :class:`LocallyConnected2d` with an ``(M, O, OH, OW, K)`` weight."""
-
-    def __init__(self, weight: Parameter, bias: Parameter | None = None, stride: int = 1) -> None:
-        super().__init__()
-        self.weight = weight
-        self.bias = bias
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.cohort_locally_connected2d(x, self.weight, self.bias, stride=self.stride)
-
-
-class CohortMaxPool2d(Module):
-    """Batched non-overlapping max pooling over ``(M, N, C, H, W)`` input."""
-
-    def __init__(self, kernel_size: int) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.cohort_max_pool2d(x, self.kernel_size)
-
-
-class CohortAvgPool2d(Module):
-    """Batched non-overlapping average pooling over ``(M, N, C, H, W)`` input."""
-
-    def __init__(self, kernel_size: int) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.cohort_avg_pool2d(x, self.kernel_size)
-
-
-class CohortFlatten(Module):
-    """Flatten all but the leading client and batch dimensions."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.reshape(x.shape[0], x.shape[1], -1)
 
 
 class Dropout(Module):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .module import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "CohortAdam"]
+__all__ = ["Optimizer", "SGD", "Adam"]
 
 
 class Optimizer:
@@ -62,7 +62,12 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam with bias correction (Kingma & Ba), TF-default hyperparameters."""
+    """Adam with bias correction (Kingma & Ba), TF-default hyperparameters.
+
+    Steps write ``param.data`` in place (``a -= b`` computes the same values
+    as ``a = a - b``), so a parameter that is a view into a larger weight
+    store — a cohort's ``(M, D)`` block — keeps writing through to it.
+    """
 
     def __init__(
         self,
@@ -79,35 +84,6 @@ class Adam(Optimizer):
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        self._step_count += 1
-        bias1 = 1.0 - self.beta1**self._step_count
-        bias2 = 1.0 - self.beta2**self._step_count
-        for param, m, v in zip(self.params, self._m, self._v):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class CohortAdam(Adam):
-    """Adam over cohort-stacked ``(M, ...)`` parameters, updating in place.
-
-    Identical math to :class:`Adam` — `a -= b` computes the same subtraction
-    as `a = a - b`, so per-row update values stay bitwise equal — but the
-    in-place write is essential for cohort training: the parameters are
-    views into one ``(M, D)`` flat block, and rebinding ``param.data`` (as
-    the base class does) would silently detach them from it.
-    """
 
     def step(self) -> None:
         self._step_count += 1

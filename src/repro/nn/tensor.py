@@ -12,23 +12,26 @@ Design notes
 * A :class:`Tensor` wraps a ``numpy.ndarray`` (``float32`` by default) plus an
   optional gradient buffer.
 * Each differentiable operation records a backward closure and its parent
-  tensors; :meth:`Tensor.backward` runs a topological sort and accumulates
-  gradients (summing over broadcast axes, like every major framework).
+  tensors, accumulating gradients (summing over broadcast axes, like every
+  major framework).
+* :class:`GradTape` is how training backpropagates: ops append themselves to
+  a flat tape in execution order, and :meth:`GradTape.backward` walks the
+  tape once in reverse — no visited-set topological sort, and intermediate
+  gradient buffers are dropped as soon as their closure has fired.  Reverse
+  execution order is a valid topological order because every consumer of a
+  tensor is recorded after it.  Graph-mode :meth:`Tensor.backward` (a
+  topological sort over the recorded parents) stays as the reference the
+  tape is tested against.
 * Gradient tracking can be suspended with the :func:`no_grad` context manager,
   used by evaluation loops and by the attack code when it only needs forward
-  passes.  The flag is **thread-local**: a ``no_grad`` evaluation on one
-  thread cannot disable recording for a training step in flight on another
-  (the simulation trains cohorts in a thread pool).
+  passes.  The grad flag and the active tape are **thread-local**: a
+  ``no_grad`` evaluation on one thread cannot disable recording for a
+  training step in flight on another, and each thread records on its own
+  tape (the simulation's ``parallelism`` pool trains clients on threads).
 * When gradients are off (or no input requires them), ops skip the backward
   closure and parent bookkeeping entirely and return a bare output tensor
   through :meth:`Tensor._lean` — the hot path for evaluation and attack
   forward passes.
-* :class:`GradTape` is the lean recording mode behind cohort-batched
-  training: ops append themselves to a flat tape in execution order, and
-  :meth:`GradTape.backward` walks the tape once in reverse — no visited-set
-  topological sort, and intermediate gradient buffers are dropped as soon as
-  their closure has fired.  Reverse execution order is a valid topological
-  order because every consumer of a tensor is recorded after it.
 """
 
 from __future__ import annotations
@@ -297,20 +300,6 @@ class Tensor:
             tape.append(out)
         return out
 
-    @staticmethod
-    def _make(
-        data: np.ndarray,
-        parents: Sequence["Tensor"],
-        backward: Callable[[np.ndarray], None],
-        op: str,
-    ) -> "Tensor":
-        """Compatibility builder for ops that precompute their closure."""
-        if _STATE.grad_enabled:
-            for p in parents:
-                if p.requires_grad:
-                    return Tensor._record(data, tuple(parents), backward, op)
-        return Tensor._lean(data, op)
-
     # ------------------------------------------------------------------
     # Arithmetic
     # ------------------------------------------------------------------
@@ -571,10 +560,6 @@ class Tensor:
 
         return Tensor._record(out_data, (self,), backward, "reshape")
 
-    def flatten_batch(self) -> "Tensor":
-        """Flatten all but the leading (batch) dimension."""
-        return self.reshape(self.shape[0], -1)
-
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
@@ -607,21 +592,6 @@ class Tensor:
                 self._accumulate(full)
 
         return Tensor._record(out_data, (self,), backward, "getitem")
-
-    def pad2d(self, padding: int) -> "Tensor":
-        """Zero-pad the two trailing spatial dimensions of an NCHW tensor."""
-        if padding == 0:
-            return self
-        p = int(padding)
-        out_data = np.pad(self.data, ((0, 0), (0, 0), (p, p), (p, p)))
-        if not (_STATE.grad_enabled and self.requires_grad):
-            return Tensor._lean(out_data, "pad2d")
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad[:, :, p:-p, p:-p])
-
-        return Tensor._record(out_data, (self,), backward, "pad2d")
 
 
 def as_tensor(value) -> Tensor:

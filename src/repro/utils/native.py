@@ -25,6 +25,7 @@ import importlib.util
 import os
 import sys
 import tempfile
+import threading
 
 __all__ = ["load", "ctr_sha256_xor", "mod_exp", "available"]
 
@@ -103,6 +104,8 @@ int mod_exp(const unsigned char *base, size_t base_len,
 _lib = None
 _ffi = None
 _load_attempted = False
+#: serializes the first load: a thread arriving mid-build waits for it
+_load_lock = threading.Lock()
 
 
 def _cache_dir() -> str:
@@ -184,19 +187,27 @@ def _build() -> "tuple | None":
 
 
 def load():
-    """Return the compiled native library handle, or ``None`` if unavailable."""
+    """Return the compiled native library handle, or ``None`` if unavailable.
+
+    Thread-safe: the first call builds (or imports) the helper under a lock,
+    and every caller sees either nothing yet or the finished pair — ``_ffi``
+    is published before ``_lib``, and the attempt is marked done last.
+    """
     global _lib, _ffi, _load_attempted
     if _load_attempted:
         return _lib
-    _load_attempted = True
-    if os.environ.get("REPRO_NO_NATIVE"):
-        return None
-    try:
-        built = _build()
-    except Exception:
-        built = None
-    if built is not None:
-        _lib, _ffi = built
+    with _load_lock:
+        if not _load_attempted:
+            built = None
+            if not os.environ.get("REPRO_NO_NATIVE"):
+                try:
+                    built = _build()
+                except Exception:
+                    built = None
+            if built is not None:
+                _ffi = built[1]
+                _lib = built[0]
+            _load_attempted = True
     return _lib
 
 

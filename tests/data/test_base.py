@@ -1,9 +1,9 @@
-"""Dataset containers, loaders and splits."""
+"""Dataset containers and splits."""
 
 import numpy as np
 import pytest
 
-from repro.data.base import ArrayDataset, ClientDataset, DataLoader, train_test_split
+from repro.data.base import ArrayDataset, ClientDataset, train_test_split
 from repro.utils.rng import rng_from_seed
 
 
@@ -45,44 +45,6 @@ class TestClientDataset:
     def test_metadata_defaults_empty(self, dataset):
         client = ClientDataset(client_id=0, train=dataset, test=dataset, attribute=0)
         assert client.metadata == {}
-
-
-class TestDataLoader:
-    def test_batches_cover_everything(self, dataset):
-        loader = DataLoader(dataset, batch_size=7, rng=rng_from_seed(1))
-        seen = sum(len(labels) for _, labels in loader)
-        assert seen == 30
-
-    def test_len_with_and_without_drop_last(self, dataset):
-        assert len(DataLoader(dataset, 7, rng_from_seed(0))) == 5
-        assert len(DataLoader(dataset, 7, rng_from_seed(0), drop_last=True)) == 4
-
-    def test_drop_last_truncates(self, dataset):
-        loader = DataLoader(dataset, batch_size=7, rng=rng_from_seed(1), drop_last=True)
-        batches = list(loader)
-        assert all(len(labels) == 7 for _, labels in batches)
-
-    def test_shuffle_changes_order_not_content(self, dataset):
-        loader = DataLoader(dataset, batch_size=30, rng=rng_from_seed(2))
-        (_, labels_a), = list(loader)
-        (_, labels_b), = list(loader)
-        assert not np.array_equal(labels_a, labels_b) or len(set(labels_a.tolist())) == 1
-        assert sorted(labels_a.tolist()) == sorted(dataset.labels.tolist())
-
-    def test_no_shuffle_preserves_order(self, dataset):
-        loader = DataLoader(dataset, batch_size=30, rng=rng_from_seed(2), shuffle=False)
-        (_, labels), = list(loader)
-        np.testing.assert_array_equal(labels, dataset.labels)
-
-    def test_rejects_bad_batch_size(self, dataset):
-        with pytest.raises(ValueError):
-            DataLoader(dataset, 0, rng_from_seed(0))
-
-    def test_batch_larger_than_dataset(self, dataset):
-        loader = DataLoader(dataset, batch_size=100, rng=rng_from_seed(0))
-        batches = list(loader)
-        assert len(batches) == 1
-        assert len(batches[0][1]) == 30
 
 
 class TestTrainTestSplit:

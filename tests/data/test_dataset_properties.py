@@ -5,23 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import SyntheticCIFAR10, SyntheticMotionSense
-from repro.data.base import ArrayDataset, DataLoader, train_test_split
+from repro.data.base import ArrayDataset, train_test_split
 from repro.utils.rng import rng_from_seed
 
 
 class TestLoaderProperties:
-    @given(
-        st.integers(min_value=1, max_value=40),
-        st.integers(min_value=1, max_value=13),
-        st.integers(min_value=0, max_value=1000),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_every_sample_seen_exactly_once(self, n, batch_size, seed):
-        data = ArrayDataset(np.zeros((n, 2)), np.arange(n))
-        loader = DataLoader(data, batch_size, rng_from_seed(seed))
-        seen = np.concatenate([labels for _, labels in loader])
-        assert sorted(seen.tolist()) == list(range(n))
-
     @given(
         st.integers(min_value=2, max_value=40),
         st.integers(min_value=0, max_value=1000),

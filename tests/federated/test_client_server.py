@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.base import ArrayDataset
 from repro.federated.client import (
     FederatedClient,
     LocalTrainingConfig,
+    epoch_batches,
     evaluate_accuracy,
     train_locally,
 )
@@ -66,6 +69,73 @@ class TestTrainLocally:
             model, separable_dataset(), LocalTrainingConfig(local_epochs=1, batch_size=64), rng_from_seed(0)
         )
         assert np.isfinite(loss)
+
+    def test_empty_dataset_is_a_no_op(self):
+        model = linear_model()
+        before = model.state_dict()
+        empty = ArrayDataset(np.zeros((0, 4)), np.zeros(0))
+        loss = train_locally(model, empty, LocalTrainingConfig(), rng_from_seed(0))
+        assert np.isnan(loss)
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
+
+    def test_loaded_state_arrays_are_not_written(self):
+        # In-place Adam must update the model's own copy, never the arrays
+        # a caller handed to load_state_dict (the broadcast state).
+        model = linear_model()
+        broadcast = linear_model(seed=5).state_dict()
+        pristine = {name: value.copy() for name, value in broadcast.items()}
+        model.load_state_dict(broadcast)
+        config = LocalTrainingConfig(local_epochs=2, batch_size=8)
+        train_locally(model, separable_dataset(), config, rng_from_seed(3))
+        for name, value in broadcast.items():
+            np.testing.assert_array_equal(value, pristine[name])
+        assert any(
+            not np.array_equal(value, pristine[name]) for name, value in model.state_dict().items()
+        )
+
+
+@pytest.mark.cohort
+class TestEpochBatches:
+    """The local loop's batch schedule: one permutation per client per epoch."""
+
+    @given(
+        n=st.integers(min_value=0, max_value=40),
+        batch_size=st.integers(min_value=1, max_value=13),
+        seed=st.integers(min_value=0, max_value=1000),
+        cohort=st.sampled_from([None, 1, 3]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_sample_seen_exactly_once(self, n, batch_size, seed, cohort):
+        lead = () if cohort is None else (cohort,)
+        rngs = [rng_from_seed(seed + i) for i in range(cohort or 1)]
+        batches = epoch_batches(rngs, n, batch_size, lead)
+        assert len(batches) == -(-n // batch_size)
+        assert all(batch.shape == lead + (batch.shape[-1],) for batch in batches)
+        assert all(batch.shape[-1] == batch_size for batch in batches[:-1])
+        seen = np.concatenate(batches, axis=-1) if batches else np.zeros(lead + (0,), int)
+        for row in seen.reshape(len(rngs), n):
+            assert sorted(row.tolist()) == list(range(n))
+
+    def test_client_i_follows_its_own_generator(self):
+        batches = epoch_batches([rng_from_seed(1), rng_from_seed(2)], 10, 4, (2,))
+        order = np.concatenate(batches, axis=-1)
+        np.testing.assert_array_equal(order[0], rng_from_seed(1).permutation(10))
+        np.testing.assert_array_equal(order[1], rng_from_seed(2).permutation(10))
+        np.testing.assert_array_equal(
+            np.concatenate(epoch_batches([rng_from_seed(2)], 10, 4)), order[1]
+        )
+
+    def test_each_epoch_draws_a_fresh_order(self):
+        rng = rng_from_seed(2)
+        (first,) = epoch_batches([rng], 30, 30)
+        (second,) = epoch_batches([rng], 30, 30)
+        assert not np.array_equal(first, second)
+        assert sorted(first.tolist()) == sorted(second.tolist()) == list(range(30))
+
+    def test_batch_larger_than_dataset(self):
+        batches = epoch_batches([rng_from_seed(0)], 30, 100)
+        assert len(batches) == 1 and batches[0].shape == (30,)
 
 
 class TestEvaluateAccuracy:

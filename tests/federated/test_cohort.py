@@ -1,18 +1,23 @@
-"""Cohort-batched training plane: batched-vs-serial contract and wiring.
+"""Stacked training: the same local loop on a model stacked over clients.
 
 Marked ``cohort``::
 
     PYTHONPATH=src python -m pytest -m cohort -q
 
-The load-bearing properties:
+Serial and stacked training share the kernels of :mod:`repro.nn.functional`,
+the loop :func:`~repro.federated.client.local_sgd` and in-place ``Adam``;
+they differ only in whether equal-size clients are stacked over a leading
+axis of one ``(M, D)`` block.  The load-bearing properties:
 
 * **Bit-equality** — for Linear/Flatten/activation architectures (the
-  ``linear_probe`` family and deeper MLPs), cohort-batched training produces
+  ``linear_probe`` family and deeper MLPs), stacked training produces
   per-client rows byte-identical to the serial ``train_rows_into`` path, for
   any cohort size, epoch count, batch size, or dataset-size mix.
 * **Tolerance** — conv/locally-connected architectures batch their einsum
   reductions over the client axis; per-client rows agree with serial within
   1e-6 relative tolerance.
+* **Aliasing** — the stacked model's parameters are views into the block
+  before, during and after training, and the template is never written.
 * **Wiring** — ``SimulationConfig(cohort_batching=True)`` is end-to-end
   bit-identical (MLP) on the plain path and through the sharded plane, while
   ``cohort_batching=False`` keeps the serial reference byte-for-byte across
@@ -37,8 +42,13 @@ from repro.federated import (
     SimulationConfig,
     build_cohort_model,
 )
-from repro.federated.client import ClientPopulation, evaluate_accuracy, train_rows_into
-from repro.nn import Dropout, Linear, Sequential, no_grad
+from repro.federated.client import (
+    ClientPopulation,
+    evaluate_accuracy,
+    local_sgd,
+    train_rows_into,
+)
+from repro.nn import Dropout, Flatten, Linear, Sequential, no_grad
 from repro.nn.serialization import schema_of
 from repro.utils.rng import rng_from_seed
 
@@ -280,6 +290,29 @@ class TestCohortModelConstruction:
             assert np.shares_memory(param.data, block)
         model.parameters()[0].data += 1.0
         assert block.any()
+
+    def test_block_views_stay_bound_through_training(self):
+        # In-place Adam keeps every (M, *shape) parameter a view of the
+        # block across many steps: the trained rows land in the block.
+        template = Sequential(Flatten(), Linear(4, 3, rng=np.random.default_rng(0)))
+        schema = schema_of(template.state_dict())
+        broadcast = schema.pack(template.state_dict())
+        block = np.repeat(broadcast[None, :], 2, axis=0)
+        model = build_cohort_model(template, block, schema)
+        rng = np.random.default_rng(1)
+        features = rng.standard_normal((2, 10, 4)).astype(np.float32)
+        labels = rng.integers(0, 3, (2, 10))
+        config = LocalTrainingConfig(local_epochs=3, batch_size=4, learning_rate=0.05)
+        local_sgd(model, features, labels, config, [rng_from_seed(2), rng_from_seed(3)])
+        for param in model.parameters():
+            assert np.shares_memory(param.data, block)
+        assert not np.array_equal(block[0], broadcast)
+        assert not np.array_equal(block[0], block[1])
+        np.testing.assert_array_equal(
+            np.concatenate([p.data[1].ravel() for p in model.parameters()]), block[1]
+        )
+        # The template's own parameters are untouched.
+        np.testing.assert_array_equal(schema.pack(template.state_dict()), broadcast)
 
     def test_dropout_rejected(self):
         template = Sequential(Linear(4, 3, rng=np.random.default_rng(0)), Dropout(0.5))

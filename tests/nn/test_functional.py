@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import GradTape, Tensor
 
 from .test_tensor_autograd import numerical_grad
 
@@ -54,6 +56,13 @@ class TestConv2d:
         x = Tensor(np.zeros((2, 3, 8, 8)))
         w = Tensor(np.zeros((4, 3, 3, 3)))
         assert F.conv2d(x, w, padding=1).shape == (2, 4, 8, 8)
+
+    def test_padding_is_zero_filled(self):
+        # A 1x1 identity kernel shows the padded input itself.
+        out = F.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 1, 1))), padding=1)
+        assert out.shape == (1, 1, 4, 4)
+        assert out.data[0, 0, 0, 0] == 0.0
+        assert out.data[0, 0, 1, 1] == 1.0
 
     def test_stride_two(self):
         x = Tensor(np.zeros((1, 1, 8, 8)))
@@ -203,3 +212,79 @@ class TestDropout:
         kept = out[out > 0]
         np.testing.assert_allclose(kept, 2.0)
         assert 0.4 < (out > 0).mean() < 0.6
+
+
+def _kernel_case(kernel, lead, batch, padding, stride, rng):
+    """``(fn, operands, labels)`` for one kernel with leading axes ``lead``:
+    ``fn(*tensors, *labels)`` is the kernel output; only the loss has labels."""
+
+    def draw(*shape):
+        return rng.standard_normal(lead + shape).astype(np.float32)
+
+    if kernel == "linear":
+        return F.linear, [draw(batch, 5), draw(3, 5), draw(3)], []
+    if kernel == "conv2d":
+        return (
+            lambda x, w, b: F.conv2d(x, w, b, stride=stride, padding=padding),
+            [draw(batch, 2, 5, 5), draw(3, 2, 3, 3), draw(3)],
+            [],
+        )
+    if kernel in ("max_pool2d", "avg_pool2d"):
+        return (lambda x: getattr(F, kernel)(x, 2)), [draw(batch, 2, 4, 4)], []
+    if kernel == "locally_connected2d":
+        out = (6 - 3) // stride + 1
+        return (
+            lambda x, w, b: F.locally_connected2d(x, w, b, stride=stride),
+            [draw(batch, 2, 6, 6), draw(3, out, out, 2 * 9), draw(3, out, out)],
+            [],
+        )
+    return F.cross_entropy, [draw(batch, 4)], [rng.integers(0, 4, lead + (batch,))]
+
+
+def _forward_backward(fn, arrays, labels, seed_for):
+    """Output and every operand gradient, backpropagating ``seed_for(out)``."""
+    operands = [Tensor(a, requires_grad=True) for a in arrays]
+    with GradTape() as tape:
+        out = fn(*operands, *labels)
+    tape.backward(out, seed_for(out.shape))
+    return out.data, [t.grad for t in operands]
+
+
+@pytest.mark.cohort
+class TestLeadingAxes:
+    """Each kernel over leading client axes equals itself on every slice."""
+
+    @given(
+        kernel=st.sampled_from(
+            ["linear", "conv2d", "max_pool2d", "avg_pool2d", "locally_connected2d", "cross_entropy"]
+        ),
+        lead=st.sampled_from([(), (1,), (3,)]),
+        batch=st.integers(min_value=1, max_value=3),
+        padding=st.sampled_from([0, 1]),
+        stride=st.sampled_from([1, 2]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_stacked_equals_each_slice(self, kernel, lead, batch, padding, stride, seed):
+        rng = np.random.default_rng(seed)
+        fn, arrays, labels = _kernel_case(kernel, lead, batch, padding, stride, rng)
+        cotangent = {}
+
+        def seed_for(shape):
+            return cotangent.setdefault("g", rng.standard_normal(shape).astype(np.float32))
+
+        out, grads = _forward_backward(fn, arrays, labels, seed_for)
+        if kernel in ("conv2d", "locally_connected2d"):
+            check = lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-6)
+        else:
+            check = np.testing.assert_array_equal
+        for index in np.ndindex(lead):
+            out_i, grads_i = _forward_backward(
+                fn,
+                [a[index] for a in arrays],
+                [y[index] for y in labels],
+                lambda shape: cotangent["g"][index],
+            )
+            check(out[index], out_i)
+            for grad, grad_i in zip(grads, grads_i):
+                check(grad[index], grad_i)

@@ -141,6 +141,12 @@ class TestLayers:
         out = model(Tensor(np.zeros((2, 3, 4, 4))))
         assert out.shape == (2, 3 * 2 * 2)
 
+    def test_flatten_start_dim_keeps_leading_axes(self):
+        x = Tensor(np.arange(120, dtype=np.float32).reshape(2, 3, 4, 5))
+        stacked = Flatten(start_dim=2)(x)
+        assert stacked.shape == (2, 3, 20)
+        np.testing.assert_array_equal(stacked.data[1], Flatten()(Tensor(x.data[1])).data)
+
     def test_dropout_validation(self):
         with pytest.raises(ValueError):
             Dropout(rate=1.0)

@@ -107,6 +107,37 @@ class TestAdam:
             opt.step()
         np.testing.assert_allclose(model.weight.data, true_w, atol=0.05)
 
+    @pytest.mark.cohort
+    def test_state_dict_snapshot_survives_steps(self):
+        # Steps write param.data in place; a state_dict() taken earlier holds
+        # copies and must not move with them.
+        model = Linear(3, 2, rng=rng_from_seed(0))
+        snapshot = model.state_dict()
+        pristine = {name: value.copy() for name, value in snapshot.items()}
+        opt = Adam(model.parameters(), lr=0.1)
+        for _ in range(3):
+            loss = (model(Tensor(np.ones((4, 3), dtype=np.float32))) ** 2).sum()
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+        for name, value in snapshot.items():
+            np.testing.assert_array_equal(value, pristine[name])
+        assert not np.array_equal(model.weight.data, pristine["weight"])
+
+    @pytest.mark.cohort
+    def test_step_writes_through_views(self):
+        store = np.zeros((2, 3), dtype=np.float32)
+        p = Parameter(store[1])
+        opt = Adam([p], lr=0.1)
+        for _ in range(3):
+            loss = ((p - 1.0) ** 2).sum()
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+        assert np.shares_memory(p.data, store)
+        np.testing.assert_array_equal(store[1], p.data)
+        assert (store[1] > 0).all() and not store[0].any()
+
     def test_weight_decay(self):
         p = Parameter(np.array([1.0], dtype=np.float32))
         opt = Adam([p], lr=0.1, weight_decay=1.0)

@@ -1,7 +1,8 @@
 """Autograd engine internals: topo-sort dedupe, lean mode, GradTape, threading.
 
-Marked ``cohort`` together with the federated cohort-training tests — these
-cover the engine changes that make cohort batching cheap::
+Marked ``cohort`` together with the stacked-training tests — every local
+training step, serial or stacked, backpropagates through ``GradTape``, with
+graph-mode ``Tensor.backward`` as its reference::
 
     PYTHONPATH=src python -m pytest -m cohort -q
 """
@@ -95,16 +96,6 @@ class TestLeanMode:
         out = a * 3.0
         assert not out.requires_grad
         assert out._backward is None and out._parents == ()
-
-    def test_make_compat_lean_and_tracked(self):
-        tracked = Tensor([1.0], requires_grad=True)
-        fired = []
-        out = Tensor._make(np.ones(1), (tracked,), lambda g: fired.append(g), "custom")
-        assert out.requires_grad
-        out.backward(np.ones(1, dtype=np.float32))
-        assert fired
-        lean = Tensor._make(np.ones(1), (Tensor([1.0]),), lambda g: None, "custom")
-        assert not lean.requires_grad and lean._backward is None
 
 
 class TestGradTape:

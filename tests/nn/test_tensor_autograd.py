@@ -134,10 +134,6 @@ class TestShapeGradients:
         x = np.random.default_rng(10).standard_normal((4, 4))
         check_gradient(lambda t: (t[1:3, :2] ** 2).sum(), x)
 
-    def test_pad2d(self):
-        x = np.random.default_rng(11).standard_normal((1, 1, 3, 3))
-        check_gradient(lambda t: (t.pad2d(1) ** 2).sum(), x)
-
     def test_concatenate_routes_segments(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         b = Tensor(np.ones((1, 2)), requires_grad=True)

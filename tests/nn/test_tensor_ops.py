@@ -125,11 +125,11 @@ class TestReductions:
 
 
 class TestShapes:
-    def test_reshape_and_flatten_batch(self):
+    def test_reshape(self):
         t = Tensor(np.arange(24, dtype=np.float32).reshape(2, 3, 4))
         assert t.reshape(6, 4).shape == (6, 4)
         assert t.reshape((4, 6)).shape == (4, 6)
-        assert t.flatten_batch().shape == (2, 12)
+        assert t.reshape(2, -1).shape == (2, 12)
 
     def test_transpose_default_and_axes(self):
         t = Tensor(np.zeros((2, 3, 4)))
@@ -141,17 +141,6 @@ class TestShapes:
         t = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4))
         np.testing.assert_allclose(t[1].data, [4.0, 5.0, 6.0, 7.0])
         np.testing.assert_allclose(t[np.array([0, 2]), np.array([1, 3])].data, [1.0, 11.0])
-
-    def test_pad2d(self):
-        t = Tensor(np.ones((1, 1, 2, 2)))
-        padded = t.pad2d(1)
-        assert padded.shape == (1, 1, 4, 4)
-        assert padded.data[0, 0, 0, 0] == 0.0
-        assert padded.data[0, 0, 1, 1] == 1.0
-
-    def test_pad2d_zero_is_identity(self):
-        t = Tensor(np.ones((1, 1, 2, 2)))
-        assert t.pad2d(0) is t
 
 
 class TestCombinators:

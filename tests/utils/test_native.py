@@ -1,7 +1,9 @@
-"""The native helper: OpenSSL ``mod_exp`` against ``pow``, and the warm-cache load."""
+"""The native helper: OpenSSL ``mod_exp`` against ``pow``, the warm-cache load and the first load under concurrency."""
 
 import os
 import sys
+import threading
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -56,3 +58,39 @@ class TestLoad:
         out = bytearray(3)
         lib.ctr_sha256_xor(ffi.from_buffer(b"k"), 1, 0, ffi.from_buffer(b"abc"), 3, ffi.from_buffer(out))
         assert bytes(out) == native.ctr_sha256_xor(b"k", b"abc")
+
+    def test_first_load_is_shared_by_concurrent_callers(self, monkeypatch):
+        """A thread arriving while the first build runs waits for it instead
+        of taking the fallback, and the helper is built once."""
+        sentinel = (object(), object())
+        calls = []
+
+        def slow_build():
+            calls.append(1)
+            time.sleep(0.2)
+            return sentinel
+
+        monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+        monkeypatch.setattr(native, "_build", slow_build)
+        monkeypatch.setattr(native, "_lib", None)
+        monkeypatch.setattr(native, "_ffi", None)
+        monkeypatch.setattr(native, "_load_attempted", False)
+        results = [None] * 8
+
+        def call(i):
+            results[i] = native.load()
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(result is sentinel[0] for result in results)
+        assert native._ffi is sentinel[1]
+        assert len(calls) == 1
