@@ -15,8 +15,12 @@ population-scale measurement (a 10⁶-client federation training 10⁴ clients
 per round with cohort-bounded memory), and the
 §6.5 system-perf pipeline measurement directly (no pytest involved), and
 writes the results to ``BENCH_<date>.json`` next to this script (override
-with ``--output``).  An existing snapshot for the same date is never
-overwritten — the git revision is appended to the filename instead.
+with ``--output``).  The cohort, frontier, fault-recovery, Byzantine and
+population sections run the runner's own studies
+(:data:`repro.experiments.extensions.STUDIES`) and record their rows, each
+with the cell's ``wall_seconds``.  An existing snapshot for the same date
+is never overwritten — the git revision is appended to the filename
+instead.
 
 Usage::
 
@@ -248,60 +252,27 @@ def sharded_round_throughput() -> dict:
 COHORT_TRAIN_COHORTS = (16, 64, 256)
 
 
-def cohort_train_seconds(repeats: int = 3) -> dict:
+def cohort_train_seconds() -> list[dict]:
     """Serial vs cohort-batched local training for one round's cohort.
 
-    Times the two row-plane trainers head to head on identical work: the
-    serial :func:`~repro.federated.client.train_rows_into` loop (one model
-    replica, one forward/backward per client per batch) against
-    :class:`~repro.federated.cohort.CohortTrainer` (the whole cohort stacked
-    into one ``(M, D)`` weight block, one batched forward/backward per step).
-    Linear-probe model, one local epoch, batch size 8 — the training recipe
-    of the round-throughput sweep.  ``speedup`` at the 256-client row is the
-    acceptance number (≥ 5×).  Both paths land rows in the same layout; a
-    bit-equality check guards against benchmarking diverged code.
+    The ``cohort`` study of :data:`repro.experiments.extensions.STUDIES` at
+    16/64/256 clients: the serial
+    :func:`~repro.federated.client.train_rows_into` loop against
+    :class:`~repro.federated.cohort.CohortTrainer`'s one stacked pass on a
+    linear probe, one local epoch, batch size 8.  ``speedup`` at the
+    256-client row is the acceptance number (≥ 5×).  Raises when the two
+    paths' rows differ, so diverged code is never benchmarked.
     """
-    import numpy as np
+    from repro.experiments.extensions import run_study
 
-    from repro.data import SyntheticPopulation
-    from repro.experiments.models import model_fn_for
-    from repro.federated import LocalTrainingConfig
-    from repro.federated.client import ClientPopulation, train_rows_into
-    from repro.federated.cohort import CohortTrainer
-    from repro.nn.serialization import schema_of
-    from repro.utils.rng import rng_from_seed
-
-    local = LocalTrainingConfig(local_epochs=1, batch_size=8)
-    section: dict = {"local_epochs": 1, "batch_size": 8, "cohorts": {}}
-    for cohort in COHORT_TRAIN_COHORTS:
-        dataset = SyntheticPopulation(population_size=cohort, seed=0)
-        model_fn = model_fn_for(dataset)
-        population = ClientPopulation.for_dataset(dataset, model_fn, local, seed=0)
-        broadcast = model_fn(rng_from_seed(0)).state_dict()
-        schema = schema_of(broadcast)
-        pairs = list(enumerate(population.client_ids(range(cohort))))
-        rows_serial = np.empty((cohort, schema.total_size), dtype=np.float32)
-        rows_batched = np.empty_like(rows_serial)
-        trainer = CohortTrainer(population, schema)
-        # Warm-up materializes the lazy population and primes both paths.
-        train_rows_into(population, pairs, broadcast, 0, schema, rows_serial)
-        trainer.train_rows(pairs, broadcast, 0, rows_batched)
-        np.testing.assert_array_equal(rows_serial, rows_batched)
-        serial = _best_of(
-            lambda: train_rows_into(population, pairs, broadcast, 1, schema, rows_serial),
-            repeats,
-        )
-        batched = _best_of(
-            lambda: trainer.train_rows(pairs, broadcast, 1, rows_batched), repeats
-        )
-        section["cohorts"][str(cohort)] = {
-            "serial_seconds": serial,
-            "batched_seconds": batched,
-            "speedup": serial / batched,
-            "serial_clients_per_sec": cohort / serial,
-            "batched_clients_per_sec": cohort / batched,
-        }
-    return section
+    rows = run_study("cohort", cohort_sizes=COHORT_TRAIN_COHORTS, local_epochs=1)
+    for row in rows:
+        if not row["bit_identical"]:
+            raise AssertionError(
+                f"cohort {row['cohort_size']}: stacked rows differ from serial "
+                f"(max |dev| {row['max_abs_deviation']:.1e})"
+            )
+    return rows
 
 
 #: scenario-benchmark workload: rounds per run and per-round churn level
@@ -366,38 +337,16 @@ def scenario_round_throughput(repeats: int) -> dict:
 def deadline_throughput_frontier() -> list[dict]:
     """The measured deadline-vs-throughput frontier on the event stream.
 
-    One miniature run per (scheme, knob) point of
-    :func:`repro.experiments.extensions.frontier_points` (the same sweep and
-    row schema the runner's ``frontier`` command reports, so snapshots never
-    drift from the experiment); ``total_simulated_seconds`` and
+    The runner's ``frontier`` study (its default deadline and buffer
+    sweeps) on the registry MotionSense at ci scale, ``SCENARIO_ROUNDS``
+    rounds under ``SCENARIO_DROPOUT`` churn: ``total_simulated_seconds`` and
     ``merged_per_simulated_sec`` come from the virtual-time engine's
     flush/arrival timestamps (measured), not from closed-form expectations.
-    Deterministic, so a single run per point is exact — no timing repeats.
+    Deterministic except ``wall_seconds``, so one run per point.
     """
-    from repro.data import SyntheticMotionSense
-    from repro.experiments.extensions import frontier_points, frontier_row, make_scenario
-    from repro.experiments.models import model_fn_for
-    from repro.federated import FederatedSimulation, LocalTrainingConfig, SimulationConfig
+    from repro.experiments.extensions import run_study
 
-    rows = []
-    for scheme, knob, overrides in frontier_points():
-        dataset = SyntheticMotionSense(
-            seed=0,
-            windows_per_activity=4,
-            test_windows_per_activity=1,
-            background_subjects_per_gender=2,
-        )
-        scenario = make_scenario(scheme, SCENARIO_DROPOUT, dataset.num_clients, **overrides)
-        config = SimulationConfig(
-            rounds=SCENARIO_ROUNDS,
-            local=LocalTrainingConfig(local_epochs=1, batch_size=64),
-            seed=0,
-            track_per_client_accuracy=False,
-            scenario=scenario,
-        )
-        result = FederatedSimulation(dataset, model_fn_for(dataset), config).run()
-        rows.append(frontier_row(scheme, knob, result).as_row())
-    return rows
+    return run_study("frontier", rounds=SCENARIO_ROUNDS, dropout=SCENARIO_DROPOUT)
 
 
 #: fault-recovery benchmark: rounds per run (6 so the 20 % proxy-crash row's
@@ -411,86 +360,23 @@ FAULT_QUORUM = 0.7
 def fault_recovery() -> list[dict]:
     """Round throughput and recovery latency under seeded fault injection.
 
-    One miniature MixNN federation per proxy-crash rate in
-    :data:`repro.experiments.extensions.CHAOS_PROXY_CRASH_RATES` (the same
-    sweep the runner's ``chaos`` command reports, so snapshots never drift
-    from the experiment), with RW01 frame corruption held at
+    The runner's ``chaos`` study (its default proxy-crash sweep) on the
+    registry MotionSense at ci scale, with RW01 frame corruption held at
     ``FAULT_FRAME_RATE`` so even the 0-crash row exercises the
-    backoff-and-retry transport path.  Reports real wall-clock rounds/sec
-    (the fault plane's execution overhead), virtual-time merged/sec (what
-    the faults cost the federation), and per-fault recovery percentiles.
-    Every run's ledger is validated before its row is recorded.
-    Deterministic, so a single run per point is exact — no timing repeats.
+    backoff-and-retry transport path.  Reports each cell's ``wall_seconds``
+    (the fault plane's execution cost), virtual-time merged/sec (what the
+    faults cost the federation) and per-fault recovery percentiles; every
+    run's ledgers are validated before its row exists.
     """
-    from dataclasses import replace as dc_replace
+    from repro.experiments.extensions import run_study
 
-    from repro.data import SyntheticMotionSense
-    from repro.defenses import MixNNDefense
-    from repro.experiments.extensions import CHAOS_PROXY_CRASH_RATES, make_scenario
-    from repro.experiments.models import model_fn_for
-    from repro.federated import (
-        FaultConfig,
-        FederatedSimulation,
-        LocalTrainingConfig,
-        SimulationConfig,
+    return run_study(
+        "chaos",
+        rounds=FAULT_ROUNDS,
+        dropout=SCENARIO_DROPOUT,
+        frame_corruption_rate=FAULT_FRAME_RATE,
+        quorum=FAULT_QUORUM,
     )
-    from repro.metrics.latency import summarize_round_timing
-    from repro.utils.rng import rng_from_seed, stable_seed
-
-    rows = []
-    for crash_rate in CHAOS_PROXY_CRASH_RATES:
-        dataset = SyntheticMotionSense(
-            seed=0,
-            windows_per_activity=4,
-            test_windows_per_activity=1,
-            background_subjects_per_gender=2,
-        )
-        faults = FaultConfig(
-            frame_corruption_rate=FAULT_FRAME_RATE,
-            proxy_crash_rate=crash_rate,
-            quorum_fraction=FAULT_QUORUM,
-        )
-        scenario = dc_replace(
-            make_scenario("sync-full", SCENARIO_DROPOUT, dataset.num_clients),
-            faults=faults,
-        )
-        config = SimulationConfig(
-            rounds=FAULT_ROUNDS,
-            local=LocalTrainingConfig(local_epochs=1, batch_size=64),
-            seed=0,
-            track_per_client_accuracy=False,
-            scenario=scenario,
-        )
-        sim = FederatedSimulation(
-            dataset,
-            model_fn_for(dataset),
-            config,
-            defense=MixNNDefense(rng=rng_from_seed(stable_seed(0, "mixnn-proxy"))),
-        )
-        start = time.perf_counter()
-        result = sim.run()
-        wall = time.perf_counter() - start
-        result.fault_ledger.validate()
-        timing = summarize_round_timing(result.rounds)
-        ledger = result.fault_ledger
-        rows.append(
-            {
-                "proxy_crash_rate": crash_rate,
-                "frame_corruption_rate": FAULT_FRAME_RATE,
-                "wall_seconds": wall,
-                "rounds_per_wall_sec": FAULT_ROUNDS / wall,
-                "merged_per_simulated_sec": timing.effective_throughput,
-                "recovery_p50_s": timing.recovery_p50_seconds,
-                "recovery_p99_s": timing.recovery_p99_seconds,
-                "total_recovery_s": timing.total_recovery_seconds,
-                "faults": ledger.injected,
-                "retries": timing.total_retries,
-                "failed_over": ledger.failed_over,
-                "discarded": ledger.discarded,
-                "retransmissions": ledger.retransmissions,
-            }
-        )
-    return rows
 
 
 #: scheduler micro-benchmark: backlog sizes to drain, and virtual seconds
@@ -560,66 +446,25 @@ POPULATION_POINTS = (
 
 
 def population_scale() -> list[dict]:
-    """One full round of a million-client federation, memory-instrumented.
+    """One round of a million-client federation, memory-instrumented.
 
-    Each row runs selection → latency draws → local training → event replay →
-    aggregation over a :class:`~repro.data.population.SyntheticPopulation`
-    with the lazy client plane and the calendar scheduler, and records the
-    tracemalloc peak (allocation high-water mark of the round), the process
-    RSS high-water mark, and the population's own materialization peak.  The
-    claim under test: peak memory is bounded by the *cohort*, never the
-    population — the 10⁶-row and the 10⁵-row at equal cohort size trace the
-    same peak.  Deterministic, so a single run per point is exact.
+    The runner's ``population`` study once per point: selection → latency
+    draws → local training → event replay → aggregation over a
+    :class:`~repro.data.population.SyntheticPopulation` on the lazy client
+    plane, with the tracemalloc peak next to the population's own
+    materialization peak.  The claim under test: peak memory is bounded by
+    the *cohort*, never the population — the 10⁶-row and the 10⁵-row at
+    equal cohort size trace the same peak.
     """
-    import resource
-    import tracemalloc
+    from repro.experiments.extensions import run_study
 
-    from repro.data import SyntheticPopulation
-    from repro.experiments.models import model_fn_for
-    from repro.federated import (
-        FederatedSimulation,
-        LocalTrainingConfig,
-        LogNormalLatency,
-        ScenarioConfig,
-        SimulationConfig,
-    )
-
-    rows = []
-    for population_size, cohort in POPULATION_POINTS:
-        dataset = SyntheticPopulation(population_size=population_size, seed=0)
-        config = SimulationConfig(
-            rounds=1,
-            local=LocalTrainingConfig(local_epochs=1, batch_size=8),
-            clients_per_round=cohort,
-            seed=0,
-            track_per_client_accuracy=False,
-            retain_received_updates=False,
-            scenario=ScenarioConfig(latency=LogNormalLatency(median=1.0, sigma=0.5)),
+    return [
+        row
+        for population_size, cohort in POPULATION_POINTS
+        for row in run_study(
+            "population", population_size=population_size, cohort=cohort, rounds=1
         )
-        tracemalloc.start()
-        start = time.perf_counter()
-        sim = FederatedSimulation(dataset, model_fn_for(dataset), config)
-        result = sim.run()
-        wall = time.perf_counter() - start
-        _, peak_traced = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        rows.append(
-            {
-                "population_size": population_size,
-                "clients_per_round": cohort,
-                "wall_seconds": wall,
-                "trained_clients_per_sec": cohort / wall,
-                "peak_materialized": sim.population.peak_materialized,
-                "peak_traced_mb": peak_traced / 1e6,
-                # ru_maxrss is a process-lifetime high-water mark (kB on
-                # Linux): monotonic across rows, reported for context only —
-                # the bounded-memory claim is scored on the traced peak.
-                "rss_high_water_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-                "merged_updates": result.rounds[-1].num_aggregated,
-                "final_accuracy": result.rounds[-1].global_accuracy,
-            }
-        )
-    return rows
+    ]
 
 
 BYZANTINE_ROUNDS = 4
@@ -629,86 +474,23 @@ BYZANTINE_ATTACK_SCALE = 100.0
 def byzantine_robustness() -> list[dict]:
     """Attack penetration and filter quality per aggregation policy.
 
-    One miniature federation per (rule × attacker-fraction) cell in the
-    :data:`repro.experiments.extensions.BYZANTINE_RULES` ×
-    :data:`repro.experiments.extensions.BYZANTINE_FRACTIONS` sweep under a
-    sign-flip adversary (the same sweep the runner's ``byzantine`` command
-    reports, so snapshots never drift from the experiment).  Reports attack
-    success rate, main-task accuracy, filter precision/recall, and the
-    measured cost of verifying the hash-chained round transcript.  Each
-    run's adversary ledger is validated before its row is recorded.
-    Deterministic, so a single run per cell is exact — no timing repeats.
+    The runner's ``byzantine`` study over its default rule × attacker-fraction
+    sweep under a sign-flip adversary, without a transport defense or churn,
+    on the registry MotionSense at ci scale.  Reports attack success rate,
+    main-task accuracy, filter precision/recall, and the measured cost of
+    verifying the hash-chained round transcript; every run's ledgers are
+    validated before its row exists.
     """
-    from dataclasses import replace as dc_replace
+    from repro.experiments.extensions import run_study
 
-    from repro.data import SyntheticMotionSense
-    from repro.experiments.extensions import (
-        BYZANTINE_FRACTIONS,
-        BYZANTINE_RULES,
-        make_scenario,
+    return run_study(
+        "byzantine",
+        rounds=BYZANTINE_ROUNDS,
+        attack="sign-flip",
+        attack_scale=BYZANTINE_ATTACK_SCALE,
+        byzantine_defenses=("none",),
+        dropout=0.0,
     )
-    from repro.experiments.models import model_fn_for
-    from repro.federated import (
-        AdversaryConfig,
-        FederatedSimulation,
-        LocalTrainingConfig,
-        SimulationConfig,
-    )
-    from repro.metrics.robustness import summarize_robustness
-
-    rows = []
-    baselines: dict[str, float] = {}
-    for rule in BYZANTINE_RULES:
-        for fraction in BYZANTINE_FRACTIONS:
-            dataset = SyntheticMotionSense(
-                seed=0,
-                windows_per_activity=4,
-                test_windows_per_activity=1,
-                background_subjects_per_gender=2,
-            )
-            scenario = dc_replace(
-                make_scenario("sync-full", 0.0, dataset.num_clients),
-                adversary=AdversaryConfig(
-                    fraction=fraction, kind="sign-flip", scale=BYZANTINE_ATTACK_SCALE
-                ),
-            )
-            config = SimulationConfig(
-                rounds=BYZANTINE_ROUNDS,
-                local=LocalTrainingConfig(local_epochs=1, batch_size=64),
-                seed=0,
-                track_per_client_accuracy=False,
-                scenario=scenario,
-                aggregation=rule,
-            )
-            sim = FederatedSimulation(dataset, model_fn_for(dataset), config)
-            start = time.perf_counter()
-            result = sim.run()
-            wall = time.perf_counter() - start
-            summary = summarize_robustness(result, baseline_accuracy=baselines.get(rule))
-            verify_start = time.perf_counter()
-            result.transcript.verify()
-            verify_seconds = time.perf_counter() - verify_start
-            if fraction == 0.0:
-                baselines[rule] = summary.final_accuracy
-            rows.append(
-                {
-                    "rule": rule,
-                    "attacker_fraction": fraction,
-                    "attack": "sign-flip",
-                    "wall_seconds": wall,
-                    "final_accuracy": summary.final_accuracy,
-                    "accuracy_drop": summary.accuracy_drop,
-                    "injected": summary.injected,
-                    "merged": summary.merged,
-                    "filtered": summary.filtered,
-                    "rejected": summary.rejected,
-                    "attack_success_rate": summary.attack_success_rate,
-                    "filter_precision": summary.filter_precision,
-                    "filter_recall": summary.filter_recall,
-                    "transcript_verify_seconds": verify_seconds,
-                }
-            )
-    return rows
 
 
 def collect(repeats: int) -> dict:
@@ -753,7 +535,7 @@ def collect(repeats: int) -> dict:
     }
     results["round_throughput"] = round_throughput(model, repeats)
     results["sharded_round_throughput"] = sharded_round_throughput()
-    results["cohort_train_seconds"] = cohort_train_seconds(repeats)
+    results["cohort_train_seconds"] = cohort_train_seconds()
     results["scenario_round_throughput"] = scenario_round_throughput(repeats)
     results["deadline_throughput_frontier"] = deadline_throughput_frontier()
     results["fault_recovery"] = fault_recovery()

@@ -1,4 +1,4 @@
-"""Ablation benchmarks — design choices DESIGN.md §6 calls out.
+"""Ablation benchmarks — the design choices behind the paper's proxy (§4.3).
 
 These go beyond the paper's figures:
 

@@ -1,7 +1,7 @@
 """Extension benchmarks: defense roster, passive vs active, re-linking.
 
-These extend the paper's evaluation (DESIGN.md §6): the five-defense
-comparison renders §1's positioning argument as numbers; passive-vs-active
+These extend the paper's evaluation (§6): the five-defense comparison
+renders §1's positioning argument as numbers; passive-vs-active
 quantifies §5's two adversary modes; the re-linking run turns §6.4's
 robustness argument into a measured attack failure.
 """
@@ -9,10 +9,10 @@ robustness argument into a measured attack failure.
 import numpy as np
 
 from repro.experiments.extensions import (
-    render_defense_comparison,
-    run_defense_comparison,
+    render_study,
     run_passive_vs_active,
     run_relink_robustness,
+    run_study,
 )
 
 from .conftest import print_report
@@ -20,20 +20,21 @@ from .conftest import print_report
 
 def test_defense_comparison(benchmark):
     rows = benchmark.pedantic(
-        lambda: run_defense_comparison("motionsense", rounds=4), iterations=1, rounds=1
+        lambda: run_study("defenses", dataset="motionsense", rounds=4), iterations=1, rounds=1
     )
     print_report(
         "Extension: five defenses vs active ∇Sim (MotionSense)",
-        render_defense_comparison(rows),
+        render_study("defenses", rows),
     )
-    by_name = {row.defense: row for row in rows}
+    by_name = {row["defense"]: row for row in rows}
+    fl_accuracy = by_name["classical-fl"]["final_accuracy"]
     # MixNN and secure aggregation must match classical FL utility...
-    assert abs(by_name["mixnn"].final_accuracy - by_name["classical-fl"].final_accuracy) < 0.02
-    assert abs(by_name["secure-aggregation"].final_accuracy - by_name["classical-fl"].final_accuracy) < 0.05
+    assert abs(by_name["mixnn"]["final_accuracy"] - fl_accuracy) < 0.02
+    assert abs(by_name["secure-aggregation"]["final_accuracy"] - fl_accuracy) < 0.05
     # ...and both must (near-)eliminate the leak while FL leaks massively.
-    assert by_name["classical-fl"].leakage > 0.3
-    assert by_name["mixnn"].leakage < 0.15
-    assert by_name["secure-aggregation"].leakage < 0.15
+    assert by_name["classical-fl"]["leakage"] > 0.3
+    assert by_name["mixnn"]["leakage"] < 0.15
+    assert by_name["secure-aggregation"]["leakage"] < 0.15
 
 
 def test_passive_vs_active(benchmark):

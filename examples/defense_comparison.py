@@ -13,24 +13,22 @@ Expected shape: classical FL leaks everything; noisy/DP trade some of both;
 secure aggregation and MixNN both sit at (full utility, no leak) — but only
 MixNN gets there without the server's cooperation.
 
-Run:  python examples/defense_comparison.py   (a few minutes at CI scale)
+Run:  python examples/defense_comparison.py   (about 20 s at CI scale)
+(the same table: ``python -m repro.experiments.runner defenses --rounds 4``)
 """
 
-from repro.experiments.extensions import (
-    render_defense_comparison,
-    run_defense_comparison,
-)
+from repro.experiments.extensions import render_study, run_study
 
 
 def main() -> None:
-    rows = run_defense_comparison("motionsense", rounds=4)
+    rows = run_study("defenses", dataset="motionsense", rounds=4)
     print("Active ∇Sim vs five defenses — MotionSense, 4 rounds\n")
-    print(render_defense_comparison(rows))
-    by_name = {row.defense: row for row in rows}
+    print(render_study("defenses", rows))
+    by_name = {row["defense"]: row for row in rows}
     print()
-    print(f"classical FL leaks {by_name['classical-fl'].leakage:+.3f} above guess;")
-    print(f"MixNN leaks {by_name['mixnn'].leakage:+.3f} while matching FL accuracy "
-          f"({by_name['mixnn'].final_accuracy:.3f} vs {by_name['classical-fl'].final_accuracy:.3f}).")
+    print(f"classical FL leaks {by_name['classical-fl']['leakage']:+.3f} above guess;")
+    print(f"MixNN leaks {by_name['mixnn']['leakage']:+.3f} while matching FL accuracy "
+          f"({by_name['mixnn']['final_accuracy']:.3f} vs {by_name['classical-fl']['final_accuracy']:.3f}).")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 Synthetic stand-ins for the four datasets of the MixNN evaluation (CIFAR10,
 MotionSense, MobiAct, LFW), plus the containers and partitioning helpers the
-federated pipeline and the ∇Sim attack consume.  See DESIGN.md §2 for the
+federated pipeline and the ∇Sim attack consume.  See :mod:`repro.data.synthetic` for the
 substitution rationale.
 """
 

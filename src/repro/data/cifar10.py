@@ -8,7 +8,7 @@ sensitive attribute ∇Sim infers is the participant's preference group
 (random-guess accuracy 1/3 on a balanced inference task).
 
 The real 32×32 RGB photographs are replaced by class-conditional smooth random
-images (see DESIGN.md §2), by default 8×8 RGB so the full pipeline runs at
+images (see :mod:`repro.data.synthetic`), by default 8×8 RGB so the full pipeline runs at
 laptop/CI scale.
 """
 

@@ -1,7 +1,7 @@
 """Synthetic LFW: smile detection with gender as the sensitive attribute.
 
 The real Labeled-Faces-in-the-Wild images are replaced by procedurally drawn
-face-like grayscale images (DESIGN.md §2).  The generator keeps the property
+face-like grayscale images (see :mod:`repro.data.synthetic`).  The generator keeps the property
 that makes LFW interesting for the paper: the *main-task* factor (smile) and
 the *sensitive* factor (gender) are sampled independently and affect disjoint
 pixel statistics —

@@ -2,7 +2,7 @@
 
 The offline environment cannot download CIFAR10 / MotionSense / MobiAct / LFW,
 so each dataset is replaced by a generator that reproduces the *structure* the
-MixNN evaluation depends on (see DESIGN.md §2):
+MixNN evaluation depends on:
 
 * a main-task signal (class-conditional structure the global model learns),
 * a sensitive-attribute signal (a distribution shift correlated with the

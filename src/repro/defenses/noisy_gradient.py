@@ -3,8 +3,9 @@
 The paper's comparison baseline (§6.1.3) adds Gaussian noise to every scalar
 of the locally trained weights before upload, as in local differential
 privacy.  The paper uses ``N(0, 1)`` on TensorFlow-scale models; our models
-are far smaller, so the default ``sigma`` is calibrated (see EXPERIMENTS.md)
-to reproduce the paper's *reported effect* — roughly a 10-point accuracy drop
+are far smaller, so the default ``sigma`` is calibrated (see
+``ExperimentParams.noise_sigma`` in :mod:`repro.experiments.config`) to
+reproduce the paper's *reported effect* — roughly a 10-point accuracy drop
 with slower convergence, and partial (not full) protection against ∇Sim.
 Both the paper-literal and calibrated settings are available.
 

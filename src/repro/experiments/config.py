@@ -1,7 +1,7 @@
 """Experiment parameterization.
 
 Carries the paper's per-dataset methodology (§6.1.4) and the CI-scale
-defaults this reproduction actually runs (DESIGN.md §5).  The structural
+defaults this reproduction actually runs.  The structural
 parameters — participant counts, learning rounds, local epochs, aggregation
 fan-in, preference skew — follow the paper; input dimensionality and local
 sample counts are scaled down so a full figure regenerates in seconds.
@@ -31,7 +31,7 @@ class ExperimentParams:
     learning_rate: float = 1e-3
     #: σ of the noisy-gradient baseline.  The paper adds N(0, 1) to TF-scale
     #: weights; at our model scale the calibrated value reproduces the
-    #: reported ≈10-point utility drop (see EXPERIMENTS.md).
+    #: reported ≈10-point utility drop (Figure 5).
     noise_sigma: float = 0.05
     #: MixNN list size k; the proxy buffers k updates before emitting (§4.3).
     mix_k: int = 4

@@ -1,232 +1,118 @@
-"""Extension experiments beyond the paper's figures.
+"""Extension studies beyond the paper's figures, declared once as data.
 
-Three studies DESIGN.md §6 commits to:
+The paper argues from tables (§5, §6).  :data:`STUDIES` adds nine more, one
+:class:`Study` per runner command: ``defenses`` (the five defenses of
+:data:`~repro.experiments.common.DEFENSES` against the active ∇Sim server —
+§1's argument as a measured table), ``scenario`` (three round-closure
+schemes under churn, with the timing side channel on the event stream),
+``frontier`` (the deadline/buffer sweep behind it), ``dirichlet-churn``
+(does non-IID data amplify the damage of losing clients?), ``chaos``
+(seeded fault injection through MixNN), ``byzantine`` (every aggregation
+rule against poisoning), ``population`` (one memory-traced round of the
+lazy million-client engine), ``sharded`` (shard counts × crash rates, each
+byte-checked against the unsharded run) and ``cohort`` (serial local
+training against one stacked pass).
 
-* :func:`run_defense_comparison` — all five defenses (classical FL, noisy
-  gradient, MixNN, secure aggregation, DP clip-and-noise) on one dataset,
-  scoring utility and active-∇Sim privacy side by side.  This renders the
-  paper's §1 argument ("secure aggregation protects but needs the server's
-  cooperation; perturbation protects but costs utility; MixNN costs neither")
-  as a measured table.
-* :func:`run_passive_vs_active` — §5's two adversary modes head-to-head.
-* :func:`run_relink_robustness` — §6.4 as an *attack* rather than a census: a
-  malicious server tries to re-link mixed layer pieces using its reference
-  models; near-chance piece accuracy confirms the paper's robustness claim.
+A study declares the runner knobs it reads, its default rounds, its cells
+(each cell's labels plus the scenario, config overrides and defense it
+runs) and its columns, once each, as (header, row key, value, format).
+:func:`run_study` runs every cell through one loop, audits every finished
+simulation (both ledgers balance, the transcripts verify) and returns one
+plain dict per cell; :func:`render_study` prints any study's table.  The
+runner, the snapshot CLI, the examples and the tests all call these two.
 
-Plus the scenario-engine study this reproduction adds beyond the paper:
-
-* :func:`run_scenario_comparison` — the same dataset under realistic client
-  churn (10–30 % per-round dropout) with three round-closure schemes:
-  synchronous wait-for-all-survivors, synchronous with a straggler deadline,
-  and FedBuff-style staleness-weighted buffered-async aggregation.  Scores
-  final utility against wall-clock cost, idle fraction, and throughput as
-  *measured* on the virtual-time event stream, and runs the
-  :class:`~repro.attacks.timing.TimingSideChannel` adversary on the same
-  stream — the attack surface the round-closure policy itself creates.
-* :func:`run_deadline_throughput_frontier` — the deadline/buffer knob sweep
-  behind the scenario comparison: how much measured wall-clock time does each
-  closure policy trade for how much final accuracy.
-* :func:`run_dirichlet_churn_matrix` — Dirichlet(α) label skew crossed with
-  churn models (random dropout, outage traces): does non-IID data amplify
-  the damage of losing clients?
+§5's passive-vs-active comparison and §6.4's re-linking attack return curves
+and a report, not tables, so they stay functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from operator import attrgetter
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
-from ..attacks import GradSimAttack, RelinkAttack, build_reference_states
-from ..defenses import (
-    ClipAndNoiseDefense,
-    GaussianNoiseDefense,
-    MixNNDefense,
-    NoDefense,
-    SecureAggregationDefense,
+from ..attacks import RelinkAttack, build_reference_states
+from ..attacks.timing import TimingSideChannel
+from ..data import DirichletReshard, SyntheticPopulation
+from ..federated import (
+    AdversaryConfig,
+    ChurnTrace,
+    FaultConfig,
+    FederatedSimulation,
+    LocalTrainingConfig,
+    LogNormalLatency,
+    RandomDropout,
+    ScenarioConfig,
+    SimulationConfig,
 )
-from ..federated import FederatedSimulation
+from ..federated.client import ClientPopulation, train_rows_into
+from ..federated.cohort import CohortTrainer
+from ..metrics.latency import summarize_round_timing
+from ..metrics.robustness import attack_success_rate, filter_precision, filter_recall
+from ..nn.serialization import schema_of
 from ..utils.rng import rng_from_seed, stable_seed
+from .common import DEFENSES, build_simulation, run_scheme
 from .config import build_experiment
 from .models import model_fn_for
 from .reporting import format_table
 
 __all__ = [
-    "DefenseComparisonRow",
-    "run_defense_comparison",
+    "Column",
+    "Cell",
+    "Study",
+    "STUDIES",
+    "run_study",
+    "render_study",
     "run_passive_vs_active",
     "run_relink_robustness",
-    "ScenarioComparisonRow",
-    "SCENARIO_SCHEMES",
     "make_scenario",
-    "run_scenario_comparison",
-    "render_scenario_comparison",
-    "FrontierRow",
+    "SCENARIO_SCHEMES",
     "FRONTIER_DEADLINES",
     "FRONTIER_BUFFER_FRACTIONS",
-    "frontier_points",
-    "frontier_row",
-    "run_deadline_throughput_frontier",
-    "render_frontier",
-    "DirichletChurnCell",
     "CHURN_MODES",
-    "run_dirichlet_churn_matrix",
-    "render_dirichlet_churn_matrix",
-    "ChaosRow",
     "CHAOS_PROXY_CRASH_RATES",
-    "run_chaos",
-    "render_chaos",
-    "ByzantineRow",
     "BYZANTINE_FRACTIONS",
     "BYZANTINE_RULES",
-    "run_byzantine_comparison",
-    "render_byzantine_comparison",
-    "PopulationRow",
     "POPULATION_SCALES",
-    "run_population_study",
-    "render_population",
-    "ShardedRow",
     "SHARDED_SHARD_COUNTS",
     "SHARDED_CRASH_RATES",
-    "run_sharded_comparison",
-    "render_sharded",
-    "CohortRow",
     "COHORT_SIZES",
-    "run_cohort_study",
-    "render_cohort",
 ]
-
-#: The extended defense roster (name -> factory taking the params object).
-EXTENDED_DEFENSES = {
-    "classical-fl": lambda params, seed: NoDefense(),
-    "noisy-gradient": lambda params, seed: GaussianNoiseDefense(sigma=params.noise_sigma),
-    "mixnn": lambda params, seed: MixNNDefense(
-        rng=rng_from_seed(stable_seed(seed, "mixnn-proxy"))
-    ),
-    "secure-aggregation": lambda params, seed: SecureAggregationDefense(),
-    # clip_norm is chosen to actually bind on these models' update deltas so
-    # the defense is a distinct point from the plain noisy-gradient baseline.
-    "dp-clip-noise": lambda params, seed: ClipAndNoiseDefense(clip_norm=0.2, noise_multiplier=0.3),
-}
-
-
-@dataclass
-class DefenseComparisonRow:
-    """One defense's (utility, privacy) outcome."""
-
-    defense: str
-    final_accuracy: float
-    mean_inference: float
-    random_guess: float
-
-    @property
-    def leakage(self) -> float:
-        return self.mean_inference - self.random_guess
-
-
-def _attacked_run(dataset_name, defense_factory, scale, seed, rounds, mode="active"):
-    dataset, params = build_experiment(dataset_name, scale=scale, seed=seed)
-    model_fn = model_fn_for(dataset)
-    attack = GradSimAttack(
-        background_clients=dataset.background_clients(),
-        model_fn=model_fn,
-        config=params.local_config(),
-        rng=rng_from_seed(stable_seed(seed, "attack")),
-        mode=mode,
-        attack_epochs=params.attack_epochs,
-    )
-    simulation = FederatedSimulation(
-        dataset,
-        model_fn,
-        params.simulation_config(seed=seed, rounds=rounds),
-        defense=defense_factory(params, seed),
-        attack=attack,
-    )
-    return simulation.run(), dataset
-
-
-def run_defense_comparison(
-    dataset_name: str = "motionsense",
-    scale: str = "ci",
-    seed: int = 0,
-    rounds: int = 5,
-) -> list[DefenseComparisonRow]:
-    """Score every defense on (final accuracy, mean inference accuracy)."""
-    rows: list[DefenseComparisonRow] = []
-    for name, factory in EXTENDED_DEFENSES.items():
-        result, dataset = _attacked_run(dataset_name, factory, scale, seed, rounds)
-        rows.append(
-            DefenseComparisonRow(
-                defense=name,
-                final_accuracy=result.accuracy_curve()[-1],
-                mean_inference=float(np.mean(result.inference_values())),
-                random_guess=dataset.random_guess_accuracy,
-            )
-        )
-    return rows
-
-
-def render_defense_comparison(rows: list[DefenseComparisonRow]) -> str:
-    header = ["defense", "final accuracy", "mean inference", "leakage above guess"]
-    body = [
-        [row.defense, round(row.final_accuracy, 3), round(row.mean_inference, 3), round(row.leakage, 3)]
-        for row in rows
-    ]
-    return format_table(header, body)
-
-
-def run_passive_vs_active(
-    dataset_name: str = "motionsense",
-    scale: str = "ci",
-    seed: int = 0,
-    rounds: int = 5,
-) -> dict[str, list[float]]:
-    """∇Sim's two modes on classical FL (the §5 comparison)."""
-    curves: dict[str, list[float]] = {}
-    for mode in ("passive", "active"):
-        result, _ = _attacked_run(dataset_name, EXTENDED_DEFENSES["classical-fl"], scale, seed, rounds, mode=mode)
-        curves[mode] = result.inference_values()
-    return curves
-
-
-@dataclass
-class ScenarioComparisonRow:
-    """One round-closure scheme's outcome under client churn.
-
-    Durations, idle fractions, and throughput are *measured* on the
-    virtual-time event stream; ``timing_attack`` is the arrival-order
-    re-identification accuracy of the
-    :class:`~repro.attacks.timing.TimingSideChannel` adversary on the same
-    stream (``nan`` when the run is too short to profile and score).
-    """
-
-    scheme: str
-    final_accuracy: float
-    mean_round_duration: float
-    mean_aggregated: float
-    total_stale: int
-    total_stragglers: int
-    total_seconds: float = 0.0
-    mean_idle_fraction: float = 0.0
-    effective_throughput: float = 0.0
-    timing_attack: float = float("nan")
-    timing_guess: float = float("nan")
-
-    @property
-    def accuracy_per_second(self) -> float:
-        """Final accuracy per simulated second of round time (efficiency)."""
-        if self.mean_round_duration <= 0:
-            return float("inf")
-        return self.final_accuracy / self.mean_round_duration
-
-    @property
-    def timing_advantage(self) -> float:
-        """Timing adversary's lift over random assignment."""
-        return self.timing_attack - self.timing_guess
-
 
 #: The compared round-closure schemes, in presentation order.
 SCENARIO_SCHEMES: tuple[str, ...] = ("sync-full", "sync-deadline", "buffered-async")
+#: default deadline and buffer-fraction sweeps of the ``frontier`` command
+FRONTIER_DEADLINES: tuple[float, ...] = (1.5, 2.5, 4.0)
+FRONTIER_BUFFER_FRACTIONS: tuple[float, ...] = (0.4, 0.6, 0.8)
+#: churn models crossed with each Dirichlet α, in presentation order
+CHURN_MODES: tuple[str, ...] = ("none", "dropout", "outage-trace")
+#: default proxy-crash sweep of the ``chaos`` command
+CHAOS_PROXY_CRASH_RATES: tuple[float, ...] = (0.0, 0.05, 0.2)
+#: Attacker fractions the Byzantine comparison sweeps (0 = clean baseline).
+BYZANTINE_FRACTIONS: tuple[float, ...] = (0.0, 0.1, 0.3)
+#: Aggregation policies the Byzantine comparison scores against plain mean.
+BYZANTINE_RULES: tuple[str, ...] = ("mean", "median", "trimmed", "norm_filter", "krum", "multi-krum")
+#: default (population size, clients per round) per runner scale
+POPULATION_SCALES = {"ci": (100_000, 1_000), "paper": (1_000_000, 10_000)}
+#: leaf-shard counts the ``sharded`` command sweeps by default
+SHARDED_SHARD_COUNTS = (1, 2, 4)
+#: per-(shard, round, attempt) crash probabilities swept by default (0 is the
+#: fault-free row; the non-zero row exercises retry/backoff and failover)
+SHARDED_CRASH_RATES = (0.0, 0.3)
+#: cohort sizes swept by the cohort command (clients per stacked pass)
+COHORT_SIZES = (16, 64, 256)
+#: the knobs every simulated study reads
+_RUN = ("dataset", "scale", "seed", "rounds")
+#: the latency-shape knobs of :func:`make_scenario`
+_LATENCY = ("staleness_alpha", "latency_median", "straggler_fraction")
+#: the cohort study's local batch size, and its best-of timing repeats
+_COHORT_BATCH_SIZE = 8
+_COHORT_REPEATS = 3
 
 
 def make_scenario(
@@ -282,861 +168,425 @@ def make_scenario(
     raise KeyError(f"unknown scenario scheme {scheme!r}; choose from {SCENARIO_SCHEMES}")
 
 
-def _timing_report(result, rounds: int):
-    """Run the timing side channel if the run is long enough to warm up."""
-    if rounds < 2:
-        return None
-    from ..attacks.timing import TimingSideChannel
+# ----------------------------------------------------------------------
+# The table machinery: cells -> one loop -> dict rows -> one renderer
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Column:
+    """One field of a study's rows.
 
-    probe = TimingSideChannel(warmup_rounds=max(1, min(2, rounds - 1)))
-    return probe.run(result)
-
-
-def run_scenario_comparison(
-    dataset_name: str = "motionsense",
-    scale: str = "ci",
-    seed: int = 0,
-    rounds: int = 5,
-    dropout: float = 0.2,
-    deadline: float = 2.5,
-    buffer_fraction: float = 0.6,
-    staleness_alpha: float = 0.5,
-    latency_median: float = 1.0,
-    straggler_fraction: float = 0.15,
-    schemes: tuple[str, ...] = SCENARIO_SCHEMES,
-) -> list[ScenarioComparisonRow]:
-    """Compare the three round-closure schemes under client churn.
-
-    ``dropout`` is the per-(client, round) churn probability — the ISSUE's
-    operating band is 10–30 %.  Client selection, training RNGs, and the
-    churn/latency draws are all shared across schemes (pure functions of
-    ``(seed, client_id, round)``), so the rows differ only in round-closure
-    policy.  ``schemes`` restricts the comparison (the CLI's ``--scheme``).
+    ``value`` computes the field from a cell's run; ``None`` means the row
+    already holds it (a cell label, ``wall_seconds``, or a value the study's
+    ``finish`` fills in).  ``fmt`` renders it in the table.  A column without
+    a ``header`` is recorded in the rows but not printed.
     """
-    from dataclasses import replace as dc_replace
 
-    rows: list[ScenarioComparisonRow] = []
-    for scheme in schemes:
-        dataset, params = build_experiment(dataset_name, scale=scale, seed=seed)
-        model_fn = model_fn_for(dataset)
+    header: str | None
+    key: str
+    value: Callable | None = None
+    fmt: Callable = str
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One run of a study: the labels its row carries and what it runs."""
+
+    labels: dict
+    #: ``(dataset, clients per round) -> ScenarioConfig | None``; ``None``
+    #: runs the paper's synchronous flow
+    scenario: Callable | None = None
+    #: :class:`~repro.federated.SimulationConfig` field overrides
+    config: dict = field(default_factory=dict)
+    #: a :data:`~repro.experiments.common.DEFENSES` name
+    defense: str = "classical-fl"
+    #: ∇Sim mode of an attached attack (``None``: no attack)
+    attack: str | None = None
+    #: Dirichlet α to re-partition the dataset with (``None``: keep it)
+    reshard: float | None = None
+
+
+def _simulate(cell: Cell, k) -> SimpleNamespace:
+    """Build and run one cell's :class:`~repro.federated.FederatedSimulation`."""
+    dataset, params = build_experiment(k.dataset, scale=k.scale, seed=k.seed)
+    if cell.reshard is not None:
+        dataset = DirichletReshard(dataset, alpha=cell.reshard, seed=k.seed)
+    config = dict(cell.config)
+    if cell.scenario is not None:
         cohort = params.clients_per_round or dataset.num_clients
-        config = dc_replace(
-            params.simulation_config(seed=seed, rounds=rounds),
-            scenario=make_scenario(
-                scheme,
-                dropout,
-                cohort,
-                deadline=deadline,
-                staleness_alpha=staleness_alpha,
-                buffer_fraction=buffer_fraction,
-                latency_median=latency_median,
-                straggler_fraction=straggler_fraction,
-            ),
-        )
-        result = FederatedSimulation(dataset, model_fn, config).run()
-        durations = [r.simulated_duration for r in result.rounds]
-        timing = _timing_report(result, rounds)
-        rows.append(
-            ScenarioComparisonRow(
-                scheme=scheme,
-                final_accuracy=result.accuracy_curve()[-1],
-                mean_round_duration=float(np.mean(durations)),
-                mean_aggregated=float(np.mean([r.num_aggregated for r in result.rounds])),
-                total_stale=int(sum(r.num_stale for r in result.rounds)),
-                total_stragglers=int(sum(r.num_stragglers for r in result.rounds)),
-                total_seconds=result.total_simulated_seconds(),
-                mean_idle_fraction=result.mean_idle_fraction(),
-                effective_throughput=result.effective_throughput(),
-                timing_attack=timing.accuracy if timing else float("nan"),
-                timing_guess=timing.random_guess if timing else float("nan"),
-            )
-        )
+        config["scenario"] = cell.scenario(dataset, cohort)
+    start = time.perf_counter()
+    simulation = build_simulation(
+        dataset, params, cell.defense, k.seed, k.rounds, cell.attack, **config
+    )
+    result = simulation.run()
+    return SimpleNamespace(result=result, dataset=dataset, wall_seconds=time.perf_counter() - start)
+
+
+@dataclass(frozen=True)
+class Study:
+    """A table: runner knobs -> cells -> one row per cell."""
+
+    #: the runner knobs (argparse dests) the study reads
+    knobs: tuple[str, ...]
+    #: ``knobs -> list[Cell]``
+    cells: Callable
+    columns: tuple[Column, ...]
+    #: default ``--rounds``
+    rounds: int | None = None
+    #: ``(cell, knobs) -> run``: a namespace holding ``result`` (the
+    #: SimulationResult to audit, or ``None``), ``wall_seconds``, and
+    #: whatever the columns read
+    measure: Callable = _simulate
+    #: ``rows -> None``: fills the values computed across rows
+    finish: Callable | None = None
+    #: ``rows -> str | None``: the closing line under the table
+    summary: Callable | None = None
+
+
+def _audit(result) -> None:
+    """The checks every simulated cell passes before its row exists."""
+    result.fault_ledger.validate()
+    result.adversary_ledger.validate()
+    result.transcript.verify()
+    if result.shard_transcript is not None:
+        result.shard_transcript.verify()
+
+
+def run_study(name: str, **knobs) -> list[dict]:
+    """Run every cell of ``STUDIES[name]``; one plain dict per cell.
+
+    ``knobs`` override the runner's defaults; ``rounds=None`` keeps the
+    study's own.  A row holds the cell's labels, every column's value, and
+    ``wall_seconds``, the cell's measured wall time.
+    """
+    from .runner import KNOB_DEFAULTS
+
+    study = STUDIES[name]
+    unread = sorted(set(knobs) - set(study.knobs))
+    if unread:
+        raise TypeError(f"study {name!r} reads no knob {unread}; it reads {study.knobs}")
+    k = SimpleNamespace(**{knob: knobs.get(knob, KNOB_DEFAULTS[knob]) for knob in study.knobs})
+    if "rounds" in study.knobs and k.rounds is None:
+        k.rounds = study.rounds
+    rows = []
+    for cell in study.cells(k):
+        run = study.measure(cell, k)
+        if run.result is not None:
+            _audit(run.result)
+        row = {**cell.labels, "wall_seconds": run.wall_seconds}
+        row.update((column.key, column.value(run)) for column in study.columns if column.value)
+        rows.append(row)
+    if study.finish is not None:
+        study.finish(rows)
     return rows
 
 
-def render_scenario_comparison(rows: list[ScenarioComparisonRow]) -> str:
-    header = [
-        "scheme",
-        "final accuracy",
-        "mean round secs",
-        "mean merged/round",
-        "stale",
-        "stragglers",
-        "idle frac",
-        "merged/sec",
-        "timing attack",
-        "timing guess",
-    ]
-    body = [
-        [
-            row.scheme,
-            round(row.final_accuracy, 3),
-            round(row.mean_round_duration, 2),
-            round(row.mean_aggregated, 1),
-            row.total_stale,
-            row.total_stragglers,
-            round(row.mean_idle_fraction, 3),
-            round(row.effective_throughput, 2),
-            round(row.timing_attack, 3),
-            round(row.timing_guess, 3),
-        ]
-        for row in rows
-    ]
-    return format_table(header, body)
+def render_study(name: str, rows: list[dict]) -> str:
+    """Print ``STUDIES[name]``'s rows as its table and closing line."""
+    study = STUDIES[name]
+    shown = [column for column in study.columns if column.header]
+    body = [[column.fmt(row[column.key]) for column in shown] for row in rows]
+    table = format_table([column.header for column in shown], body)
+    closing = study.summary(rows) if study.summary else None
+    return f"{table}\n{closing}" if closing else table
 
 
 # ----------------------------------------------------------------------
-# Deadline-vs-throughput frontier (measured on the event stream)
+# Column values and formats shared across studies
 # ----------------------------------------------------------------------
-#: default knob sweeps, shared with the ``deadline_throughput_frontier``
-#: benchmark rows so snapshots and reports never drift apart
-FRONTIER_DEADLINES: tuple[float, ...] = (1.5, 2.5, 4.0)
-FRONTIER_BUFFER_FRACTIONS: tuple[float, ...] = (0.4, 0.6, 0.8)
+def _rounded(digits: int) -> Callable:
+    return lambda value: round(value, digits)
 
 
-@dataclass
-class FrontierRow:
-    """One (scheme, knob) point on the deadline-vs-throughput frontier."""
-
-    scheme: str
-    knob: str
-    final_accuracy: float
-    total_seconds: float
-    effective_throughput: float
-    mean_idle_fraction: float
-
-    @property
-    def accuracy_per_second(self) -> float:
-        if self.total_seconds <= 0:
-            return float("inf")
-        return self.final_accuracy / self.total_seconds
-
-    def as_row(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "knob": self.knob,
-            "final_accuracy": self.final_accuracy,
-            "total_simulated_seconds": self.total_seconds,
-            "merged_per_simulated_sec": self.effective_throughput,
-            "mean_idle_fraction": self.mean_idle_fraction,
-        }
+def _yes(value) -> str:
+    return "yes" if value else "NO"
 
 
-def frontier_points(
-    deadlines: tuple[float, ...] = FRONTIER_DEADLINES,
-    buffer_fractions: tuple[float, ...] = FRONTIER_BUFFER_FRACTIONS,
-) -> list[tuple[str, str, dict]]:
-    """The swept ``(scheme, knob label, make_scenario overrides)`` points."""
-    points: list[tuple[str, str, dict]] = [("sync-full", "-", {})]
-    points += [
-        ("sync-deadline", f"deadline={value:g}s", {"deadline": value}) for value in deadlines
-    ]
-    points += [
-        ("buffered-async", f"buffer={value:g}", {"buffer_fraction": value})
-        for value in buffer_fractions
-    ]
-    return points
+def _final_accuracy(run) -> float:
+    return run.result.accuracy_curve()[-1]
 
 
-def frontier_row(scheme: str, knob: str, result) -> FrontierRow:
-    """Score one finished scenario run as a frontier point."""
-    from ..metrics.latency import summarize_round_timing
+def _timed(field_name: str) -> Callable:
+    """Column value: a field of the run's measured round-timing summary."""
+    return lambda run: getattr(summarize_round_timing(run.result.rounds), field_name)
 
-    timing = summarize_round_timing(result.rounds)
-    return FrontierRow(
-        scheme=scheme,
-        knob=knob,
-        final_accuracy=result.accuracy_curve()[-1],
-        total_seconds=timing.total_seconds,
-        effective_throughput=timing.effective_throughput,
-        mean_idle_fraction=timing.mean_idle_fraction,
+
+def _averaged(field_name: str) -> Callable:
+    """Column value: a round-record field averaged over the run."""
+    return lambda run: float(np.mean([getattr(record, field_name) for record in run.result.rounds]))
+
+
+def _summed(field_name: str) -> Callable:
+    """Column value: a round-record counter summed over the run."""
+    return lambda run: int(sum(getattr(record, field_name) for record in run.result.rounds))
+
+
+_FINAL_ACCURACY = Column("final accuracy", "final_accuracy", _final_accuracy, _rounded(3))
+_MERGED_PER_ROUND = Column(
+    "mean merged/round", "mean_aggregated", _averaged("num_aggregated"), _rounded(1)
+)
+_MERGED_PER_SECOND = Column(
+    "merged/sec", "merged_per_simulated_sec", _timed("effective_throughput"), _rounded(2)
+)
+_IDLE_FRACTION = Column(
+    "idle frac", "mean_idle_fraction", _timed("mean_idle_fraction"), _rounded(3)
+)
+_TOTAL_SECONDS = Column(
+    "total secs", "total_simulated_seconds", _timed("total_seconds"), _rounded(2)
+)
+
+
+# ----------------------------------------------------------------------
+# Per-study cells, measures and closing lines
+# ----------------------------------------------------------------------
+def _scheme_cell(k, scheme: str, labels: dict, **overrides) -> Cell:
+    """A cell running :func:`make_scenario`'s ``scheme`` under the churn and
+    latency knobs (``scenario`` and ``frontier``)."""
+    latency = {knob: getattr(k, knob) for knob in _LATENCY}
+    return Cell(
+        labels,
+        scenario=lambda dataset, cohort: make_scenario(
+            scheme, k.dropout, cohort, **latency, **overrides
+        ),
     )
 
 
-def run_deadline_throughput_frontier(
-    dataset_name: str = "motionsense",
-    scale: str = "ci",
-    seed: int = 0,
-    rounds: int = 5,
-    dropout: float = 0.2,
-    deadlines: tuple[float, ...] = FRONTIER_DEADLINES,
-    buffer_fractions: tuple[float, ...] = FRONTIER_BUFFER_FRACTIONS,
-    staleness_alpha: float = 0.5,
-    latency_median: float = 1.0,
-    straggler_fraction: float = 0.15,
-) -> list[FrontierRow]:
-    """Sweep the round-closure knobs and *measure* the resulting frontier.
-
-    One sync-full anchor, one sync-deadline point per ``deadline``, one
-    buffered-async point per ``buffer fraction`` — identical churn/latency
-    draws throughout, so every row is the same workload under a different
-    closure policy.  Durations and throughput come from the virtual-time
-    event stream (flush timestamps), not from analytic formulas: this is the
-    deadline-vs-throughput tradeoff the scenario engine previously could
-    only infer.
-    """
-    from dataclasses import replace as dc_replace
-
-    rows: list[FrontierRow] = []
-    for scheme, knob, overrides in frontier_points(deadlines, buffer_fractions):
-        dataset, params = build_experiment(dataset_name, scale=scale, seed=seed)
-        model_fn = model_fn_for(dataset)
-        cohort = params.clients_per_round or dataset.num_clients
-        config = dc_replace(
-            params.simulation_config(seed=seed, rounds=rounds),
-            scenario=make_scenario(
-                scheme,
-                dropout,
-                cohort,
-                staleness_alpha=staleness_alpha,
-                latency_median=latency_median,
-                straggler_fraction=straggler_fraction,
-                **overrides,
-            ),
-        )
-        result = FederatedSimulation(dataset, model_fn, config).run()
-        rows.append(frontier_row(scheme, knob, result))
-    return rows
+def _scenario_cells(k) -> list[Cell]:
+    # Selection, training and the churn/latency draws are pure functions of
+    # (seed, client, round), so the rows differ only in round closure.
+    schemes = SCENARIO_SCHEMES if k.scheme == "all" else (k.scheme,)
+    closing = {"deadline": k.deadline, "buffer_fraction": k.buffer_fraction}
+    return [_scheme_cell(k, scheme, {"scheme": scheme}, **closing) for scheme in schemes]
 
 
-def render_frontier(rows: list[FrontierRow]) -> str:
-    header = [
-        "scheme",
-        "knob",
-        "final accuracy",
-        "total secs",
-        "merged/sec",
-        "idle frac",
-        "acc/sec",
+def _timing_probe(field_name: str) -> Callable:
+    """Column value: the timing side channel's ``field_name`` on the run's
+    arrival stream, NaN when the run is too short to warm up and score."""
+
+    def value(run) -> float:
+        rounds = len(run.result.rounds)
+        if rounds < 2:
+            return float("nan")
+        probe = TimingSideChannel(warmup_rounds=max(1, min(2, rounds - 1)))
+        return getattr(probe.run(run.result), field_name)
+
+    return value
+
+
+def _frontier_cells(k) -> list[Cell]:
+    # One sync-full anchor, one sync-deadline point per deadline, one
+    # buffered-async point per buffer fraction: the same workload under a
+    # different closure policy, measured on the event stream.
+    points = [("sync-full", "-", {})]
+    points += [("sync-deadline", f"deadline={v:g}s", {"deadline": v}) for v in k.deadlines]
+    points += [
+        ("buffered-async", f"buffer={v:g}", {"buffer_fraction": v}) for v in k.buffer_fractions
     ]
-    body = [
-        [
-            row.scheme,
-            row.knob,
-            round(row.final_accuracy, 3),
-            round(row.total_seconds, 2),
-            round(row.effective_throughput, 2),
-            round(row.mean_idle_fraction, 3),
-            round(row.accuracy_per_second, 4),
-        ]
-        for row in rows
+    return [
+        _scheme_cell(k, scheme, {"scheme": scheme, "knob": knob}, **overrides)
+        for scheme, knob, overrides in points
     ]
-    return format_table(header, body)
 
 
-# ----------------------------------------------------------------------
-# Dirichlet × churn matrix: does non-IID amplify dropout damage?
-# ----------------------------------------------------------------------
-#: churn models crossed with each Dirichlet α, in presentation order
-CHURN_MODES: tuple[str, ...] = ("none", "dropout", "outage-trace")
+def _accuracy_per_second(run) -> float:
+    seconds = summarize_round_timing(run.result.rounds).total_seconds
+    return _final_accuracy(run) / seconds if seconds > 0 else float("inf")
 
 
-@dataclass
-class DirichletChurnCell:
-    """One (α, churn mode) cell of the non-IID × churn matrix."""
+def _churn_scenario(mode: str, dropout: float, rounds: int) -> Callable:
+    """The scenario of one churn mode of the Dirichlet × churn matrix."""
 
-    alpha: float
-    churn: str
-    final_accuracy: float
-    mean_aggregated: float
-
-    @property
-    def label(self) -> str:
-        return f"α={self.alpha:g}/{self.churn}"
-
-
-def _churn_availability(mode: str, dropout: float, client_ids: list[int], rounds: int):
-    """The availability model for one churn mode of the matrix."""
-    from ..federated.scenario import ChurnTrace, RandomDropout
-
-    if mode == "none":
-        return None
-    if mode == "dropout":
-        return RandomDropout(dropout)
-    if mode == "outage-trace":
+    def scenario(dataset, cohort):
+        if mode == "none":
+            return None
+        if mode == "dropout":
+            return ScenarioConfig(availability=RandomDropout(dropout))
         # Deterministic rotating outage: each round a different third of the
         # fleet is offline — the worst case for heavy label skew, where one
         # missing client can remove a class from the round entirely.
-        trace = {}
-        for round_index in range(rounds):
-            trace[round_index] = [
+        client_ids = sorted(client.client_id for client in dataset.clients())
+        trace = {
+            round_index: [
                 client_id
-                for position, client_id in enumerate(sorted(client_ids))
+                for position, client_id in enumerate(client_ids)
                 if position % 3 != round_index % 3
             ]
-        return ChurnTrace(trace)
-    raise KeyError(f"unknown churn mode {mode!r}; choose from {CHURN_MODES}")
-
-
-def run_dirichlet_churn_matrix(
-    dataset_name: str = "motionsense",
-    scale: str = "ci",
-    seed: int = 0,
-    rounds: int = 4,
-    alphas: tuple[float, ...] = (10.0, 0.3),
-    dropout: float = 0.3,
-) -> list[DirichletChurnCell]:
-    """Cross Dirichlet(α) label skew with churn models.
-
-    For each ``alpha`` the base dataset is re-partitioned with
-    :class:`~repro.data.DirichletReshard` (large α ≈ IID, small α = heavy
-    skew) and run under each churn mode of :data:`CHURN_MODES` with identical
-    training seeds.  Comparing the per-α accuracy *drop* between the
-    ``none`` column and the churn columns answers the ROADMAP question: does
-    non-IID data amplify dropout damage?
-    """
-    from dataclasses import replace as dc_replace
-
-    from ..data import DirichletReshard
-    from ..federated.scenario import ScenarioConfig
-
-    cells: list[DirichletChurnCell] = []
-    for alpha in alphas:
-        base, params = build_experiment(dataset_name, scale=scale, seed=seed)
-        dataset = DirichletReshard(base, alpha=alpha, seed=seed)
-        model_fn = model_fn_for(dataset)
-        client_ids = [c.client_id for c in dataset.clients()]
-        for mode in CHURN_MODES:
-            availability = _churn_availability(mode, dropout, client_ids, rounds)
-            scenario = ScenarioConfig(availability=availability) if availability else None
-            config = dc_replace(
-                params.simulation_config(seed=seed, rounds=rounds), scenario=scenario
-            )
-            result = FederatedSimulation(dataset, model_fn, config).run()
-            cells.append(
-                DirichletChurnCell(
-                    alpha=alpha,
-                    churn=mode,
-                    final_accuracy=result.accuracy_curve()[-1],
-                    mean_aggregated=float(
-                        np.mean([r.num_aggregated for r in result.rounds])
-                    ),
-                )
-            )
-    return cells
-
-
-def churn_damage(cells: list[DirichletChurnCell]) -> dict[float, dict[str, float]]:
-    """Accuracy drop vs the no-churn column, per ``(alpha, churn mode)``."""
-    by_alpha: dict[float, dict[str, DirichletChurnCell]] = {}
-    for cell in cells:
-        by_alpha.setdefault(cell.alpha, {})[cell.churn] = cell
-    damage: dict[float, dict[str, float]] = {}
-    for alpha, row in by_alpha.items():
-        baseline = row["none"].final_accuracy
-        damage[alpha] = {
-            mode: baseline - cell.final_accuracy
-            for mode, cell in row.items()
-            if mode != "none"
+            for round_index in range(rounds)
         }
-    return damage
+        return ScenarioConfig(availability=ChurnTrace(trace))
+
+    return scenario
 
 
-def render_dirichlet_churn_matrix(cells: list[DirichletChurnCell]) -> str:
-    header = ["alpha", "churn", "final accuracy", "mean merged/round", "damage vs no-churn"]
-    damage = churn_damage(cells)
-    body = [
-        [
-            f"{cell.alpha:g}",
-            cell.churn,
-            round(cell.final_accuracy, 3),
-            round(cell.mean_aggregated, 1),
-            "-" if cell.churn == "none" else round(damage[cell.alpha][cell.churn], 3),
-        ]
-        for cell in cells
+def _dirichlet_cells(k) -> list[Cell]:
+    # Each α re-partitions the base dataset (large α ≈ IID, small α = heavy
+    # skew) and runs every churn mode with identical training seeds.
+    return [
+        Cell(
+            {"alpha": alpha, "churn": mode},
+            scenario=_churn_scenario(mode, k.dropout, k.rounds),
+            reshard=alpha,
+        )
+        for alpha in k.alphas
+        for mode in CHURN_MODES
     ]
-    lines = [format_table(header, body)]
-    alphas = sorted(damage)
-    if len(alphas) >= 2:
-        skewed, iid = alphas[0], alphas[-1]
-        worst_skewed = max(damage[skewed].values())
-        worst_iid = max(damage[iid].values())
-        amplified = worst_skewed > worst_iid
-        lines.append(
-            f"non-IID (α={skewed:g}) worst-case churn damage {worst_skewed:+.3f} vs "
-            f"IID-ish (α={iid:g}) {worst_iid:+.3f} — "
-            + ("non-IID amplifies dropout damage" if amplified else "no amplification observed")
+
+
+def _damage_vs_no_churn(rows: list[dict]) -> None:
+    """Accuracy lost against the same α's no-churn row (``None`` on it)."""
+    baseline = {row["alpha"]: row["final_accuracy"] for row in rows if row["churn"] == "none"}
+    for row in rows:
+        row["damage"] = (
+            None if row["churn"] == "none" else baseline[row["alpha"]] - row["final_accuracy"]
         )
-    return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# Chaos study: the round pipeline under seeded fault injection
-# ----------------------------------------------------------------------
-#: default proxy-crash sweep, shared with the ``fault_recovery`` benchmark
-#: rows so snapshots and reports never drift apart
-CHAOS_PROXY_CRASH_RATES: tuple[float, ...] = (0.0, 0.05, 0.2)
+def _amplification_line(rows: list[dict]) -> str | None:
+    """Does non-IID data amplify dropout damage?  Worst damage, most skewed
+    α against the most IID one."""
+    worst: dict[float, float] = {}
+    for row in rows:
+        if row["damage"] is not None:
+            worst[row["alpha"]] = max(worst.get(row["alpha"], -np.inf), row["damage"])
+    if len(worst) < 2:
+        return None
+    skewed, iid = min(worst), max(worst)
+    amplified = worst[skewed] > worst[iid]
+    return (
+        f"non-IID (α={skewed:g}) worst-case churn damage {worst[skewed]:+.3f} vs "
+        f"IID-ish (α={iid:g}) {worst[iid]:+.3f} — "
+        + ("non-IID amplifies dropout damage" if amplified else "no amplification observed")
+    )
 
 
-@dataclass
-class ChaosRow:
-    """One fault-rate operating point of the chaos sweep.
-
-    ``final_accuracy`` and ``effective_throughput`` say what the faults cost;
-    the ledger columns (``injected = retried + failed_over + discarded`` by
-    construction) say what the fault plane did about them; the recovery
-    percentiles say how long one fault took to absorb.
-    """
-
-    proxy_crash_rate: float
-    frame_corruption_rate: float
-    final_accuracy: float
-    mean_aggregated: float
-    effective_throughput: float
-    total_faults: int
-    total_retries: int
-    failed_over: int
-    discarded: int
-    retransmissions: int
-    recovery_p50_seconds: float
-    recovery_p99_seconds: float
-    carried_forward: int
-
-    def as_row(self) -> dict:
-        return {
-            "proxy_crash_rate": self.proxy_crash_rate,
-            "frame_corruption_rate": self.frame_corruption_rate,
-            "final_accuracy": round(self.final_accuracy, 4),
-            "mean_aggregated": round(self.mean_aggregated, 2),
-            "merged_per_s": round(self.effective_throughput, 4),
-            "faults": self.total_faults,
-            "retries": self.total_retries,
-            "failed_over": self.failed_over,
-            "discarded": self.discarded,
-            "retransmissions": self.retransmissions,
-            "recovery_p50_s": round(self.recovery_p50_seconds, 4),
-            "recovery_p99_s": round(self.recovery_p99_seconds, 4),
-            "carried_forward": self.carried_forward,
-        }
-
-
-def run_chaos(
-    dataset_name: str = "motionsense",
-    scale: str = "ci",
-    seed: int = 0,
-    rounds: int = 4,
-    dropout: float = 0.1,
-    proxy_crash_rates: tuple[float, ...] = CHAOS_PROXY_CRASH_RATES,
-    frame_corruption_rate: float = 0.05,
-    client_crash_rate: float = 0.0,
-    enclave_failure_rate: float = 0.0,
-    quorum_fraction: float = 0.7,
-    max_attempts: int = 4,
-    hop_timeout: float | None = None,
-    latency_median: float = 1.0,
-) -> list[ChaosRow]:
-    """Sweep proxy-crash rates through a full MixNN round pipeline.
-
-    Every row runs the same seeded workload (selection, training, churn, and
-    latency draws are pure functions of ``(seed, client, round)``) under the
-    MixNN defense with the fault plane armed, varying only the proxy-crash
-    probability — so accuracy/throughput deltas between rows are attributable
-    to the faults and their recovery, nothing else.  Frame corruption is held
-    at ``frame_corruption_rate`` across all rows (including the 0-crash row:
-    that row measures the transport-retry floor, not a fault-free baseline).
-    Each run's ledger is validated (injected == retried + failed-over +
-    discarded) before its row is emitted.
-    """
-    from dataclasses import replace as dc_replace
-
-    from ..federated.faults import FaultConfig
-    from ..metrics.latency import summarize_round_timing
-
-    rows: list[ChaosRow] = []
-    for crash_rate in proxy_crash_rates:
-        dataset, params = build_experiment(dataset_name, scale=scale, seed=seed)
-        model_fn = model_fn_for(dataset)
-        cohort = params.clients_per_round or dataset.num_clients
-        faults = FaultConfig(
-            client_crash_rate=client_crash_rate,
-            frame_corruption_rate=frame_corruption_rate,
-            enclave_failure_rate=enclave_failure_rate,
-            proxy_crash_rate=crash_rate,
-            quorum_fraction=quorum_fraction,
-            max_attempts=max_attempts,
-            hop_timeout=hop_timeout,
-        )
-        scenario = dc_replace(
-            make_scenario("sync-full", dropout, cohort, latency_median=latency_median),
+def _chaos_cell(k, proxy_crash_rate: float) -> Cell:
+    # Frame corruption is held across all rows, the 0-crash row included:
+    # that row measures the transport-retry floor, not a fault-free baseline.
+    faults = FaultConfig(
+        client_crash_rate=k.client_crash_rate,
+        frame_corruption_rate=k.frame_corruption_rate,
+        proxy_crash_rate=proxy_crash_rate,
+        quorum_fraction=k.quorum,
+        max_attempts=k.max_attempts,
+        hop_timeout=k.hop_timeout,
+    )
+    return Cell(
+        {"proxy_crash_rate": proxy_crash_rate, "frame_corruption_rate": k.frame_corruption_rate},
+        scenario=lambda dataset, cohort: replace(
+            make_scenario("sync-full", k.dropout, cohort, latency_median=k.latency_median),
             faults=faults,
-        )
-        config = dc_replace(
-            params.simulation_config(seed=seed, rounds=rounds),
-            scenario=scenario,
-        )
-        result = FederatedSimulation(
-            dataset,
-            model_fn,
-            config,
-            defense=MixNNDefense(rng=rng_from_seed(stable_seed(seed, "mixnn-proxy"))),
-        ).run()
-        result.fault_ledger.validate()
-        timing = summarize_round_timing(result.rounds)
-        ledger = result.fault_ledger
-        rows.append(
-            ChaosRow(
-                proxy_crash_rate=crash_rate,
-                frame_corruption_rate=frame_corruption_rate,
-                final_accuracy=result.accuracy_curve()[-1],
-                mean_aggregated=float(np.mean([r.num_aggregated for r in result.rounds])),
-                effective_throughput=timing.effective_throughput,
-                total_faults=ledger.injected,
-                total_retries=timing.total_retries,
-                failed_over=ledger.failed_over,
-                discarded=ledger.discarded,
-                retransmissions=ledger.retransmissions,
-                recovery_p50_seconds=timing.recovery_p50_seconds,
-                recovery_p99_seconds=timing.recovery_p99_seconds,
-                carried_forward=int(sum(r.num_carried_forward for r in result.rounds)),
-            )
-        )
-    return rows
-
-
-def render_chaos(rows: list[ChaosRow]) -> str:
-    header = [
-        "proxy crash",
-        "frame corrupt",
-        "final accuracy",
-        "mean merged/round",
-        "merged/sec",
-        "faults",
-        "retries",
-        "failed over",
-        "discarded",
-        "retransmits",
-        "recovery p50 s",
-        "recovery p99 s",
-        "carried",
-    ]
-    body = [
-        [
-            f"{row.proxy_crash_rate:g}",
-            f"{row.frame_corruption_rate:g}",
-            round(row.final_accuracy, 3),
-            round(row.mean_aggregated, 1),
-            round(row.effective_throughput, 2),
-            row.total_faults,
-            row.total_retries,
-            row.failed_over,
-            row.discarded,
-            row.retransmissions,
-            round(row.recovery_p50_seconds, 3),
-            round(row.recovery_p99_seconds, 3),
-            row.carried_forward,
-        ]
-        for row in rows
-    ]
-    lines = [format_table(header, body)]
-    if len(rows) >= 2:
-        base, worst = rows[0], rows[-1]
-        if base.effective_throughput > 0:
-            slowdown = 1.0 - worst.effective_throughput / base.effective_throughput
-            lines.append(
-                f"throughput at {worst.proxy_crash_rate:g} proxy-crash is "
-                f"{slowdown:+.1%} below the {base.proxy_crash_rate:g}-crash row; "
-                f"accuracy delta {worst.final_accuracy - base.final_accuracy:+.3f} "
-                "(every ledger balanced: injected == retried + failed-over + discarded)"
-            )
-    return "\n".join(lines)
-
-
-#: Attacker fractions the Byzantine comparison sweeps (0 = clean baseline).
-BYZANTINE_FRACTIONS: tuple[float, ...] = (0.0, 0.1, 0.3)
-
-#: Aggregation policies the Byzantine comparison scores against plain mean.
-BYZANTINE_RULES: tuple[str, ...] = ("mean", "median", "trimmed", "norm_filter", "krum", "multi-krum")
-
-
-@dataclass
-class ByzantineRow:
-    """One (rule × attacker-fraction × defense) cell of the Byzantine sweep.
-
-    ``accuracy_drop`` is measured against the same (rule, defense) pair's
-    clean (fraction-0) run, so it isolates what the *poison* cost, not what
-    the robust rule itself costs on honest updates.  The ledger columns obey
-    ``injected == merged + filtered + rejected`` (validated per run), and
-    ``transcript_verify_ms`` is the measured cost of re-walking the full
-    hash-chained round transcript — the audit overhead the integrity layer
-    charges.
-    """
-
-    rule: str
-    attacker_fraction: float
-    defense: str
-    final_accuracy: float
-    accuracy_drop: float
-    injected: int
-    merged: int
-    filtered: int
-    rejected: int
-    attack_success_rate: float
-    filter_precision: float
-    filter_recall: float
-    transcript_verify_ms: float
-
-    def as_row(self) -> dict:
-        return {
-            "rule": self.rule,
-            "attacker_fraction": self.attacker_fraction,
-            "defense": self.defense,
-            "final_accuracy": round(self.final_accuracy, 4),
-            "accuracy_drop": round(self.accuracy_drop, 4),
-            "injected": self.injected,
-            "merged": self.merged,
-            "filtered": self.filtered,
-            "rejected": self.rejected,
-            "attack_success_rate": round(self.attack_success_rate, 4),
-            "filter_precision": round(self.filter_precision, 4),
-            "filter_recall": round(self.filter_recall, 4),
-            "transcript_verify_ms": round(self.transcript_verify_ms, 4),
-        }
-
-
-def run_byzantine_comparison(
-    dataset_name: str = "motionsense",
-    scale: str = "ci",
-    seed: int = 0,
-    rounds: int = 3,
-    attack: str = "sign-flip",
-    attack_scale: float = 100.0,
-    fractions: tuple[float, ...] = BYZANTINE_FRACTIONS,
-    rules: tuple[str, ...] = BYZANTINE_RULES,
-    defenses: tuple[str, ...] = ("none", "mixnn"),
-    replay_rate: float = 0.0,
-    dropout: float = 0.0,
-) -> list[ByzantineRow]:
-    """Score every aggregation policy against a poisoning adversary.
-
-    The full cross of ``rules × fractions × defenses``, every cell the same
-    seeded workload (selection, training, and attacker activation are pure
-    functions of ``(seed, client, round)``) so accuracy deltas between cells
-    are attributable to the poison and the policy, nothing else.  Fraction
-    ``0.0`` rows are the clean baselines the per-rule ``accuracy_drop``
-    is measured against (and double as the zero-adversary bit-identity
-    witnesses: their adversary plane is armed but silent).  Each run
-    validates its adversary ledger and verifies its round transcript before
-    the row is emitted — a row in the output *is* a passed audit.
-    """
-    import time
-    from dataclasses import replace as dc_replace
-
-    from ..federated.adversary import AdversaryConfig
-    from ..metrics.robustness import summarize_robustness
-
-    rows: list[ByzantineRow] = []
-    baselines: dict[tuple[str, str], float] = {}
-    ordered_fractions = sorted(set(fractions))
-    for defense_name in defenses:
-        for rule in rules:
-            for fraction in ordered_fractions:
-                dataset, params = build_experiment(dataset_name, scale=scale, seed=seed)
-                model_fn = model_fn_for(dataset)
-                cohort = params.clients_per_round or dataset.num_clients
-                adversary = AdversaryConfig(
-                    fraction=fraction,
-                    kind=attack,
-                    scale=attack_scale,
-                    replay_rate=replay_rate if fraction > 0 else 0.0,
-                )
-                scenario = dc_replace(
-                    make_scenario("sync-full", dropout, cohort),
-                    adversary=adversary,
-                )
-                config = dc_replace(
-                    params.simulation_config(seed=seed, rounds=rounds),
-                    scenario=scenario,
-                    aggregation=rule,
-                )
-                defense = (
-                    MixNNDefense(rng=rng_from_seed(stable_seed(seed, "mixnn-proxy")))
-                    if defense_name == "mixnn"
-                    else NoDefense()
-                )
-                result = FederatedSimulation(dataset, model_fn, config, defense=defense).run()
-                baseline = baselines.get((defense_name, rule))
-                summary = summarize_robustness(result, baseline_accuracy=baseline)
-                start = time.perf_counter()
-                result.transcript.verify()
-                verify_ms = (time.perf_counter() - start) * 1e3
-                if fraction == 0.0:
-                    baselines[(defense_name, rule)] = summary.final_accuracy
-                rows.append(
-                    ByzantineRow(
-                        rule=rule,
-                        attacker_fraction=fraction,
-                        defense=defense_name,
-                        final_accuracy=summary.final_accuracy,
-                        accuracy_drop=summary.accuracy_drop,
-                        injected=summary.injected,
-                        merged=summary.merged,
-                        filtered=summary.filtered,
-                        rejected=summary.rejected,
-                        attack_success_rate=summary.attack_success_rate,
-                        filter_precision=summary.filter_precision,
-                        filter_recall=summary.filter_recall,
-                        transcript_verify_ms=verify_ms,
-                    )
-                )
-    return rows
-
-
-def render_byzantine_comparison(rows: list[ByzantineRow]) -> str:
-    header = [
-        "rule",
-        "attackers",
-        "defense",
-        "final accuracy",
-        "accuracy drop",
-        "injected",
-        "merged",
-        "filtered",
-        "rejected",
-        "attack success",
-        "filter precision",
-        "filter recall",
-        "verify ms",
-    ]
-    body = [
-        [
-            row.rule,
-            f"{row.attacker_fraction:g}",
-            row.defense,
-            round(row.final_accuracy, 3),
-            round(row.accuracy_drop, 3),
-            row.injected,
-            row.merged,
-            row.filtered,
-            row.rejected,
-            round(row.attack_success_rate, 3),
-            round(row.filter_precision, 3),
-            round(row.filter_recall, 3),
-            round(row.transcript_verify_ms, 3),
-        ]
-        for row in rows
-    ]
-    lines = [format_table(header, body)]
-    worst_fraction = max((r.attacker_fraction for r in rows), default=0.0)
-    if worst_fraction > 0:
-        at_worst = [r for r in rows if r.attacker_fraction == worst_fraction]
-        mean_rows = [r for r in at_worst if r.rule == "mean"]
-        robust = [r for r in at_worst if r.rule != "mean"]
-        if mean_rows and robust:
-            best = max(robust, key=lambda r: r.final_accuracy)
-            lines.append(
-                f"at {worst_fraction:.0%} attackers, plain mean merges "
-                f"{mean_rows[0].merged}/{mean_rows[0].injected} poisons "
-                f"(accuracy drop {mean_rows[0].accuracy_drop:+.3f}); best robust rule "
-                f"{best.rule!r} holds at accuracy {best.final_accuracy:.3f} "
-                f"(attack success {best.attack_success_rate:.0%}); every ledger and "
-                "transcript verified"
-            )
-    return "\n".join(lines)
-
-
-def run_relink_robustness(
-    dataset_name: str = "motionsense",
-    scale: str = "ci",
-    seed: int = 0,
-    rounds: int = 2,
-):
-    """The §6.4 re-linking adversary against actual mixed updates.
-
-    Runs one MixNN round, builds the adversary's reference models from the
-    broadcast, and measures how often a per-layer classification of the mixed
-    pieces recovers each piece's true source attribute.
-    """
-    dataset, params = build_experiment(dataset_name, scale=scale, seed=seed)
-    model_fn = model_fn_for(dataset)
-    simulation = FederatedSimulation(
-        dataset,
-        model_fn,
-        params.simulation_config(seed=seed, rounds=rounds),
-        defense=MixNNDefense(rng=rng_from_seed(stable_seed(seed, "mixnn-proxy"))),
+        ),
+        defense="mixnn",
     )
-    result = simulation.run()
-    mixed_updates = result.received_updates[-1]
-    # The broadcast those updates refined is the previous round's aggregate;
-    # recover it the way the adversary would: re-aggregate the prior round.
-    from ..federated.update import aggregate_updates
 
-    previous = result.received_updates[-2] if rounds >= 2 else mixed_updates
-    broadcast_state = aggregate_updates(previous)
-    references = build_reference_states(
-        broadcast_state,
-        dataset.background_clients(),
-        model_fn,
-        params.local_config(),
-        rng_from_seed(stable_seed(seed, "relink")),
-        attack_epochs=params.attack_epochs,
+
+def _chaos_line(rows: list[dict]) -> str | None:
+    if len(rows) < 2 or rows[0]["merged_per_simulated_sec"] <= 0:
+        return None
+    base, worst = rows[0], rows[-1]
+    slowdown = 1.0 - worst["merged_per_simulated_sec"] / base["merged_per_simulated_sec"]
+    return (
+        f"throughput at {worst['proxy_crash_rate']:g} proxy-crash is "
+        f"{slowdown:+.1%} below the {base['proxy_crash_rate']:g}-crash row; "
+        f"accuracy delta {worst['final_accuracy'] - base['final_accuracy']:+.3f} "
+        "(every ledger balanced: injected == retried + failed-over + discarded)"
     )
-    truth = {c.client_id: c.attribute for c in dataset.clients()}
-    attack = RelinkAttack(references, broadcast_state)
-    report = attack.run(mixed_updates, true_attributes=truth)
-    return report, dataset
 
 
-# ----------------------------------------------------------------------
-# Population-scale engine study (million-client lazy federation)
-# ----------------------------------------------------------------------
-#: default (population size, clients per round) per runner scale
-POPULATION_SCALES = {"ci": (100_000, 1_000), "paper": (1_000_000, 10_000)}
+def _byzantine_cell(k, defense: str, rule: str, fraction: float) -> Cell:
+    adversary = AdversaryConfig(
+        fraction=fraction,
+        kind=k.attack,
+        scale=k.attack_scale,
+        replay_rate=k.replay_rate if fraction > 0 else 0.0,
+    )
+    return Cell(
+        {"rule": rule, "attacker_fraction": fraction, "defense": defense},
+        scenario=lambda dataset, cohort: replace(
+            make_scenario("sync-full", k.dropout, cohort), adversary=adversary
+        ),
+        config={"aggregation": rule},
+        defense="mixnn" if defense == "mixnn" else "classical-fl",
+    )
 
 
-@dataclass
-class PopulationRow:
-    """One population-scale round measurement."""
-
-    population_size: int
-    clients_per_round: int
-    rounds: int
-    wall_seconds: float
-    trained_clients_per_sec: float
-    peak_materialized: int
-    peak_traced_mb: float
-    final_accuracy: float
+def _byzantine_cells(k) -> list[Cell]:
+    # Fraction 0 rows are the clean baselines the accuracy drop is measured
+    # against (their adversary plane is armed but silent).
+    return [
+        _byzantine_cell(k, defense, rule, fraction)
+        for defense in k.byzantine_defenses
+        for rule in k.rules
+        for fraction in sorted(set(k.attacker_fractions))
+    ]
 
 
-def run_population_study(
-    scale: str = "ci",
-    seed: int = 0,
-    rounds: int = 1,
-    population_size: int | None = None,
-    clients_per_round: int | None = None,
-    alpha: float | None = None,
-) -> PopulationRow:
-    """One memory-instrumented run of the population-scale engine.
+def _verify_ms(run) -> float:
+    """The cost of re-walking the run's hash-chained round transcript."""
+    start = time.perf_counter()
+    run.result.transcript.verify()
+    return (time.perf_counter() - start) * 1e3
 
-    A :class:`~repro.data.population.SyntheticPopulation` federation on the
-    lazy client plane and the calendar scheduler: clients exist as
-    descriptors, the selected cohort materializes for its round and is
-    released after the merge.  The row records the tracemalloc peak of the
-    whole run next to the population's materialization high-water mark — the
-    engine's claim is that both are set by ``clients_per_round``, never by
-    ``population_size``.
+
+def _drop_vs_clean(rows: list[dict]) -> None:
+    """Accuracy lost against the same (defense, rule) pair's clean run, so
+    the drop isolates what the poison cost, not what the rule costs."""
+    clean = {
+        (row["defense"], row["rule"]): row["final_accuracy"]
+        for row in rows
+        if row["attacker_fraction"] == 0.0
+    }
+    for row in rows:
+        baseline = clean.get((row["defense"], row["rule"]))
+        row["accuracy_drop"] = 0.0 if baseline is None else baseline - row["final_accuracy"]
+
+
+def _byzantine_line(rows: list[dict]) -> str | None:
+    worst_fraction = max((row["attacker_fraction"] for row in rows), default=0.0)
+    at_worst = [row for row in rows if row["attacker_fraction"] == worst_fraction]
+    mean = [row for row in at_worst if row["rule"] == "mean"]
+    robust = [row for row in at_worst if row["rule"] != "mean"]
+    if worst_fraction <= 0 or not mean or not robust:
+        return None
+    best = max(robust, key=lambda row: row["final_accuracy"])
+    return (
+        f"at {worst_fraction:.0%} attackers, plain mean merges "
+        f"{mean[0]['merged']}/{mean[0]['injected']} poisons "
+        f"(accuracy drop {mean[0]['accuracy_drop']:+.3f}); best robust rule "
+        f"{best['rule']!r} holds at accuracy {best['final_accuracy']:.3f} "
+        f"(attack success {best['attack_success_rate']:.0%}); every ledger and "
+        "transcript verified"
+    )
+
+
+def _population_cells(k) -> list[Cell]:
+    size, cohort = POPULATION_SCALES[k.scale]
+    labels = {
+        "population_size": k.population_size or size,
+        "clients_per_round": k.cohort or cohort,
+        "rounds": k.rounds,
+    }
+    return [Cell(labels)]
+
+
+def _population_run(cell: Cell, k) -> SimpleNamespace:
+    """One tracemalloc-traced run of the lazy client plane.
+
+    Clients exist as descriptors; the selected cohort materializes for its
+    round and is released after the merge.  The engine's claim is that the
+    traced peak and the materialization high-water mark are both set by the
+    clients per round, never by the population size.
     """
-    import time
     import tracemalloc
 
-    from ..data import SyntheticPopulation
-    from ..federated import (
-        LocalTrainingConfig,
-        LogNormalLatency,
-        ScenarioConfig,
-        SimulationConfig,
+    dataset = SyntheticPopulation(
+        population_size=cell.labels["population_size"], alpha=k.alpha, seed=k.seed
     )
-
-    default_size, default_cohort = POPULATION_SCALES[scale]
-    population_size = population_size if population_size is not None else default_size
-    clients_per_round = (
-        clients_per_round if clients_per_round is not None else default_cohort
-    )
-    dataset = SyntheticPopulation(population_size=population_size, alpha=alpha, seed=seed)
     config = SimulationConfig(
-        rounds=rounds,
+        rounds=k.rounds,
         local=LocalTrainingConfig(local_epochs=1, batch_size=8, learning_rate=0.05),
-        clients_per_round=clients_per_round,
-        seed=seed,
+        clients_per_round=cell.labels["clients_per_round"],
+        seed=k.seed,
         track_per_client_accuracy=False,
         retain_received_updates=False,
         scenario=ScenarioConfig(latency=LogNormalLatency(median=1.0, sigma=0.5)),
@@ -1148,320 +598,414 @@ def run_population_study(
     wall = time.perf_counter() - start
     _, peak_traced = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    return PopulationRow(
-        population_size=population_size,
-        clients_per_round=clients_per_round,
-        rounds=rounds,
-        wall_seconds=wall,
-        trained_clients_per_sec=rounds * clients_per_round / wall,
-        peak_materialized=simulation.population.peak_materialized,
-        peak_traced_mb=peak_traced / 1e6,
-        final_accuracy=result.rounds[-1].global_accuracy,
+    return SimpleNamespace(
+        result=result, simulation=simulation, wall_seconds=wall, peak_traced_mb=peak_traced / 1e6
     )
 
 
-def render_population(row: PopulationRow) -> str:
-    header = [
-        "population",
-        "cohort/round",
-        "rounds",
-        "wall s",
-        "trained clients/s",
-        "peak materialized",
-        "peak traced MB",
-        "final acc",
-    ]
-    body = [
-        [
-            row.population_size,
-            row.clients_per_round,
-            row.rounds,
-            round(row.wall_seconds, 2),
-            round(row.trained_clients_per_sec, 1),
-            row.peak_materialized,
-            round(row.peak_traced_mb, 1),
-            round(row.final_accuracy, 3),
-        ]
-    ]
-    bound = "cohort-bounded" if row.peak_materialized <= row.clients_per_round else "UNBOUNDED"
-    return "\n".join(
-        [
-            format_table(header, body),
-            f"memory: {bound} — {row.peak_materialized} of {row.population_size} "
-            f"clients ever materialized at once ({row.peak_traced_mb:.1f} MB traced peak)",
-        ]
+def _memory_line(rows: list[dict]) -> str:
+    lines = []
+    for row in rows:
+        bounded = row["peak_materialized"] <= row["clients_per_round"]
+        bound = "cohort-bounded" if bounded else "UNBOUNDED"
+        lines.append(
+            f"memory: {bound} — {row['peak_materialized']} of {row['population_size']} clients "
+            f"ever materialized at once ({row['peak_traced_mb']:.1f} MB traced peak)"
+        )
+    return "\n".join(lines)
+
+
+def _sharded_cell(num_shards: int, crash_rate: float, clients: int | None) -> Cell:
+    config = {"num_shards": num_shards}
+    if clients is not None:
+        config["clients_per_round"] = clients
+    faults = FaultConfig(shard_crash_rate=crash_rate)
+    return Cell(
+        {"num_shards": num_shards, "shard_crash_rate": crash_rate},
+        scenario=lambda dataset, cohort: ScenarioConfig(faults=faults),
+        config=config,
     )
 
 
-# ----------------------------------------------------------------------
-# Sharded hierarchical aggregation study
-# ----------------------------------------------------------------------
-#: leaf-shard counts the ``sharded`` command sweeps by default
-SHARDED_SHARD_COUNTS = (1, 2, 4)
-#: per-(shard, round, attempt) crash probabilities swept by default (0 is the
-#: fault-free row; the non-zero row exercises retry/backoff and failover)
-SHARDED_CRASH_RATES = (0.0, 0.3)
+@lru_cache(maxsize=1)
+def _serial_state(dataset, scale, seed, rounds, crash_rate, clients) -> dict:
+    """The final state of the unsharded run every cell of one crash rate must
+    equal byte for byte (the merge-order contract).  One is cached: a crash
+    rate's cells run back to back."""
+    knobs = SimpleNamespace(dataset=dataset, scale=scale, seed=seed, rounds=rounds)
+    return _simulate(_sharded_cell(0, crash_rate, clients), knobs).result.final_state
 
 
-@dataclass
-class ShardedRow:
-    """One (shard count × crash rate) cell of the sharded-plane study."""
-
-    num_shards: int
-    shard_crash_rate: float
-    clients_per_round: int
-    wall_seconds: float
-    rounds_per_sec: float
-    final_accuracy: float
-    #: final global state byte-equal to the serial (``shards=0``) run of the
-    #: same seeded workload — the plane's bit-identity contract, measured
-    byte_identical: bool
-    crashes: int
-    retried: int
-    failed_over: int
+def _sharded_run(cell: Cell, k) -> SimpleNamespace:
+    run = _simulate(cell, k)
+    run.serial_state = _serial_state(
+        k.dataset, k.scale, k.seed, k.rounds, cell.labels["shard_crash_rate"], k.clients
+    )
+    return run
 
 
-def run_sharded_comparison(
-    dataset_name: str = "motionsense",
-    scale: str = "ci",
-    seed: int = 0,
-    rounds: int = 3,
-    num_shards: tuple[int, ...] = SHARDED_SHARD_COUNTS,
-    shard_crash_rates: tuple[float, ...] = SHARDED_CRASH_RATES,
-    clients_per_round: int | None = None,
-) -> list[ShardedRow]:
-    """Sweep shard counts × crash rates; score each cell against serial.
+def _shard_crashes(run) -> list[str]:
+    """Resolutions of the run's injected shard crashes."""
+    return [e.resolution for e in run.result.fault_ledger.entries if e.kind == "shard-crash"]
 
-    Every cell runs the same seeded workload (selection, training, and crash
-    draws are pure functions of ``(seed, entity, round)``) through the
-    sharded data plane, varying only the plan width and the injected
-    shard-crash probability.  For each crash rate one serial (``shards=0``)
-    reference run anchors the bit-identity check: by the merge-order
-    contract, every cell's final state must be byte-equal to it, crashes and
-    failovers included.  Each faulted cell's ledger is validated and its
-    hierarchical transcript verified before the row is emitted.
+
+def _cohort_run(cell: Cell, k) -> SimpleNamespace:
+    """Time one round's local training serial against stacked.
+
+    A synthetic linear-probe population trains the same seeded workload once
+    through the serial :func:`~repro.federated.client.train_rows_into` loop
+    and once through :class:`~repro.federated.cohort.CohortTrainer`'s
+    stacked pass, best of ``_COHORT_REPEATS`` each after a shared warm-up.
+    Both land their refined rows for the columns to compare: for this
+    architecture they must be byte-equal.
     """
-    import time
-    from dataclasses import replace as dc_replace
-
-    from ..federated import ScenarioConfig
-    from ..federated.faults import FaultConfig
-
-    def run_once(shards: int, crash_rate: float):
-        dataset, params = build_experiment(dataset_name, scale=scale, seed=seed)
-        model_fn = model_fn_for(dataset)
-        config = params.simulation_config(seed=seed, rounds=rounds)
-        overrides: dict = {
-            "num_shards": shards,
-            "scenario": ScenarioConfig(
-                faults=FaultConfig(shard_crash_rate=crash_rate)
-            ),
-        }
-        if clients_per_round is not None:
-            overrides["clients_per_round"] = clients_per_round
-        config = dc_replace(config, **overrides)
-        start = time.perf_counter()
-        result = FederatedSimulation(dataset, model_fn, config).run()
-        return result, time.perf_counter() - start
-
-    rows: list[ShardedRow] = []
-    for crash_rate in shard_crash_rates:
-        serial, _ = run_once(0, crash_rate)
-        for shards in num_shards:
-            result, wall = run_once(shards, crash_rate)
-            result.fault_ledger.validate()
-            result.shard_transcript.verify()
-            identical = all(
-                np.array_equal(serial.final_state[name], value)
-                for name, value in result.final_state.items()
-            )
-            crash_entries = [
-                entry
-                for entry in result.fault_ledger.entries
-                if entry.kind == "shard-crash"
-            ]
-            rows.append(
-                ShardedRow(
-                    num_shards=shards,
-                    shard_crash_rate=crash_rate,
-                    clients_per_round=result.rounds[-1].num_selected,
-                    wall_seconds=wall,
-                    rounds_per_sec=rounds / wall,
-                    final_accuracy=result.accuracy_curve()[-1],
-                    byte_identical=identical,
-                    crashes=len(crash_entries),
-                    retried=sum(
-                        1 for entry in crash_entries if entry.resolution == "retried"
-                    ),
-                    failed_over=sum(
-                        1 for entry in crash_entries if entry.resolution == "failed-over"
-                    ),
-                )
-            )
-    return rows
-
-
-def render_sharded(rows: list[ShardedRow]) -> str:
-    header = [
-        "shards",
-        "crash rate",
-        "wall s",
-        "rounds/s",
-        "final acc",
-        "byte-identical",
-        "crashes",
-        "retried",
-        "failed over",
-    ]
-    body = [
-        [
-            row.num_shards,
-            row.shard_crash_rate,
-            round(row.wall_seconds, 2),
-            round(row.rounds_per_sec, 2),
-            round(row.final_accuracy, 3),
-            "yes" if row.byte_identical else "NO",
-            row.crashes,
-            row.retried,
-            row.failed_over,
-        ]
-        for row in rows
-    ]
-    identical = sum(1 for row in rows if row.byte_identical)
-    return "\n".join(
-        [
-            format_table(header, body),
-            f"bit-identity: {identical}/{len(rows)} cells byte-equal to the "
-            f"serial path (merge-order contract)",
-        ]
-    )
-
-
-# ----------------------------------------------------------------------
-# Cohort-batched training study: serial loop vs one stacked pass
-# ----------------------------------------------------------------------
-
-#: cohort sizes swept by the cohort command (clients per stacked pass)
-COHORT_SIZES = (16, 64, 256)
-
-
-@dataclass
-class CohortRow:
-    """One cohort size of the serial-vs-batched local-training comparison."""
-
-    cohort_size: int
-    local_epochs: int
-    serial_seconds: float
-    batched_seconds: float
-    speedup: float
-    serial_clients_per_sec: float
-    batched_clients_per_sec: float
-    #: refined rows byte-equal to the serial path — the linear-probe
-    #: bit-identity contract (conv architectures promise 1e-6 relative
-    #: tolerance instead; the synthetic population trains a linear probe)
-    bit_identical: bool
-    max_abs_deviation: float
-
-
-def run_cohort_study(
-    seed: int = 0,
-    cohort_sizes: tuple[int, ...] = COHORT_SIZES,
-    local_epochs: int = 1,
-    batch_size: int = 8,
-    repeats: int = 3,
-) -> list[CohortRow]:
-    """Time one round's local training serial vs cohort-batched per size.
-
-    Runs on its own synthetic linear-probe population (same workload as the
-    ``cohort_train_seconds`` benchmark): for each cohort size the identical
-    seeded workload trains once through the serial
-    :func:`~repro.federated.client.train_rows_into` loop and once through
-    :class:`~repro.federated.cohort.CohortTrainer`'s stacked pass, best-of-
-    ``repeats`` each after a shared warm-up.  Every row also *measures* the
-    numerical contract: for this architecture the refined ``(M, D)`` rows
-    must be byte-equal between the two paths.
-    """
-    import time
-
-    from ..data import SyntheticPopulation
-    from ..federated import LocalTrainingConfig
-    from ..federated.client import ClientPopulation, train_rows_into
-    from ..federated.cohort import CohortTrainer
-    from ..nn.serialization import schema_of
-
     def best_of(fn) -> float:
         best = float("inf")
-        for _ in range(repeats):
+        for _ in range(_COHORT_REPEATS):
             start = time.perf_counter()
             fn()
             best = min(best, time.perf_counter() - start)
         return best
 
-    local = LocalTrainingConfig(local_epochs=local_epochs, batch_size=batch_size)
-    rows: list[CohortRow] = []
-    for cohort in cohort_sizes:
-        dataset = SyntheticPopulation(population_size=cohort, seed=seed)
-        model_fn = model_fn_for(dataset)
-        population = ClientPopulation.for_dataset(dataset, model_fn, local, seed=seed)
-        broadcast = model_fn(rng_from_seed(seed)).state_dict()
-        schema = schema_of(broadcast)
-        pairs = list(enumerate(population.client_ids(range(cohort))))
-        rows_serial = np.empty((cohort, schema.total_size), dtype=np.float32)
-        rows_batched = np.empty_like(rows_serial)
-        trainer = CohortTrainer(population, schema)
-        train_rows_into(population, pairs, broadcast, 0, schema, rows_serial)  # warm-up
-        trainer.train_rows(pairs, broadcast, 0, rows_batched)
-        serial = best_of(
-            lambda: train_rows_into(population, pairs, broadcast, 1, schema, rows_serial)
-        )
-        batched = best_of(lambda: trainer.train_rows(pairs, broadcast, 1, rows_batched))
-        rows.append(
-            CohortRow(
-                cohort_size=cohort,
-                local_epochs=local_epochs,
-                serial_seconds=serial,
-                batched_seconds=batched,
-                speedup=serial / batched,
-                serial_clients_per_sec=cohort / serial,
-                batched_clients_per_sec=cohort / batched,
-                bit_identical=np.array_equal(rows_serial, rows_batched),
-                max_abs_deviation=float(np.abs(rows_serial - rows_batched).max()),
-            )
-        )
-    return rows
-
-
-def render_cohort(rows: list[CohortRow]) -> str:
-    header = [
-        "cohort",
-        "epochs",
-        "serial s",
-        "batched s",
-        "speedup",
-        "serial cl/s",
-        "batched cl/s",
-        "bit-identical",
-        "max |dev|",
-    ]
-    body = [
-        [
-            row.cohort_size,
-            row.local_epochs,
-            round(row.serial_seconds, 4),
-            round(row.batched_seconds, 4),
-            round(row.speedup, 2),
-            round(row.serial_clients_per_sec, 1),
-            round(row.batched_clients_per_sec, 1),
-            "yes" if row.bit_identical else "NO",
-            f"{row.max_abs_deviation:.1e}",
-        ]
-        for row in rows
-    ]
-    identical = sum(1 for row in rows if row.bit_identical)
-    return "\n".join(
-        [
-            format_table(header, body),
-            f"bit-identity: {identical}/{len(rows)} cohort sizes byte-equal to "
-            f"the serial training loop (linear-probe contract)",
-        ]
+    start = time.perf_counter()
+    size = cell.labels["cohort_size"]
+    local = LocalTrainingConfig(local_epochs=k.local_epochs, batch_size=_COHORT_BATCH_SIZE)
+    dataset = SyntheticPopulation(population_size=size, seed=k.seed)
+    model_fn = model_fn_for(dataset)
+    population = ClientPopulation.for_dataset(dataset, model_fn, local, seed=k.seed)
+    broadcast = model_fn(rng_from_seed(k.seed)).state_dict()
+    schema = schema_of(broadcast)
+    pairs = list(enumerate(population.client_ids(range(size))))
+    serial_rows = np.empty((size, schema.total_size), dtype=np.float32)
+    batched_rows = np.empty_like(serial_rows)
+    trainer = CohortTrainer(population, schema)
+    train_rows_into(population, pairs, broadcast, 0, schema, serial_rows)  # warm-up
+    trainer.train_rows(pairs, broadcast, 0, batched_rows)
+    serial = best_of(lambda: train_rows_into(population, pairs, broadcast, 1, schema, serial_rows))
+    batched = best_of(lambda: trainer.train_rows(pairs, broadcast, 1, batched_rows))
+    return SimpleNamespace(
+        result=None,
+        wall_seconds=time.perf_counter() - start,
+        size=size,
+        serial=serial,
+        batched=batched,
+        serial_rows=serial_rows,
+        batched_rows=batched_rows,
     )
+
+
+def _identity_line(what: str, key: str, reference: str) -> Callable:
+    return lambda rows: (
+        f"bit-identity: {sum(1 for row in rows if row[key])}/{len(rows)} {what} "
+        f"byte-equal to {reference}"
+    )
+
+
+# ----------------------------------------------------------------------
+# The study table
+# ----------------------------------------------------------------------
+def _mean_inference(run) -> float:
+    return float(np.mean(run.result.inference_values()))
+
+
+STUDIES: dict[str, Study] = {
+    "defenses": Study(
+        knobs=_RUN,
+        rounds=5,
+        cells=lambda k: [
+            Cell({"defense": name}, defense=name, attack="active") for name in DEFENSES
+        ],
+        columns=(
+            Column("defense", "defense"),
+            _FINAL_ACCURACY,
+            Column("mean inference", "mean_inference", _mean_inference, _rounded(3)),
+            Column(None, "random_guess", lambda run: run.dataset.random_guess_accuracy),
+            Column(
+                "leakage above guess",
+                "leakage",
+                lambda run: _mean_inference(run) - run.dataset.random_guess_accuracy,
+                _rounded(3),
+            ),
+        ),
+    ),
+    "scenario": Study(
+        knobs=_RUN + ("dropout", "scheme", "deadline", "buffer_fraction") + _LATENCY,
+        rounds=5,
+        cells=_scenario_cells,
+        columns=(
+            Column("scheme", "scheme"),
+            _FINAL_ACCURACY,
+            Column(
+                "mean round secs",
+                "mean_round_duration",
+                _averaged("simulated_duration"),
+                _rounded(2),
+            ),
+            _MERGED_PER_ROUND,
+            Column("stale", "total_stale", _summed("num_stale")),
+            Column("stragglers", "total_stragglers", _summed("num_stragglers")),
+            replace(_TOTAL_SECONDS, header=None),
+            _IDLE_FRACTION,
+            _MERGED_PER_SECOND,
+            Column("timing attack", "timing_attack", _timing_probe("accuracy"), _rounded(3)),
+            Column("timing guess", "timing_guess", _timing_probe("random_guess"), _rounded(3)),
+        ),
+    ),
+    "frontier": Study(
+        knobs=_RUN + ("dropout", "deadlines", "buffer_fractions") + _LATENCY,
+        rounds=5,
+        cells=_frontier_cells,
+        columns=(
+            Column("scheme", "scheme"),
+            Column("knob", "knob"),
+            _FINAL_ACCURACY,
+            _TOTAL_SECONDS,
+            _MERGED_PER_SECOND,
+            _IDLE_FRACTION,
+            Column("acc/sec", "accuracy_per_second", _accuracy_per_second, _rounded(4)),
+        ),
+    ),
+    "dirichlet-churn": Study(
+        knobs=_RUN + ("dropout", "alphas"),
+        rounds=4,
+        cells=_dirichlet_cells,
+        columns=(
+            Column("alpha", "alpha", fmt="{:g}".format),
+            Column("churn", "churn"),
+            _FINAL_ACCURACY,
+            _MERGED_PER_ROUND,
+            Column("damage vs no-churn", "damage", fmt=lambda v: "-" if v is None else round(v, 3)),
+        ),
+        finish=_damage_vs_no_churn,
+        summary=_amplification_line,
+    ),
+    "chaos": Study(
+        knobs=_RUN
+        + ("dropout", "latency_median", "proxy_crash_rates", "frame_corruption_rate")
+        + ("client_crash_rate", "quorum", "max_attempts", "hop_timeout"),
+        rounds=4,
+        cells=lambda k: [_chaos_cell(k, rate) for rate in k.proxy_crash_rates],
+        columns=(
+            Column("proxy crash", "proxy_crash_rate", fmt="{:g}".format),
+            Column("frame corrupt", "frame_corruption_rate", fmt="{:g}".format),
+            _FINAL_ACCURACY,
+            _MERGED_PER_ROUND,
+            _MERGED_PER_SECOND,
+            Column("faults", "faults", attrgetter("result.fault_ledger.injected")),
+            Column("retries", "retries", _timed("total_retries")),
+            Column("failed over", "failed_over", attrgetter("result.fault_ledger.failed_over")),
+            Column("discarded", "discarded", attrgetter("result.fault_ledger.discarded")),
+            Column(
+                "retransmits", "retransmissions", attrgetter("result.fault_ledger.retransmissions")
+            ),
+            Column("recovery p50 s", "recovery_p50_s", _timed("recovery_p50_seconds"), _rounded(3)),
+            Column("recovery p99 s", "recovery_p99_s", _timed("recovery_p99_seconds"), _rounded(3)),
+            Column(None, "total_recovery_s", _timed("total_recovery_seconds")),
+            Column("carried", "carried_forward", _summed("num_carried_forward")),
+        ),
+        summary=_chaos_line,
+    ),
+    "byzantine": Study(
+        knobs=_RUN
+        + ("dropout", "attack", "attack_scale", "attacker_fractions")
+        + ("rules", "byzantine_defenses", "replay_rate"),
+        rounds=3,
+        cells=_byzantine_cells,
+        columns=(
+            Column("rule", "rule"),
+            Column("attackers", "attacker_fraction", fmt="{:g}".format),
+            Column("defense", "defense"),
+            _FINAL_ACCURACY,
+            Column("accuracy drop", "accuracy_drop", fmt=_rounded(3)),
+            Column("injected", "injected", attrgetter("result.adversary_ledger.injected")),
+            Column("merged", "merged", attrgetter("result.adversary_ledger.merged")),
+            Column("filtered", "filtered", attrgetter("result.adversary_ledger.filtered")),
+            Column("rejected", "rejected", attrgetter("result.adversary_ledger.rejected")),
+            Column(
+                "attack success",
+                "attack_success_rate",
+                lambda run: attack_success_rate(run.result.adversary_ledger),
+                _rounded(3),
+            ),
+            Column(
+                "filter precision",
+                "filter_precision",
+                lambda run: filter_precision(run.result.rounds),
+                _rounded(3),
+            ),
+            Column(
+                "filter recall",
+                "filter_recall",
+                lambda run: filter_recall(run.result.adversary_ledger),
+                _rounded(3),
+            ),
+            Column("verify ms", "transcript_verify_ms", _verify_ms, _rounded(3)),
+        ),
+        finish=_drop_vs_clean,
+        summary=_byzantine_line,
+    ),
+    "population": Study(
+        knobs=("scale", "seed", "rounds", "population_size", "cohort", "alpha"),
+        rounds=1,
+        cells=_population_cells,
+        measure=_population_run,
+        columns=(
+            Column("population", "population_size"),
+            Column("cohort/round", "clients_per_round"),
+            Column("rounds", "rounds"),
+            Column("wall s", "wall_seconds", fmt=_rounded(2)),
+            Column(
+                "trained clients/s",
+                "trained_clients_per_sec",
+                lambda run: len(run.result.rounds)
+                * run.simulation.config.clients_per_round
+                / run.wall_seconds,
+                _rounded(1),
+            ),
+            Column(
+                "peak materialized",
+                "peak_materialized",
+                lambda run: run.simulation.population.peak_materialized,
+            ),
+            Column("peak traced MB", "peak_traced_mb", lambda run: run.peak_traced_mb, _rounded(1)),
+            replace(_FINAL_ACCURACY, header="final acc"),
+            Column(None, "merged_updates", lambda run: run.result.rounds[-1].num_aggregated),
+        ),
+        summary=_memory_line,
+    ),
+    "sharded": Study(
+        knobs=_RUN + ("num_shards", "shard_crash_rates", "clients"),
+        rounds=3,
+        cells=lambda k: [
+            _sharded_cell(shards, rate, k.clients)
+            for rate in k.shard_crash_rates
+            for shards in k.num_shards
+        ],
+        measure=_sharded_run,
+        columns=(
+            Column("shards", "num_shards"),
+            Column("crash rate", "shard_crash_rate"),
+            Column("wall s", "wall_seconds", fmt=_rounded(2)),
+            Column(
+                "rounds/s",
+                "rounds_per_sec",
+                lambda run: len(run.result.rounds) / run.wall_seconds,
+                _rounded(2),
+            ),
+            replace(_FINAL_ACCURACY, header="final acc"),
+            Column(
+                "byte-identical",
+                "byte_identical",
+                lambda run: all(
+                    np.array_equal(run.serial_state[name], value)
+                    for name, value in run.result.final_state.items()
+                ),
+                _yes,
+            ),
+            Column("crashes", "crashes", lambda run: len(_shard_crashes(run))),
+            Column("retried", "retried", lambda run: _shard_crashes(run).count("retried")),
+            Column(
+                "failed over", "failed_over", lambda run: _shard_crashes(run).count("failed-over")
+            ),
+        ),
+        summary=_identity_line("cells", "byte_identical", "the serial path (merge-order contract)"),
+    ),
+    "cohort": Study(
+        knobs=("seed", "cohort_sizes", "local_epochs"),
+        cells=lambda k: [
+            Cell({"cohort_size": size, "local_epochs": k.local_epochs}) for size in k.cohort_sizes
+        ],
+        measure=_cohort_run,
+        columns=(
+            Column("cohort", "cohort_size"),
+            Column("epochs", "local_epochs"),
+            Column("serial s", "serial_seconds", lambda run: run.serial, _rounded(4)),
+            Column("batched s", "batched_seconds", lambda run: run.batched, _rounded(4)),
+            Column("speedup", "speedup", lambda run: run.serial / run.batched, _rounded(2)),
+            Column(
+                "serial cl/s",
+                "serial_clients_per_sec",
+                lambda run: run.size / run.serial,
+                _rounded(1),
+            ),
+            Column(
+                "batched cl/s",
+                "batched_clients_per_sec",
+                lambda run: run.size / run.batched,
+                _rounded(1),
+            ),
+            Column(
+                "bit-identical",
+                "bit_identical",
+                lambda run: np.array_equal(run.serial_rows, run.batched_rows),
+                _yes,
+            ),
+            Column(
+                "max |dev|",
+                "max_abs_deviation",
+                lambda run: float(np.abs(run.serial_rows - run.batched_rows).max()),
+                "{:.1e}".format,
+            ),
+        ),
+        summary=_identity_line(
+            "cohort sizes", "bit_identical", "the serial training loop (linear-probe contract)"
+        ),
+    ),
+}
+
+
+# ----------------------------------------------------------------------
+# The two studies that return curves and a report, not a table
+# ----------------------------------------------------------------------
+def run_passive_vs_active(
+    dataset_name: str = "motionsense",
+    scale: str = "ci",
+    seed: int = 0,
+    rounds: int = 5,
+) -> dict[str, list[float]]:
+    """∇Sim's two modes on classical FL (the §5 comparison)."""
+    return {
+        mode: run_scheme(
+            dataset_name, "classical-fl", scale=scale, seed=seed, rounds=rounds, attack_mode=mode
+        )[0].inference_values()
+        for mode in ("passive", "active")
+    }
+
+
+class _LastRound:
+    """Server observer keeping the last round's broadcast and received updates."""
+
+    def on_round(self, round_index: int, broadcast_state: dict, updates: list) -> None:
+        self.broadcast_state, self.updates = broadcast_state, updates
+
+
+def run_relink_robustness(
+    dataset_name: str = "motionsense",
+    scale: str = "ci",
+    seed: int = 0,
+    rounds: int = 2,
+):
+    """The §6.4 re-linking adversary against actual mixed updates.
+
+    Runs MixNN for ``rounds`` rounds as a malicious server that keeps what it
+    broadcast last and the mixed updates that came back, builds its
+    reference models from that broadcast, and measures how often a per-layer
+    classification of the mixed pieces recovers each piece's true source
+    attribute.
+    """
+    dataset, params = build_experiment(dataset_name, scale=scale, seed=seed)
+    simulation = build_simulation(dataset, params, "mixnn", seed=seed, rounds=rounds)
+    last = _LastRound()
+    simulation.server.add_observer(last)
+    simulation.run()
+    references = build_reference_states(
+        last.broadcast_state,
+        dataset.background_clients(),
+        model_fn_for(dataset),
+        params.local_config(),
+        rng_from_seed(stable_seed(seed, "relink")),
+        attack_epochs=params.attack_epochs,
+    )
+    truth = {c.client_id: c.attribute for c in dataset.clients()}
+    report = RelinkAttack(references, last.broadcast_state).run(last.updates, true_attributes=truth)
+    return report, dataset

@@ -11,7 +11,7 @@ from typing import Sequence
 
 __all__ = ["PAPER_CLAIMS", "format_table", "format_series"]
 
-#: Claims extracted from §6 of the paper, used by EXPERIMENTS.md and the
+#: Claims extracted from §6 of the paper, used by the runner and the
 #: benchmark printers.  Values are the paper's, on the real datasets.
 PAPER_CLAIMS: dict[str, dict] = {
     "figure5": {

@@ -10,9 +10,11 @@ Regenerate any table or figure of the paper::
 Each command prints the measured rows/series next to the paper's claims and
 the qualitative shape checks.
 
-Beyond the paper, the scenario-engine studies run on the virtual-time round
+Beyond the paper, every study of :data:`repro.experiments.extensions.STUDIES`
+is one command; the scenario-engine studies run on the virtual-time round
 engine::
 
+    python -m repro.experiments.runner defenses --rounds 4
     python -m repro.experiments.runner scenario --dropout 0.3 --deadline 2.0
     python -m repro.experiments.runner scenario --scheme buffered-async --buffer-fraction 0.5
     python -m repro.experiments.runner frontier --rounds 5
@@ -21,9 +23,9 @@ engine::
     python -m repro.experiments.runner byzantine --attack sign-flip --attacker-fractions 0,0.1,0.3
     python -m repro.experiments.runner population --population-size 1000000 --cohort 10000
 
-All scenario knobs (churn probability, latency shape, aggregation scheme,
-deadline, buffer fraction) are validated at argparse time — a bad value dies
-with a usage error before any training starts, exactly like ``--dataset``.
+Every flag is one row of :data:`KNOBS`, validated at argparse time — a bad
+value dies with a usage error before any training starts, exactly like
+``--dataset``.
 """
 
 from __future__ import annotations
@@ -32,24 +34,28 @@ import argparse
 import sys
 
 from ..data import DATASETS
-from . import figure5, figure6, figure7, figure8, figure9, system_perf
+from ..federated.adversary import ATTACK_KINDS
+from . import extensions, figure5, figure6, figure7, figure8, figure9, system_perf
+from .config import params_for
+from .extensions import (
+    BYZANTINE_FRACTIONS,
+    BYZANTINE_RULES,
+    CHAOS_PROXY_CRASH_RATES,
+    COHORT_SIZES,
+    FRONTIER_BUFFER_FRACTIONS,
+    FRONTIER_DEADLINES,
+    SCENARIO_SCHEMES,
+    SHARDED_CRASH_RATES,
+    SHARDED_SHARD_COUNTS,
+)
 from .reporting import PAPER_CLAIMS
 
-__all__ = ["main", "run_experiment", "run_scenario_experiment"]
+__all__ = ["main", "run_experiment", "run_scenario_experiment", "KNOBS", "KNOB_DEFAULTS"]
 
 EXPERIMENTS = ("figure5", "figure6", "figure7", "figure8", "figure9", "system")
-#: virtual-time scenario studies (not part of ``all``, which regenerates the
-#: paper's figures only)
-SCENARIO_EXPERIMENTS = (
-    "scenario",
-    "frontier",
-    "dirichlet-churn",
-    "chaos",
-    "byzantine",
-    "population",
-    "sharded",
-    "cohort",
-)
+#: the extension studies, one command each (not part of ``all``, which
+#: regenerates the paper's figures only)
+SCENARIO_EXPERIMENTS = tuple(extensions.STUDIES)
 
 
 def _render_checks(checks: dict[str, bool]) -> str:
@@ -84,491 +90,293 @@ def run_experiment(name: str, dataset: str, scale: str, seed: int) -> str:
     return "\n".join(lines)
 
 
-def run_scenario_experiment(name: str, args: argparse.Namespace) -> str:
-    """Run one virtual-time scenario study; return the printed report."""
-    from . import extensions
-
-    if name == "population":
-        # runs on its own synthetic population, not one of the four datasets
-        row = extensions.run_population_study(
-            scale=args.scale,
-            seed=args.seed,
-            rounds=args.rounds if args.rounds is not None else 1,
-            population_size=args.population_size,
-            clients_per_round=args.cohort,
-            alpha=args.alpha,
-        )
-        return "\n".join(
-            [
-                f"== population (scale={args.scale}, seed={args.seed}) ==",
-                extensions.render_population(row),
-            ]
-        )
-    if name == "cohort":
-        # runs on its own synthetic population, not one of the four datasets
-        rows = extensions.run_cohort_study(
-            seed=args.seed,
-            cohort_sizes=args.cohort_sizes,
-            local_epochs=args.local_epochs,
-        )
-        return "\n".join(
-            [
-                f"== cohort (seed={args.seed}, local_epochs={args.local_epochs}) ==",
-                extensions.render_cohort(rows),
-            ]
-        )
-    lines = [
-        f"== {name} / {args.dataset} (scale={args.scale}, seed={args.seed}, "
-        f"dropout={args.dropout}) =="
-    ]
-    if name == "scenario":
-        schemes = (
-            extensions.SCENARIO_SCHEMES if args.scheme == "all" else (args.scheme,)
-        )
-        rows = extensions.run_scenario_comparison(
-            args.dataset,
-            scale=args.scale,
-            seed=args.seed,
-            rounds=args.rounds if args.rounds is not None else 5,
-            dropout=args.dropout,
-            deadline=args.deadline,
-            buffer_fraction=args.buffer_fraction,
-            staleness_alpha=args.staleness_alpha,
-            latency_median=args.latency_median,
-            straggler_fraction=args.straggler_fraction,
-            schemes=schemes,
-        )
-        lines.append(extensions.render_scenario_comparison(rows))
-    elif name == "frontier":
-        rows = extensions.run_deadline_throughput_frontier(
-            args.dataset,
-            scale=args.scale,
-            seed=args.seed,
-            rounds=args.rounds if args.rounds is not None else 5,
-            dropout=args.dropout,
-            deadlines=args.deadlines,
-            buffer_fractions=args.buffer_fractions,
-            staleness_alpha=args.staleness_alpha,
-            latency_median=args.latency_median,
-            straggler_fraction=args.straggler_fraction,
-        )
-        lines.append(extensions.render_frontier(rows))
-    elif name == "dirichlet-churn":
-        cells = extensions.run_dirichlet_churn_matrix(
-            args.dataset,
-            scale=args.scale,
-            seed=args.seed,
-            rounds=args.rounds if args.rounds is not None else 4,
-            alphas=args.alphas,
-            dropout=args.dropout,
-        )
-        lines.append(extensions.render_dirichlet_churn_matrix(cells))
-    elif name == "chaos":
-        rows = extensions.run_chaos(
-            args.dataset,
-            scale=args.scale,
-            seed=args.seed,
-            rounds=args.rounds if args.rounds is not None else 4,
-            dropout=args.dropout,
-            proxy_crash_rates=args.proxy_crash_rates,
-            frame_corruption_rate=args.frame_corruption_rate,
-            client_crash_rate=args.client_crash_rate,
-            quorum_fraction=args.quorum,
-            max_attempts=args.max_attempts,
-            hop_timeout=args.hop_timeout,
-            latency_median=args.latency_median,
-        )
-        lines.append(extensions.render_chaos(rows))
-    elif name == "sharded":
-        rows = extensions.run_sharded_comparison(
-            args.dataset,
-            scale=args.scale,
-            seed=args.seed,
-            rounds=args.rounds if args.rounds is not None else 3,
-            num_shards=args.num_shards,
-            shard_crash_rates=args.shard_crash_rates,
-            clients_per_round=args.clients,
-        )
-        lines.append(extensions.render_sharded(rows))
-    elif name == "byzantine":
-        rows = extensions.run_byzantine_comparison(
-            args.dataset,
-            scale=args.scale,
-            seed=args.seed,
-            rounds=args.rounds if args.rounds is not None else 3,
-            attack=args.attack,
-            attack_scale=args.attack_scale,
-            fractions=args.attacker_fractions,
-            rules=args.rules,
-            defenses=args.byzantine_defenses,
-            replay_rate=args.replay_rate,
-            dropout=args.dropout,
-        )
-        lines.append(extensions.render_byzantine_comparison(rows))
-    else:
-        raise KeyError(
-            f"unknown scenario experiment {name!r}; choose from {SCENARIO_EXPERIMENTS}"
-        )
-    return "\n".join(lines)
-
-
 # ----------------------------------------------------------------------
 # Argparse-time validation (bad values die with a usage error, not a
 # traceback deep inside a training loop)
 # ----------------------------------------------------------------------
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be a probability in [0, 1), got {text}")
-    return value
+def _bounded(name: str, cast, ok, bound: str):
+    """A scalar flag parser: ``cast`` the text, then require ``ok(value)``."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    # argparse names the parser in its "invalid <name> value" error
+    parse.__name__ = name
+    return parse
 
 
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be a fraction in (0, 1], got {text}")
-    return value
+_probability = _bounded("_probability", float, lambda v: 0.0 <= v < 1.0, "a probability in [0, 1)")
+_fraction = _bounded("_fraction", float, lambda v: 0.0 < v <= 1.0, "a fraction in (0, 1]")
+_positive_float = _bounded("_positive_float", float, lambda v: v > 0.0, "> 0")
+_nonnegative_float = _bounded("_nonnegative_float", float, lambda v: v >= 0.0, ">= 0")
+_positive_int = _bounded("_positive_int", int, lambda v: v >= 1, ">= 1")
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
+def _listed(label: str, cast, *bounds):
+    """A comma-separated list parser: every value passes each ``(ok, bound)``."""
+    kind = "ints" if cast is int else "floats"
 
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
-
-
-def _positive_int_list(label: str):
-    def parse(text: str) -> tuple[int, ...]:
+    def parse(text: str) -> tuple:
         try:
-            values = tuple(int(part) for part in text.split(",") if part.strip())
+            values = tuple(cast(part) for part in text.split(",") if part.strip())
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
-        if not values or any(value < 1 for value in values):
-            raise argparse.ArgumentTypeError(f"{label} must be >= 1, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected comma-separated {kind}, got {text!r}")
+        for ok, bound in bounds:
+            if not values or not all(ok(value) for value in values):
+                raise argparse.ArgumentTypeError(f"{label} must be {bound}, got {text!r}")
         return values
 
     return parse
 
 
-def _positive_list(label: str):
-    def parse(text: str) -> tuple[float, ...]:
-        try:
-            values = tuple(float(part) for part in text.split(",") if part.strip())
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
-        if not values or any(value <= 0 for value in values):
-            raise argparse.ArgumentTypeError(f"{label} must be > 0, got {text!r}")
-        return values
-
-    return parse
+_POSITIVE = (lambda v: v > 0, "> 0")
+_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+_PROBABILITIES = (lambda v: 0.0 <= v < 1.0, "probabilities in [0, 1)")
 
 
-def _probability_list(label: str):
-    def parse(text: str) -> tuple[float, ...]:
-        try:
-            values = tuple(float(part) for part in text.split(",") if part.strip())
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
-        if not values or any(not 0.0 <= value < 1.0 for value in values):
-            raise argparse.ArgumentTypeError(
-                f"{label} must be probabilities in [0, 1), got {text!r}"
-            )
-        return values
-
-    return parse
+def _one_of(allowed: tuple[str, ...]):
+    return (lambda v: v in allowed, f"comma-separated values from {allowed}")
 
 
-def _fraction_list(label: str):
-    def parse(text: str) -> tuple[float, ...]:
-        values = _positive_list(label)(text)
-        if any(value > 1.0 for value in values):
-            raise argparse.ArgumentTypeError(f"{label} must be in (0, 1], got {text!r}")
-        return values
+#: Every flag: (flag, parser — a type, or a tuple of choices —, default,
+#: help).  A knob's name is its flag's argparse dest (``--buffer-fraction``
+#: is ``buffer_fraction``); a study reads the knobs its entry names, and
+#: these defaults are the only ones.
+KNOBS = (
+    # Validating against the registry here turns a typo like "cifr10" into an
+    # immediate argparse error instead of a deep KeyError in build_experiment.
+    ("--dataset", tuple(sorted(DATASETS)) + ("all",), "motionsense", "dataset name or 'all'"),
+    ("--scale", ("ci", "paper"), "ci", None),
+    ("--seed", int, 0, None),
+    (
+        "--rounds",
+        _positive_int,
+        None,
+        "learning rounds, all scenario commands (default per command)",
+    ),
+    (
+        "--dropout",
+        _probability,
+        0.2,
+        "per-(client, round) churn probability, all scenario commands",
+    ),
+    (
+        "--scheme",
+        SCENARIO_SCHEMES + ("all",),
+        "all",
+        "round-closure scheme(s), scenario command",
+    ),
+    (
+        "--deadline",
+        _positive_float,
+        2.5,
+        "sync-deadline round cutoff in simulated seconds, scenario command",
+    ),
+    (
+        "--buffer-fraction",
+        _fraction,
+        0.6,
+        "buffered-async flush threshold as a cohort fraction, scenario command",
+    ),
+    (
+        "--deadlines",
+        _listed("deadlines", float, _POSITIVE),
+        FRONTIER_DEADLINES,
+        "comma-separated deadline sweep in seconds, frontier command",
+    ),
+    (
+        "--buffer-fractions",
+        _listed("buffer fractions", float, _POSITIVE, (lambda v: v <= 1.0, "in (0, 1]")),
+        FRONTIER_BUFFER_FRACTIONS,
+        "comma-separated buffer-fraction sweep, frontier command",
+    ),
+    (
+        "--staleness-alpha",
+        _nonnegative_float,
+        0.5,
+        "polynomial staleness discount exponent, scenario/frontier commands",
+    ),
+    (
+        "--latency-median",
+        _positive_float,
+        1.0,
+        "median simulated round-trip seconds, scenario/frontier commands",
+    ),
+    (
+        "--straggler-fraction",
+        _probability,
+        0.15,
+        "heavy straggler tail fraction, scenario/frontier commands",
+    ),
+    (
+        "--alphas",
+        _listed("Dirichlet alphas", float, _POSITIVE),
+        (10.0, 0.3),
+        "comma-separated Dirichlet alphas, dirichlet-churn command (IID-ish first)",
+    ),
+    (
+        "--proxy-crash-rates",
+        _listed("proxy crash rates", float, _PROBABILITIES),
+        CHAOS_PROXY_CRASH_RATES,
+        "comma-separated per-round proxy-crash probability sweep",
+    ),
+    (
+        "--frame-corruption-rate",
+        _probability,
+        0.05,
+        "per-(client, round, attempt) RW01 frame corruption probability",
+    ),
+    (
+        "--client-crash-rate",
+        _probability,
+        0.0,
+        "per-(client, round) mid-training crash probability",
+    ),
+    (
+        "--quorum",
+        _fraction,
+        0.7,
+        "surviving-cohort fraction at which a degraded round may close",
+    ),
+    (
+        "--max-attempts",
+        _positive_int,
+        4,
+        "transmission/retry attempt cap before an update is discarded",
+    ),
+    (
+        "--hop-timeout",
+        _positive_float,
+        None,
+        "per-hop timeout in simulated seconds (default: no timeout)",
+    ),
+    ("--attack", ATTACK_KINDS, "sign-flip", "poisoning attack every active attacker applies"),
+    (
+        "--attack-scale",
+        _positive_float,
+        100.0,
+        "sign-flip / scaling magnitude of the poisoned delta",
+    ),
+    (
+        "--attacker-fractions",
+        _listed("attacker fractions", float, _PROBABILITIES),
+        BYZANTINE_FRACTIONS,
+        "comma-separated per-(client, round) Byzantine probability sweep "
+        "(include 0 for the clean baseline rows)",
+    ),
+    (
+        "--rules",
+        _listed("rules", str.strip, _one_of(BYZANTINE_RULES)),
+        BYZANTINE_RULES,
+        "comma-separated aggregation policies to score",
+    ),
+    (
+        "--byzantine-defenses",
+        _listed("byzantine defenses", str.strip, _one_of(("none", "mixnn"))),
+        ("none", "mixnn"),
+        "comma-separated transport defenses to cross with the rules",
+    ),
+    (
+        "--replay-rate",
+        _probability,
+        0.0,
+        "per-(attacker, round) ciphertext replay probability (MixNN path)",
+    ),
+    (
+        "--num-shards",
+        _listed("shard counts", int, _AT_LEAST_ONE),
+        SHARDED_SHARD_COUNTS,
+        "comma-separated leaf-shard counts to sweep",
+    ),
+    (
+        "--shard-crash-rates",
+        _listed("shard crash rates", float, _PROBABILITIES),
+        SHARDED_CRASH_RATES,
+        "comma-separated per-(shard, round, attempt) crash probabilities "
+        "(include 0 for the fault-free rows)",
+    ),
+    (
+        "--clients",
+        _positive_int,
+        None,
+        "clients selected per round (default: per --scale preset); must "
+        "be >= the largest shard count",
+    ),
+    (
+        "--population-size",
+        _positive_int,
+        None,
+        "synthetic client population size (default: per --scale preset)",
+    ),
+    (
+        "--cohort",
+        _positive_int,
+        None,
+        "clients selected per round (default: per --scale preset)",
+    ),
+    (
+        "--alpha",
+        _positive_float,
+        None,
+        "Dirichlet concentration for shard label mixtures (default: uniform)",
+    ),
+    (
+        "--cohort-sizes",
+        _listed("cohort sizes", int, _AT_LEAST_ONE),
+        COHORT_SIZES,
+        "comma-separated cohort sizes (clients per stacked pass) to sweep",
+    ),
+    (
+        "--local-epochs",
+        _positive_int,
+        1,
+        "local epochs per client in the timed comparison",
+    ),
+)
+KNOB_DEFAULTS = {flag[2:].replace("-", "_"): default for flag, _, default, _ in KNOBS}
+#: the knobs a study's report header prints, in this order, when it reads them
+HEADER_KNOBS = ("scale", "seed", "dropout", "local_epochs")
 
-    return parse
 
-
-def _choice_list(label: str, allowed: tuple[str, ...]):
-    def parse(text: str) -> tuple[str, ...]:
-        values = tuple(part.strip() for part in text.split(",") if part.strip())
-        if not values or any(value not in allowed for value in values):
-            raise argparse.ArgumentTypeError(
-                f"{label} must be comma-separated values from {allowed}, got {text!r}"
-            )
-        return values
-
-    return parse
+def run_scenario_experiment(name: str, args: argparse.Namespace) -> str:
+    """Run one study command; return the printed report."""
+    knobs = extensions.STUDIES[name].knobs
+    shown = ", ".join(f"{knob}={getattr(args, knob)}" for knob in HEADER_KNOBS if knob in knobs)
+    where = f" / {args.dataset}" if "dataset" in knobs else ""
+    rows = extensions.run_study(name, **{knob: getattr(args, knob) for knob in knobs})
+    return "\n".join([f"== {name}{where} ({shown}) ==", extensions.render_study(name, rows)])
 
 
 def main(argv: list[str] | None = None) -> int:
-    from .extensions import SCENARIO_SCHEMES
-
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("experiment", choices=EXPERIMENTS + SCENARIO_EXPERIMENTS + ("all",))
-    # Validating against the registry here turns a typo like "cifr10" into an
-    # immediate argparse error instead of a deep KeyError in build_experiment.
-    parser.add_argument(
-        "--dataset",
-        default="motionsense",
-        choices=tuple(sorted(DATASETS)) + ("all",),
-        help="dataset name or 'all'",
-    )
-    parser.add_argument("--scale", default="ci", choices=("ci", "paper"))
-    parser.add_argument("--seed", type=int, default=0)
-
-    from .extensions import FRONTIER_BUFFER_FRACTIONS, FRONTIER_DEADLINES
-
-    scenario = parser.add_argument_group(
-        "scenario knobs", "consumed by the scenario / frontier / dirichlet-churn commands"
-    )
-    scenario.add_argument(
-        "--rounds",
-        type=_positive_int,
-        default=None,
-        help="learning rounds, all scenario commands (default per command)",
-    )
-    scenario.add_argument(
-        "--dropout",
-        type=_probability,
-        default=0.2,
-        help="per-(client, round) churn probability, all scenario commands",
-    )
-    scenario.add_argument(
-        "--scheme",
-        default="all",
-        choices=SCENARIO_SCHEMES + ("all",),
-        help="round-closure scheme(s), scenario command",
-    )
-    scenario.add_argument(
-        "--deadline",
-        type=_positive_float,
-        default=2.5,
-        help="sync-deadline round cutoff in simulated seconds, scenario command",
-    )
-    scenario.add_argument(
-        "--buffer-fraction",
-        type=_fraction,
-        default=0.6,
-        help="buffered-async flush threshold as a cohort fraction, scenario command",
-    )
-    scenario.add_argument(
-        "--deadlines",
-        type=_positive_list("deadlines"),
-        default=FRONTIER_DEADLINES,
-        help="comma-separated deadline sweep in seconds, frontier command",
-    )
-    scenario.add_argument(
-        "--buffer-fractions",
-        type=_fraction_list("buffer fractions"),
-        default=FRONTIER_BUFFER_FRACTIONS,
-        help="comma-separated buffer-fraction sweep, frontier command",
-    )
-    scenario.add_argument(
-        "--staleness-alpha",
-        type=_nonnegative_float,
-        default=0.5,
-        help="polynomial staleness discount exponent, scenario/frontier commands",
-    )
-    scenario.add_argument(
-        "--latency-median",
-        type=_positive_float,
-        default=1.0,
-        help="median simulated round-trip seconds, scenario/frontier commands",
-    )
-    scenario.add_argument(
-        "--straggler-fraction",
-        type=_probability,
-        default=0.15,
-        help="heavy straggler tail fraction, scenario/frontier commands",
-    )
-    scenario.add_argument(
-        "--alphas",
-        type=_positive_list("Dirichlet alphas"),
-        default=(10.0, 0.3),
-        help="comma-separated Dirichlet alphas, dirichlet-churn command (IID-ish first)",
-    )
-
-    from .extensions import CHAOS_PROXY_CRASH_RATES
-
-    chaos = parser.add_argument_group(
-        "fault knobs", "consumed by the chaos command (seeded fault injection)"
-    )
-    chaos.add_argument(
-        "--proxy-crash-rates",
-        type=_probability_list("proxy crash rates"),
-        default=CHAOS_PROXY_CRASH_RATES,
-        help="comma-separated per-round proxy-crash probability sweep",
-    )
-    chaos.add_argument(
-        "--frame-corruption-rate",
-        type=_probability,
-        default=0.05,
-        help="per-(client, round, attempt) RW01 frame corruption probability",
-    )
-    chaos.add_argument(
-        "--client-crash-rate",
-        type=_probability,
-        default=0.0,
-        help="per-(client, round) mid-training crash probability",
-    )
-    chaos.add_argument(
-        "--quorum",
-        type=_fraction,
-        default=0.7,
-        help="surviving-cohort fraction at which a degraded round may close",
-    )
-    chaos.add_argument(
-        "--max-attempts",
-        type=_positive_int,
-        default=4,
-        help="transmission/retry attempt cap before an update is discarded",
-    )
-    chaos.add_argument(
-        "--hop-timeout",
-        type=_positive_float,
-        default=None,
-        help="per-hop timeout in simulated seconds (default: no timeout)",
-    )
-
-    from ..federated.adversary import ATTACK_KINDS
-    from .extensions import BYZANTINE_FRACTIONS, BYZANTINE_RULES
-
-    byzantine = parser.add_argument_group(
-        "adversary knobs", "consumed by the byzantine command (seeded poisoning adversaries)"
-    )
-    byzantine.add_argument(
-        "--attack",
-        default="sign-flip",
-        choices=ATTACK_KINDS,
-        help="poisoning attack every active attacker applies",
-    )
-    byzantine.add_argument(
-        "--attack-scale",
-        type=_positive_float,
-        default=100.0,
-        help="sign-flip / scaling magnitude of the poisoned delta",
-    )
-    byzantine.add_argument(
-        "--attacker-fractions",
-        type=_probability_list("attacker fractions"),
-        default=BYZANTINE_FRACTIONS,
-        help="comma-separated per-(client, round) Byzantine probability sweep "
-        "(include 0 for the clean baseline rows)",
-    )
-    byzantine.add_argument(
-        "--rules",
-        type=_choice_list("rules", BYZANTINE_RULES),
-        default=BYZANTINE_RULES,
-        help="comma-separated aggregation policies to score",
-    )
-    byzantine.add_argument(
-        "--byzantine-defenses",
-        type=_choice_list("byzantine defenses", ("none", "mixnn")),
-        default=("none", "mixnn"),
-        help="comma-separated transport defenses to cross with the rules",
-    )
-    byzantine.add_argument(
-        "--replay-rate",
-        type=_probability,
-        default=0.0,
-        help="per-(attacker, round) ciphertext replay probability (MixNN path)",
-    )
-    from .extensions import SHARDED_CRASH_RATES, SHARDED_SHARD_COUNTS
-
-    sharded = parser.add_argument_group(
-        "sharding knobs",
-        "consumed by the sharded command (hierarchical aggregation study)",
-    )
-    sharded.add_argument(
-        "--num-shards",
-        type=_positive_int_list("shard counts"),
-        default=SHARDED_SHARD_COUNTS,
-        help="comma-separated leaf-shard counts to sweep",
-    )
-    sharded.add_argument(
-        "--shard-crash-rates",
-        type=_probability_list("shard crash rates"),
-        default=SHARDED_CRASH_RATES,
-        help="comma-separated per-(shard, round, attempt) crash probabilities "
-        "(include 0 for the fault-free rows)",
-    )
-    sharded.add_argument(
-        "--clients",
-        type=_positive_int,
-        default=None,
-        help="clients selected per round (default: per --scale preset); must "
-        "be >= the largest shard count",
-    )
-
-    population = parser.add_argument_group(
-        "population knobs",
-        "consumed by the population command (synthetic million-client study; "
-        "ignores --dataset)",
-    )
-    population.add_argument(
-        "--population-size",
-        type=_positive_int,
-        default=None,
-        help="synthetic client population size (default: per --scale preset)",
-    )
-    population.add_argument(
-        "--cohort",
-        type=_positive_int,
-        default=None,
-        help="clients selected per round (default: per --scale preset)",
-    )
-    population.add_argument(
-        "--alpha",
-        type=_positive_float,
-        default=None,
-        help="Dirichlet concentration for shard label mixtures (default: uniform)",
-    )
-
-    from .extensions import COHORT_SIZES
-
-    cohort = parser.add_argument_group(
-        "cohort knobs",
-        "consumed by the cohort command (serial vs cohort-batched training "
-        "study on a synthetic population; ignores --dataset)",
-    )
-    cohort.add_argument(
-        "--cohort-sizes",
-        type=_positive_int_list("cohort sizes"),
-        default=COHORT_SIZES,
-        help="comma-separated cohort sizes (clients per stacked pass) to sweep",
-    )
-    cohort.add_argument(
-        "--local-epochs",
-        type=_positive_int,
-        default=1,
-        help="local epochs per client in the timed comparison",
-    )
-
+    for flag, parse, default, text in KNOBS:
+        kind = "choices" if isinstance(parse, tuple) else "type"
+        parser.add_argument(flag, default=default, help=text, **{kind: parse})
     args = parser.parse_args(argv)
 
     if args.experiment in SCENARIO_EXPERIMENTS:
-        if args.dataset == "all":
-            # the paper-figure path expands "all"; the scenario studies run
-            # one dataset — reject here so it stays a usage error, not a
-            # KeyError deep inside build_experiment
+        knobs = extensions.STUDIES[args.experiment].knobs
+        if "dataset" in knobs and args.dataset == "all":
+            # the paper-figure path expands "all"; a study runs one dataset —
+            # reject here so it stays a usage error, not a KeyError deep
+            # inside build_experiment
             parser.error(
                 f"{args.experiment} runs a single dataset; pass --dataset "
                 f"{'|'.join(sorted(DATASETS))}"
             )
+        if "num_shards" in knobs:
+            # every leaf shard needs a client: ShardPlanError, but before any
+            # training instead of after the serial reference run
+            clients = args.clients or params_for(args.dataset, args.scale).clients_per_round
+            if max(args.num_shards) > clients:
+                parser.error(
+                    f"--num-shards {max(args.num_shards)} exceeds the {clients} clients "
+                    "selected per round; every leaf shard needs at least one client"
+                )
         print(run_scenario_experiment(args.experiment, args))
         return 0
 

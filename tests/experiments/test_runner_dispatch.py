@@ -3,7 +3,7 @@ of actually running the experiments."""
 
 import pytest
 
-from repro.experiments import runner
+from repro.experiments import extensions, runner
 
 
 @pytest.fixture()
@@ -57,6 +57,34 @@ class TestDispatch:
         for dataset in DATASETS:
             assert runner.main(["figure5", "--dataset", dataset]) == 0
         assert [call[1] for call in recorded] == list(DATASETS)
+
+
+#: one good value per study flag: (command, flag, text, knob, parsed value)
+GOOD_FLAGS = [
+    ("frontier", "--deadlines", "1,3.5", "deadlines", (1.0, 3.5)),
+    ("frontier", "--buffer-fractions", "0.3,1", "buffer_fractions", (0.3, 1.0)),
+    ("scenario", "--straggler-fraction", "0.25", "straggler_fraction", 0.25),
+    ("chaos", "--proxy-crash-rates", "0,0.5", "proxy_crash_rates", (0.0, 0.5)),
+    ("chaos", "--frame-corruption-rate", "0.1", "frame_corruption_rate", 0.1),
+    ("chaos", "--client-crash-rate", "0.02", "client_crash_rate", 0.02),
+    ("chaos", "--quorum", "0.9", "quorum", 0.9),
+    ("chaos", "--max-attempts", "2", "max_attempts", 2),
+    ("chaos", "--hop-timeout", "3.5", "hop_timeout", 3.5),
+    ("byzantine", "--attack", "gaussian", "attack", "gaussian"),
+    ("byzantine", "--attack-scale", "10", "attack_scale", 10.0),
+    ("byzantine", "--attacker-fractions", "0,0.2", "attacker_fractions", (0.0, 0.2)),
+    ("byzantine", "--rules", "median,krum", "rules", ("median", "krum")),
+    ("byzantine", "--byzantine-defenses", "mixnn", "byzantine_defenses", ("mixnn",)),
+    ("byzantine", "--replay-rate", "0.5", "replay_rate", 0.5),
+    ("sharded", "--num-shards", "1,3", "num_shards", (1, 3)),
+    ("sharded", "--shard-crash-rates", "0,0.1", "shard_crash_rates", (0.0, 0.1)),
+    ("sharded", "--clients", "8", "clients", 8),
+    ("population", "--population-size", "5000", "population_size", 5000),
+    ("population", "--cohort", "50", "cohort", 50),
+    ("population", "--alpha", "0.5", "alpha", 0.5),
+    ("cohort", "--cohort-sizes", "8,32", "cohort_sizes", (8, 32)),
+    ("cohort", "--local-epochs", "3", "local_epochs", 3),
+]
 
 
 @pytest.fixture()
@@ -123,6 +151,31 @@ class TestScenarioDispatch:
             ["scenario", "--rounds", "0"],
             ["dirichlet-churn", "--alphas", "0,-1"],
             ["dirichlet-churn", "--alphas", ""],
+            ["frontier", "--deadlines", "1,0"],
+            ["frontier", "--buffer-fractions", "0.5,1.5"],
+            ["scenario", "--straggler-fraction", "1.0"],
+            ["chaos", "--proxy-crash-rates", "0,1"],
+            ["chaos", "--frame-corruption-rate", "-0.1"],
+            ["chaos", "--client-crash-rate", "1.5"],
+            ["chaos", "--quorum", "0"],
+            ["chaos", "--max-attempts", "0"],
+            ["chaos", "--hop-timeout", "0"],
+            ["byzantine", "--attack", "bit-flip"],
+            ["byzantine", "--attack-scale", "-1"],
+            ["byzantine", "--attacker-fractions", "0.1,x"],
+            ["byzantine", "--rules", "mean,avg"],
+            ["byzantine", "--byzantine-defenses", "tor"],
+            ["byzantine", "--replay-rate", "1"],
+            ["sharded", "--num-shards", "0"],
+            ["sharded", "--shard-crash-rates", "-0.3"],
+            ["sharded", "--clients", "0"],
+            ["population", "--population-size", "0"],
+            ["population", "--cohort", "-5"],
+            ["population", "--alpha", "0"],
+            ["cohort", "--cohort-sizes", "16,0"],
+            ["cohort", "--local-epochs", "0"],
+            ["scenario", "--dataset", "all"],
+            ["sharded", "--dataset", "all"],
         ],
     )
     def test_bad_scenario_knobs_die_at_argparse_time(
@@ -133,3 +186,78 @@ class TestScenarioDispatch:
         assert excinfo.value.code == 2
         assert recorded_scenario == []
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command, flag, text, knob, expected", GOOD_FLAGS)
+    def test_good_knob_values_reach_the_study(
+        self, recorded_scenario, command, flag, text, knob, expected
+    ):
+        assert runner.main([command, flag, text]) == 0
+        (name, args), = recorded_scenario
+        assert name == command
+        assert getattr(args, knob) == expected
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["sharded", "--clients", "1", "--num-shards", "2"],
+            # no --clients: compared against motionsense's 20 clients per round
+            ["sharded", "--num-shards", "32"],
+        ],
+    )
+    def test_impossible_shard_count_dies_before_training(
+        self, recorded_scenario, flags, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            runner.main(flags)
+        assert excinfo.value.code == 2
+        assert recorded_scenario == []
+        assert "--num-shards" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["population", "cohort"])
+    def test_studies_that_ignore_dataset_accept_all(self, recorded_scenario, command):
+        assert runner.main([command, "--dataset", "all"]) == 0
+        assert [name for name, _ in recorded_scenario] == [command]
+
+
+def test_sharded_header_omits_dropout(capsys):
+    """The sharded study reads no dropout, so its header does not print one."""
+    flags = ["sharded", "--rounds", "1", "--num-shards", "1", "--shard-crash-rates", "0"]
+    assert runner.main(flags) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert "dropout=" not in header
+    assert header == "== sharded / motionsense (scale=ci, seed=0) =="
+
+
+class TestStudyTable:
+    """The runner's study commands are exactly the study table's entries, and
+    every knob an entry reads is one flag."""
+
+    def test_every_study_is_a_runner_command(self, recorded_scenario):
+        assert runner.SCENARIO_EXPERIMENTS == tuple(extensions.STUDIES)
+        for name in extensions.STUDIES:
+            assert runner.main([name]) == 0
+        assert [name for name, _ in recorded_scenario] == list(extensions.STUDIES)
+
+    def test_every_knob_read_has_exactly_one_flag(self):
+        dests = [flag[2:].replace("-", "_") for flag, *_ in runner.KNOBS]
+        assert len(dests) == len(set(dests))
+        read = set()
+        for study in extensions.STUDIES.values():
+            assert len(study.knobs) == len(set(study.knobs))
+            read.update(study.knobs)
+        assert read == set(dests)
+
+    @pytest.mark.parametrize("command, flag, text, knob, expected", GOOD_FLAGS)
+    def test_knob_values_reach_run_study(self, monkeypatch, command, flag, text, knob, expected):
+        calls = []
+
+        def fake_run_study(name, **knobs):
+            calls.append((name, knobs))
+            return []
+
+        monkeypatch.setattr(extensions, "run_study", fake_run_study)
+        assert runner.main([command, flag, text]) == 0
+        (name, knobs), = calls
+        assert name == command
+        assert knobs[knob] == expected
+        assert set(knobs) == set(extensions.STUDIES[command].knobs)

@@ -1,4 +1,4 @@
-"""The streaming window's locality property (k-list ablation, DESIGN.md §6).
+"""The streaming window's locality property (k-list ablation, paper §4.3).
 
 With a small ``k``, the proxy's layer lists act as a sliding window over
 arrival order: an emitted update's layer pieces can only come from the last
