@@ -9,11 +9,10 @@ per-phase train/mix/reduce/merge breakdown), the sharded-round sweep
 modeled critical-path throughput), the cohort-batched-training comparison
 (serial vs one stacked forward/backward at 16/64/256-client cohorts), the
 fault-recovery sweep (round throughput and recovery percentiles at
-0/5/20 % proxy-crash under 5 % frame corruption), the scheduler
-micro-benchmark (heap vs calendar queue at 10³/10⁴/10⁵ pending events), the
-population-scale measurement (a 10⁶-client federation training 10⁴ clients
-per round with cohort-bounded memory), and the
-§6.5 system-perf pipeline measurement directly (no pytest involved), and
+0/5/20 % proxy-crash under 5 % frame corruption), the population-scale
+measurement (a 10⁶-client federation training 10⁴ clients per round with
+cohort-bounded memory), and the §6.5 system-perf pipeline measurement
+directly (no pytest involved), and
 writes the results to ``BENCH_<date>.json`` next to this script (override
 with ``--output``).  The cohort, frontier, fault-recovery, Byzantine and
 population sections run the runner's own studies
@@ -379,62 +378,6 @@ def fault_recovery() -> list[dict]:
     )
 
 
-#: scheduler micro-benchmark: backlog sizes to drain, and virtual seconds
-#: between consecutive events (fixed density — backlog size, not event
-#: crowding, is the variable under test)
-SCHEDULER_BACKLOGS = (1_000, 10_000, 100_000)
-SCHEDULER_SPACING = 0.01
-
-
-def scheduler_ops_per_second(repeats: int) -> dict:
-    """Heap vs calendar queue: schedule and pop cost as the backlog grows.
-
-    Pre-builds ``backlog`` arrival events spread over a window that keeps
-    the event density fixed at one per ``SCHEDULER_SPACING`` virtual
-    seconds, then times the schedule phase (push everything) and the drain
-    phase (pop everything, fully ordered) separately — events are built
-    outside the timed region so dataclass construction cost doesn't mask the
-    queue asymptotics.  The heap pays ``O(log n)`` percolation per pop, so
-    its per-op cost grows with the backlog; the calendar queue's bucket
-    occupancy is set by the density, not the backlog, so its pop cost stays
-    flat from 10³ to 10⁵ pending events.
-    """
-    from repro.federated.events import CalendarQueue, ClientUpdateArrival, EventScheduler
-    from repro.utils.rng import rng_from_seed
-
-    sweep = {}
-    for backlog in SCHEDULER_BACKLOGS:
-        rng = rng_from_seed(0)
-        times = rng.uniform(0.0, backlog * SCHEDULER_SPACING, size=backlog)
-        events = [
-            ClientUpdateArrival(time=float(t), client_id=i) for i, t in enumerate(times)
-        ]
-        row: dict = {}
-        for backend, make in (("heap", EventScheduler), ("calendar", CalendarQueue)):
-            schedule_best = pop_best = float("inf")
-            for _ in range(repeats):
-                scheduler = make()
-                start = time.perf_counter()
-                for event in events:
-                    scheduler.schedule(event)
-                mid = time.perf_counter()
-                while len(scheduler):
-                    scheduler.pop()
-                end = time.perf_counter()
-                schedule_best = min(schedule_best, mid - start)
-                pop_best = min(pop_best, end - mid)
-            row[backend] = {
-                "schedule_ns_per_op": schedule_best / backlog * 1e9,
-                "pop_ns_per_op": pop_best / backlog * 1e9,
-                "ops_per_sec": 2 * backlog / (schedule_best + pop_best),
-            }
-        row["calendar_pop_speedup"] = (
-            row["heap"]["pop_ns_per_op"] / row["calendar"]["pop_ns_per_op"]
-        )
-        sweep[str(backlog)] = row
-    return sweep
-
-
 #: population-scale sweep: (population size, clients trained per round).
 #: The (10⁵, 10³) row is the memory-bound control for (10⁶, 10³): a 10×
 #: population at the same cohort must not move the traced peak.
@@ -540,7 +483,6 @@ def collect(repeats: int) -> dict:
     results["deadline_throughput_frontier"] = deadline_throughput_frontier()
     results["fault_recovery"] = fault_recovery()
     results["byzantine_robustness"] = byzantine_robustness()
-    results["scheduler_ops_per_second"] = scheduler_ops_per_second(repeats)
     results["population_scale"] = population_scale()
     perf = run_system_perf()
     results["system_perf"] = {

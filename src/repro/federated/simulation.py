@@ -37,13 +37,15 @@ on the event stream rather than inferred from bookkeeping, and in-flight
 async updates genuinely stay in transit (their arrival events survive the
 round boundary and pop whenever the clock reaches them).
 
-There is one round loop and one event queue (a
-:class:`~repro.federated.events.CalendarQueue`).  Every scenario decision is
-a pure function of ``(seed, client_id, round)`` with deterministic event
-tie-breaking, so results remain bit-identical across ``parallelism``,
-``cohort_batching`` (Linear nets) and ``num_shards`` settings.  Local
-training always runs to completion before its arrival events are scheduled
-— virtual time orders the *arrivals*, not the training computation.
+There is one round loop, one dispatch path for every trained update, and
+one event queue (the binary heap of
+:class:`~repro.federated.events.VirtualClockScheduler`).  Every scenario
+decision is a pure function of ``(seed, client_id, round)`` with
+deterministic event tie-breaking, so results remain bit-identical across
+``parallelism``, ``cohort_batching`` (Linear nets) and ``num_shards``
+settings.  Local training always runs to completion before its arrival
+events are scheduled — virtual time orders the *arrivals*, not the training
+computation.
 """
 
 from __future__ import annotations
@@ -70,13 +72,13 @@ from .cohort import CohortTrainer
 from .events import (
     BufferedFlushPolicy,
     BufferFlush,
-    CalendarQueue,
     ClientUpdateArrival,
     FlushPolicy,
     QuorumFlushPolicy,
     RoundDeadline,
     SyncFlushPolicy,
     TransmissionFailure,
+    VirtualClockScheduler,
 )
 from .adversary import AdversaryInjector, AdversaryLedger, update_contributors
 from .aggregation import AGGREGATION_RULES, AggregationPolicy
@@ -382,7 +384,7 @@ class FederatedSimulation:
         # here across rounds, so buffered-async updates genuinely stay in
         # transit over round boundaries (their events pop when the clock
         # reaches them).
-        self._scheduler = CalendarQueue()
+        self._scheduler = VirtualClockScheduler()
         # One evaluation replica per simulation: model_accuracy would
         # otherwise rebuild a scratch model from model_fn every round.
         self._eval_model: Module | None = None
@@ -547,65 +549,59 @@ class FederatedSimulation:
     def _schedule_transmission(
         self, update: ModelUpdate, dispatch_time: float, origin_round: int, attempt: int
     ) -> None:
-        """Schedule one transmission attempt, drawing its transport faults.
+        """Schedule one transmission attempt of a trained update.
 
-        Attempt 0 of a fault-free draw produces an arrival event with exactly
-        the fields the non-faulted dispatch path would — bit-identical event
-        stream.  A retry (``attempt >= 1``) redraws its transit latency; its
-        arrival's ``latency`` spans the *full* dispatch→arrival interval
-        including every backoff, so merged-latency metrics tell the truth.
+        Every update leaves through here.  With a fault plane the attempt
+        first draws its transport faults, and a faulted attempt schedules a
+        :class:`TransmissionFailure` instead of its arrival; without one, no
+        draw runs.  Attempt 0 travels the transit latency drawn at dispatch
+        and carries it as its arrival's ``latency``, so a zero-rate fault
+        plane schedules exactly the events of a run without one.  A retry
+        (``attempt >= 1``) redraws its transit latency; its arrival's
+        ``latency`` spans the *full* dispatch→arrival interval including
+        every backoff, so merged-latency metrics tell the truth.
         """
         injector = self._fault_injector
-        faults = self.config.scenario.faults
         client_id = update.sender_id
-        base = update.metadata.get("latency", 0.0)
-        transit = (
-            base
-            if attempt == 0
-            else injector.retry_latency(base, client_id, origin_round, attempt)
-        )
-        origin_dispatch = update.metadata.get("dispatch_time", dispatch_time)
-        if faults.hop_timeout is not None and transit > faults.hop_timeout:
-            # The per-hop ack timer expires before the frame lands: the
-            # sender learns at dispatch + timeout, not after the full transit.
+        transit = update.metadata["latency"]
+        if attempt:
+            transit = injector.retry_latency(transit, client_id, origin_round, attempt)
+        failure = None
+        if injector is not None:
+            hop_timeout = injector.config.hop_timeout
+            if hop_timeout is not None and transit > hop_timeout:
+                # The per-hop ack timer expires before the frame lands: the
+                # sender learns at dispatch + timeout, not after the full transit.
+                failure = ("timeout", dispatch_time + hop_timeout)
+            elif injector.frame_fault(client_id, origin_round, attempt):
+                # Corruption is detected by the receiver at the would-be arrival
+                # instant (RW01 framing surfaces it as a typed error, never a
+                # silent mis-parse) and NACKed back.
+                failure = ("frame", dispatch_time + transit)
+        if failure is not None:
+            kind, failure_time = failure
             self._scheduler.schedule(
                 TransmissionFailure(
-                    time=dispatch_time + faults.hop_timeout,
+                    time=failure_time,
                     client_id=client_id,
                     origin_round=origin_round,
                     dispatch_time=dispatch_time,
                     latency=transit,
                     attempt=attempt,
-                    kind="timeout",
-                    update=update,
-                )
-            )
-            return
-        if injector.frame_fault(client_id, origin_round, attempt):
-            # Corruption is detected by the receiver at the would-be arrival
-            # instant (RW01 framing surfaces it as a typed error, never a
-            # silent mis-parse) and NACKed back.
-            self._scheduler.schedule(
-                TransmissionFailure(
-                    time=dispatch_time + transit,
-                    client_id=client_id,
-                    origin_round=origin_round,
-                    dispatch_time=dispatch_time,
-                    latency=transit,
-                    attempt=attempt,
-                    kind="frame",
+                    kind=kind,
                     update=update,
                 )
             )
             return
         arrival_time = dispatch_time + transit
+        origin_dispatch = update.metadata["dispatch_time"]
         self._scheduler.schedule(
             ClientUpdateArrival(
                 time=arrival_time,
                 client_id=client_id,
                 origin_round=origin_round,
                 dispatch_time=origin_dispatch,
-                latency=arrival_time - origin_dispatch,
+                latency=arrival_time - origin_dispatch if attempt else transit,
                 update=update,
             )
         )
@@ -812,30 +808,14 @@ class FederatedSimulation:
                 trained, broadcast_state, round_index, self.adversary_ledger
             )
             stats.num_poisoned = len(attacked)
-        if injector is not None:
-            # Payloads pending a retry count toward the backlog too: their
-            # arrival (or final discard) still resolves in some round.
-            in_flight = scheduler.in_flight_count()
-        else:
-            in_flight = scheduler.pending_arrival_count() if scenario.is_async else 0
+        # Payloads still in transit from earlier rounds (arrivals and those
+        # pending a retry) resolve in this round's replay too.
+        in_flight = scheduler.in_flight_count()
         for update in trained:
-            latency = latencies.get(update.sender_id, 0.0)
-            update.metadata["latency"] = latency
+            update.metadata["latency"] = latencies.get(update.sender_id, 0.0)
             update.metadata["origin_round"] = round_index
             update.metadata["dispatch_time"] = round_start
-            if injector is not None:
-                self._schedule_transmission(update, round_start, round_index, 0)
-            else:
-                scheduler.schedule(
-                    ClientUpdateArrival(
-                        time=round_start + latency,
-                        client_id=update.sender_id,
-                        origin_round=round_index,
-                        dispatch_time=round_start,
-                        latency=latency,
-                        update=update,
-                    )
-                )
+            self._schedule_transmission(update, round_start, round_index, 0)
         if scenario.deadline is not None:
             scheduler.schedule(
                 RoundDeadline(time=round_start + scenario.deadline, round_index=round_index)
@@ -854,16 +834,18 @@ class FederatedSimulation:
         if scenario.is_async:
             # This round's dispatches still in transit when the buffer
             # flushed (they stay scheduled and land in a later round).
-            stats.num_stragglers = sum(
-                1 for e in scheduler.pending_arrivals() if e.origin_round == round_index
-            )
+            stats.num_stragglers = scheduler.pending_arrival_count(origin_round=round_index)
         if not merged:
+            advice = (
+                "lower frame_corruption_rate, raise hop_timeout, or raise max_attempts"
+                if lost
+                else "lower the dropout probability or select more clients per round"
+            )
             raise RuntimeError(
-                f"round {round_index}: the async buffer received no arrivals — "
-                f"{len(selected_ids)} selected, {stats.num_dropped} dropped out, "
-                f"{scheduler.pending_arrival_count()} still in transit, {discarded} "
-                "discarded as too stale, and nothing was left in flight; lower the "
-                "dropout probability or select more clients per round"
+                f"round {round_index}: the {scenario.aggregation} round merged no "
+                f"update — {len(selected_ids)} selected, {stats.num_dropped} dropped "
+                f"out, {lost} lost to transport faults, {discarded} discarded as too "
+                f"stale, and nothing was left in flight; {advice}"
             )
 
         arrivals: list[ModelUpdate] = []
@@ -1075,7 +1057,11 @@ class FederatedSimulation:
         self._scheduler = state["scheduler"]
         self._received_log = list(state["received_log"])
         self.defense = state["defense"]
-        self.fault_ledger = state["ledger"]
+        # Load the saved fault history into the live ledger instead of
+        # swapping the object: the server and the shard engine write to it.
+        saved_ledger = state["ledger"]
+        self.fault_ledger.entries[:] = saved_ledger.entries
+        self.fault_ledger.retransmissions = saved_ledger.retransmissions
         self.adversary_ledger = state.get("adversary_ledger") or AdversaryLedger()
         transcript = state.get("transcript")
         if transcript is not None:
@@ -1083,11 +1069,9 @@ class FederatedSimulation:
         shard_state = state.get("shard_state")
         if self._shard_engine is not None and shard_state is not None:
             self._shard_engine.restore_checkpoint_state(shard_state)
-        # Re-wire the live fault plane: the unpickled defense carries copies
-        # of the hooks; point everything back at this simulation's objects.
-        self.server._fault_ledger = self.fault_ledger
+        # Re-wire the unpickled defense, which carries copies of the hooks,
+        # to this simulation's live planes.
         if self._fault_injector is not None:
-            self.server._fault_injector = self._fault_injector
             self.defense.attach_fault_plane(self._fault_injector, self.fault_ledger)
         if self._adversary_injector is not None:
             self.defense.attach_adversary_plane(self._adversary_injector, self.adversary_ledger)

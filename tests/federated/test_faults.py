@@ -5,6 +5,8 @@ Marked ``faults`` so the whole plane can be exercised quickly::
     PYTHONPATH=src python -m pytest -m faults -q
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -209,23 +211,30 @@ class TestFaultLedger:
 class TestZeroFaultBitIdentity:
     """An armed-but-all-zero fault plane must not perturb a single bit."""
 
-    def test_zero_rates_match_no_fault_plane(self, tiny_motionsense):
-        base_scenario = ScenarioConfig(
-            availability=RandomDropout(0.2),
-            latency=LogNormalLatency(median=1.0, sigma=0.5),
-        )
-        armed = ScenarioConfig(
-            availability=RandomDropout(0.2),
-            latency=LogNormalLatency(median=1.0, sigma=0.5),
-            faults=FaultConfig(),
-        )
-        plain = make_sim(tiny_motionsense, base_scenario).run()
-        faulted = make_sim(tiny_motionsense, armed).run()
-        assert plain.accuracy_curve() == faulted.accuracy_curve()
-        assert faulted.fault_ledger.injected == 0
-        for r_plain, r_armed in zip(plain.rounds, faulted.rounds):
-            assert r_plain.num_aggregated == r_armed.num_aggregated
-            assert r_plain.simulated_duration == r_armed.simulated_duration
+    @pytest.mark.parametrize("availability", [None, RandomDropout(0.2)], ids=["all", "dropout"])
+    def test_zero_rates_match_no_fault_plane(self, tiny_motionsense, availability):
+        """Every round record and the final weights match a run without a
+        fault plane."""
+
+        def run(faults):
+            scenario = ScenarioConfig(
+                availability=availability,
+                latency=LogNormalLatency(median=1.0, sigma=0.5),
+                faults=faults,
+            )
+            return make_sim(tiny_motionsense, scenario, rounds=4, seed=3).run()
+
+        plain = run(None)
+        armed = run(FaultConfig())
+        assert armed.fault_ledger.injected == 0
+        assert len(armed.rounds) == len(plain.rounds) == 4
+        for r_plain, r_armed in zip(plain.rounds, armed.rounds):
+            # An armed plane records the quorum it would settle for (the
+            # whole surviving cohort); without one the field reads 0.
+            assert r_armed.quorum_target == r_armed.num_selected - r_armed.num_dropped
+            assert dataclasses.replace(r_armed, quorum_target=0) == r_plain
+        for name, value in plain.final_state.items():
+            np.testing.assert_array_equal(value, armed.final_state[name])
 
     def test_faulted_run_identical_across_parallelism(self, tiny_motionsense):
         def run(parallelism):
@@ -269,6 +278,16 @@ class TestFaultedRounds:
         assert ledger.retried == 0
         assert ledger.discarded == ledger.injected
         assert sum(r.num_fault_discarded for r in result.rounds) == ledger.discarded
+
+    def test_round_losing_every_payload_reports_the_transport_loss(self, tiny_motionsense):
+        scenario = ScenarioConfig(
+            latency=FixedLatency(1.0),
+            faults=FaultConfig(frame_corruption_rate=0.99, max_attempts=1),
+        )
+        with pytest.raises(
+            RuntimeError, match="the sync round .* 6 lost to transport faults.* max_attempts"
+        ):
+            make_sim(tiny_motionsense, scenario, seed=3).run()
 
     def test_quorum_degrades_gracefully_under_crash_and_corruption(self, tiny_motionsense):
         scenario = faulted_scenario(

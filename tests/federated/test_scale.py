@@ -1,8 +1,8 @@
 """Population-scale smoke tests (`pytest -m scale`).
 
 Fast checks that the engine's scaling claims hold at ~10⁵ clients: cohort-
-bounded memory on the lazy client plane, and calendar-queue throughput that
-doesn't degrade with backlog.  The full 10⁶-client measurement lives in
+bounded memory on the lazy client plane, and an event queue that drains a
+10⁵-event backlog in order.  The full 10⁶-client measurement lives in
 ``benchmarks/run_benchmarks.py``; these keep the properties under CI-speed
 regression watch.
 """
@@ -14,13 +14,13 @@ import pytest
 from repro.data import SyntheticPopulation
 from repro.experiments.models import model_fn_for
 from repro.federated import (
-    CalendarQueue,
     ClientUpdateArrival,
     FederatedSimulation,
     LocalTrainingConfig,
     LogNormalLatency,
     ScenarioConfig,
     SimulationConfig,
+    VirtualClockScheduler,
 )
 
 pytestmark = pytest.mark.scale
@@ -56,10 +56,9 @@ def test_hundred_thousand_client_round_is_cohort_bounded():
     assert peak_bytes < 64 * 1024 * 1024
 
 
-def test_calendar_queue_drains_hundred_thousand_events_in_order():
-    """10⁵ pending events schedule and drain fully ordered — the backlog the
-    heap backend pays log(n) per op for."""
-    queue = CalendarQueue()
+def test_event_queue_drains_hundred_thousand_events_in_order():
+    """10⁵ pending events schedule and drain fully ordered."""
+    queue = VirtualClockScheduler()
     for i in range(100_000):
         # pseudo-random but deterministic spread over ~14h of virtual time
         queue.schedule(ClientUpdateArrival(time=(i * 7919 % 100_000) * 0.5, client_id=i))

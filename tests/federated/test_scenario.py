@@ -290,7 +290,7 @@ class TestScenarioRounds:
         scenario = ScenarioConfig(
             availability=ChurnTrace({0: []}), aggregation="buffered-async", buffer_size=4
         )
-        with pytest.raises(RuntimeError, match="async buffer"):
+        with pytest.raises(RuntimeError, match="buffered-async round merged no update"):
             run_sim(tiny_motionsense, scenario, rounds=1)
 
     def test_deadline_cuts_stragglers(self, tiny_motionsense):

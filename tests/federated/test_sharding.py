@@ -421,6 +421,26 @@ class TestShardedCheckpoint:
         assert result.shard_transcript.root_head == straight.shard_transcript.root_head
         result.shard_transcript.verify()
 
+    def test_resume_keeps_recording_shard_crashes(self, tiny_motionsense):
+        """Shard crashes after a resume land in the ledger the run reports,
+        and their recovery delays still reach the clock."""
+
+        def sim():
+            return make_sim(
+                tiny_motionsense, num_shards=3, rounds=4, scenario=crash_scenario(0.6)
+            )
+
+        straight = sim().run()
+        first = sim()
+        first._records.append(first.run_round())
+        resumed = sim()
+        resumed.restore_checkpoint(first.checkpoint())
+        result = resumed.run()
+
+        assert {e.round_index for e in straight.fault_ledger.entries} == {0, 1, 2, 3}
+        assert result.fault_ledger.entries == straight.fault_ledger.entries
+        assert result.rounds == straight.rounds
+
     def test_checkpoint_round_trips_the_plan(self, tiny_motionsense):
         sim = make_sim(tiny_motionsense, num_shards=2)
         sim._records.append(sim.run_round())
