@@ -47,15 +47,16 @@ than a bucketed calendar queue takes on the same stream, so a structure
 with better asymptotics buys nothing at this size.
 
 Incremental counters make
-:meth:`~VirtualClockScheduler.pending_arrival_count` and
-:meth:`~VirtualClockScheduler.in_flight_count` ``O(1)`` — the round loop
-never scans the queue just to count the backlog; counting one round's
-arrivals still in transit is one unsorted pass.
+:meth:`~VirtualClockScheduler.pending_arrival_count` (in total and per
+origin round) and :meth:`~VirtualClockScheduler.in_flight_count` ``O(1)`` —
+the round loop never scans the queue to count the backlog or one round's
+stragglers.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -174,6 +175,8 @@ class VirtualClockScheduler:
         # schedule/pop so counting the backlog never scans the queue.
         self._num_arrivals = 0
         self._num_payloads = 0
+        # Queued arrivals per origin round; a key leaves when its count hits 0.
+        self._arrivals_by_round: Counter[int] = Counter()
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -188,6 +191,7 @@ class VirtualClockScheduler:
         if isinstance(event, ClientUpdateArrival):
             self._num_arrivals += 1
             self._num_payloads += 1
+            self._arrivals_by_round[event.origin_round] += 1
         elif isinstance(event, TransmissionFailure):
             self._num_payloads += 1
 
@@ -201,6 +205,10 @@ class VirtualClockScheduler:
         if isinstance(event, ClientUpdateArrival):
             self._num_arrivals -= 1
             self._num_payloads -= 1
+            by_round = self._arrivals_by_round
+            by_round[event.origin_round] -= 1
+            if not by_round[event.origin_round]:
+                del by_round[event.origin_round]
         elif isinstance(event, TransmissionFailure):
             self._num_payloads -= 1
         return event
@@ -214,16 +222,11 @@ class VirtualClockScheduler:
 
     # -- backlog accounting ----------------------------------------------
     def pending_arrival_count(self, origin_round: int | None = None) -> int:
-        """Arrival events still queued — O(1), no scan.  With
-        ``origin_round``, only the arrivals dispatched in that round — one
-        unsorted pass over the queue."""
+        """Arrival events still queued; with ``origin_round``, only the
+        arrivals dispatched in that round — O(1) either way, no scan."""
         if origin_round is None:
             return self._num_arrivals
-        return sum(
-            1
-            for entry in self._heap
-            if isinstance(entry[3], ClientUpdateArrival) and entry[3].origin_round == origin_round
-        )
+        return self._arrivals_by_round[origin_round]
 
     def in_flight_count(self) -> int:
         """Payload events still in transit (arrivals + pending retries) —

@@ -829,8 +829,7 @@ class FederatedSimulation:
         # tracks the materialized cohort, never the population.
         self.population.release(to_train_ids)
         stats.num_discarded = discarded
-        if injector is not None:
-            stats.num_carried_forward = scheduler.in_flight_count()
+        stats.num_carried_forward = scheduler.in_flight_count()
         if scenario.is_async:
             # This round's dispatches still in transit when the buffer
             # flushed (they stay scheduled and land in a later round).

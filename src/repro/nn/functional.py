@@ -10,8 +10,13 @@ Implements the operations required by the architectures in the MixNN paper:
 * softmax / log-softmax / cross-entropy,
 * dropout.
 
-Convolution is implemented with ``im2col``/``col2im`` over
-``numpy.lib.stride_tricks`` so the heavy lifting stays inside BLAS matmuls.
+Convolution lowers image patches to a column block with
+``numpy.lib.stride_tricks`` so the heavy lifting stays inside BLAS matmuls:
+``conv2d`` gathers one C-contiguous ``(*L, C·KH·KW, N·OH·OW)`` block (and
+its transpose) and calls ``np.matmul`` directly, on operands laid out as
+``np.einsum``'s batch-matmul lowering laid them out before it, so its bits
+are the einsum kernel's (held to that oracle under ``tests/``).  ``locally_connected2d``
+keeps :func:`im2col`, :func:`col2im` and an einsum contraction.
 
 Leading client axes
 -------------------
@@ -21,10 +26,12 @@ operands: an ``(*L, N, ...)`` input meets ``(*L, ...)`` parameters (and
 the operands alone.  ``L = ()`` is an ordinary model; ``L = (M,)`` is M
 clients stacked over one ``(M, D)`` weight block
 (:mod:`repro.federated.cohort`).  A kernel reads ``len(L)`` from its
-parameter's rank (the loss from its labels').  Per slice, ``linear``, the
-pools and the losses are bitwise equal to the unstacked call; ``conv2d`` and
-``locally_connected2d`` batch their einsum contraction over ``L``, which may
-reassociate the reduction, and agree within 1e-6 relative tolerance.
+parameter's rank (the loss from its labels').  Per slice, ``linear``,
+``conv2d``, the pools and the losses are bitwise equal to the unstacked
+call: broadcast ``np.matmul`` runs one GEMM per leading slice.  Only
+``locally_connected2d`` still batches an einsum contraction over ``L``,
+which may reassociate the reduction; it agrees within 1e-6 relative
+tolerance.
 """
 
 from __future__ import annotations
@@ -114,6 +121,37 @@ def col2im(
 # ----------------------------------------------------------------------
 # Convolution / pooling / locally connected layers
 # ----------------------------------------------------------------------
+def _column_operands(xd: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int):
+    """The column block of an ``(*L, N, C, H, W)`` array as both GEMM operands.
+
+    Returns ``(weight_side, forward)``: the ``(*L, C·KH·KW, N·OH·OW)`` operand
+    of the weight gradient and the ``(*L, N·OH·OW, C·KH·KW)`` operand of the
+    forward product, in the memory orders einsum's batch-matmul lowering
+    gave BLAS.  Each is a row-major block, except where einsum passed a view
+    because a fused axis has length one: with one sample the forward operand
+    is the weight-side block transposed, and with a 1x1 output the
+    weight-side operand is the forward block transposed.  BLAS picks its
+    kernel from the operands' orders, so matching them keeps the bits.
+    """
+    *lead, n, c, _, _ = xd.shape
+    k, p = c * kh * kw, oh * ow
+    if p == 1:
+        forward = np.ascontiguousarray(xd[..., :kh, :kw]).reshape(*lead, n, k)
+        return np.swapaxes(forward, -1, -2), forward
+    *sl, sn, sc, sh, sw = xd.strides
+    windows = as_strided(
+        xd,
+        (*lead, c, kh, kw, n, oh, ow),
+        (*sl, sc, sh, sw, sn, sh * stride, sw * stride),
+        writeable=False,
+    )
+    weight_side = np.ascontiguousarray(windows).reshape(*lead, k, n * p)
+    forward = np.swapaxes(weight_side, -1, -2)
+    if n > 1:
+        forward = np.ascontiguousarray(forward)
+    return weight_side, forward
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -125,46 +163,61 @@ def conv2d(
 
     ``weight`` has shape ``(*L, O, C, KH, KW)`` and ``bias`` ``(*L, O)``.
     Zero padding happens inside the kernel, and so does slicing it off the
-    input gradient.
+    input gradient.  Each product is one ``np.matmul`` on the operands of
+    :func:`_column_operands`; the output is a C-contiguous copy of the
+    ``(*L, N·OH·OW, O)`` product with the bias added on the way.
     """
     x = as_tensor(x)
     lead = weight.shape[:-4]
-    xd = x.data
-    pad = int(padding)
-    if pad:
-        xd = np.pad(xd, ((0, 0),) * (xd.ndim - 2) + ((pad, pad), (pad, pad)))
-    n, c, h, w = xd.shape[-4:]
+    n, c, h, w = x.shape[-4:]
     o, c_w, kh, kw = weight.shape[-4:]
     if c != c_w:
         raise ValueError(f"channel mismatch: input has {c}, weight expects {c_w}")
-    cols = im2col(xd.reshape(-1, c, h, w), (kh, kw), stride)  # (*L·N, C*KH*KW, OH, OW)
-    _, k, oh, ow = cols.shape
-    flat_cols = cols.reshape(*lead, n, k, oh * ow)
-    w_flat = weight.data.reshape(*lead, o, k)
-    m = _LEAD[: len(lead)]
-    out_data = np.einsum(f"{m}ok,{m}nkp->{m}nop", w_flat, flat_cols, optimize=True)
-    out_data = out_data.reshape(*lead, n, o, oh, ow)
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(*lead, 1, o, 1, 1)
-
+    pad = int(padding)
+    hp, wp = h + 2 * pad, w + 2 * pad
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
+    xd = x.data
+    if pad:
+        xd = np.zeros((*lead, n, c, hp, wp), dtype=np.float32)
+        xd[..., pad : pad + h, pad : pad + w] = x.data
     parents = (x, weight) + ((bias,) if bias is not None else ())
-    if not (is_grad_enabled() and any(p.requires_grad for p in parents)):
+    record = is_grad_enabled() and any(p.requires_grad for p in parents)
+    # Drop each column block as soon as it is dead: at evaluation batch
+    # sizes they are megabytes each.
+    cols, cols_t = _column_operands(xd, kh, kw, stride, oh, ow)
+    del xd
+    if not (record and weight.requires_grad):
+        cols = None  # only the weight gradient reads it
+    w_flat = weight.data.reshape(*lead, o, c * kh * kw)
+    product = np.matmul(cols_t, np.swapaxes(w_flat, -1, -2))  # (*L, N·OH·OW, O)
+    del cols_t
+    out_data = np.moveaxis(product.reshape(*lead, n, oh, ow, o), -1, -3)
+    if bias is not None:
+        out_data = np.add(out_data, bias.data.reshape(*lead, 1, o, 1, 1), order="C")
+    else:
+        out_data = np.ascontiguousarray(out_data)
+    if not record:
         return Tensor._lean(out_data, "conv2d")
 
     def backward(grad: np.ndarray) -> None:
-        grad_flat = grad.reshape(*lead, n, o, oh * ow)
+        # The output gradient as the (*L, N·OH·OW, O) operand of both products.
+        g = np.swapaxes(grad.reshape(*lead, n, o, oh * ow), -1, -2).reshape(*lead, n * oh * ow, o)
         if weight.requires_grad:
-            dw = np.einsum(f"{m}nop,{m}nkp->{m}ok", grad_flat, flat_cols, optimize=True)
-            weight._accumulate(dw.reshape(weight.shape))
+            dw = np.matmul(cols, g)  # (*L, C·KH·KW, O)
+            weight._accumulate(np.swapaxes(dw, -1, -2).reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(-4, -2, -1)))
         if x.requires_grad:
-            dcols = np.einsum(f"{m}ok,{m}nop->{m}nkp", w_flat, grad_flat, optimize=True)
-            dx = col2im(dcols.reshape(-1, k, oh, ow), (cols.shape[0], c, h, w), (kh, kw), stride)
-            dx = dx.reshape(xd.shape)
-            if pad:
-                dx = dx[..., pad:-pad, pad:-pad]
-            x._accumulate(dx)
+            dcols = np.matmul(g, w_flat).reshape(*lead, n, oh, ow, c, kh, kw)
+            # col2im into a channels-last image, the product's own order: each
+            # tap adds one (N, OH, OW, C) slab, in the (i, j) order every
+            # input pixel has always summed its taps in.
+            dx = np.zeros((*lead, n, hp, wp, c), dtype=np.float32)
+            for i in range(kh):
+                for j in range(kw):
+                    dx[..., i : i + stride * oh : stride, j : j + stride * ow : stride, :] += dcols[..., i, j]
+            x._accumulate(np.moveaxis(dx[..., pad : pad + h, pad : pad + w, :], -1, -3))
 
     return Tensor._record(out_data, parents, backward, "conv2d")
 
@@ -181,20 +234,35 @@ def max_pool2d(x: Tensor, kernel: int) -> Tensor:
     """Non-overlapping max pooling (``stride == kernel``) of the two trailing axes.
 
     Spatial dimensions must be divisible by ``kernel`` (the experiment
-    architectures are sized so this always holds).
+    architectures are sized so this always holds).  The ``kernel²`` taps
+    are strided views, folded by ``np.maximum`` in float32; max and the
+    tie masks are exact, so no memory order changes a bit.  A tie's
+    gradient is split evenly: the float32 quotient by the tie count equals
+    a float64 one rounded to float32, as double rounding is innocuous for
+    division when ``53 >= 2·24 + 2``.
     """
     x = as_tensor(x)
     blocks = _pool_blocks(x, kernel)
-    out_data = blocks.max(axis=(-3, -1))
+    offsets = [(i, j) for i in range(kernel) for j in range(kernel)]
+    taps = [blocks[..., :, i, :, j] for i, j in offsets]
+    out_data = taps[0].copy()
+    for tap in taps[1:]:
+        np.maximum(out_data, tap, out=out_data)
     if not (is_grad_enabled() and x.requires_grad):
         return Tensor._lean(out_data, "max_pool2d")
-    mask = blocks == out_data[..., :, None, :, None]
-    # Break ties deterministically: scale by inverse tie-count.
-    counts = mask.sum(axis=(-3, -1), keepdims=True)
+    masks = [np.equal(tap, out_data, order="C") for tap in taps]
+    counts = masks[0].astype(np.float32)
+    for mask in masks[1:]:
+        counts += mask
 
     def backward(grad: np.ndarray) -> None:
-        g = grad[..., :, None, :, None] * mask / counts
-        x._accumulate(g.reshape(x.shape))
+        # (grad / count) * mask is (grad * mask) / count bit for bit: a mask
+        # entry is 0 or 1, and either way the sign of zero is grad's.
+        share = grad / counts
+        dx = np.empty(x.shape, dtype=np.float32)
+        for (i, j), mask in zip(offsets, masks):
+            np.multiply(share, mask, out=dx[..., i::kernel, j::kernel])
+        x._accumulate(dx)
 
     return Tensor._record(out_data, (x,), backward, "max_pool2d")
 

@@ -461,6 +461,22 @@ class TestCheckpointResume:
 
         assert_same_run(result, straight)
 
+    def test_straggler_counts_after_restore_equal_a_fresh_scan(self, tiny_motionsense):
+        """The per-round arrival counts unpickled with a mid-run checkpoint
+        equal a scan of the restored queue, and keep equal as it runs on."""
+        scenario = SCENARIOS["buffered-async"]
+        first = make_sim(tiny_motionsense, scenario, rounds=4, seed=11)
+        for _ in range(2):
+            first._records.append(first.run_round())
+        resumed = make_sim(tiny_motionsense, scenario, rounds=4, seed=11)
+        resumed.restore_checkpoint(first.checkpoint())
+        queue = resumed._scheduler
+        assert queue.pending_arrival_count() > 0
+        for _ in range(2):
+            assert_queue_holds(queue, queue._heap)
+            resumed._records.append(resumed.run_round())
+        assert_queue_holds(queue, queue._heap)
+
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_resume_at_every_round_boundary(self, tiny_motionsense, name):
         """A run checkpointed after every round, each round in a fresh

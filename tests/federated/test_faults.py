@@ -236,6 +236,28 @@ class TestZeroFaultBitIdentity:
         for name, value in plain.final_state.items():
             np.testing.assert_array_equal(value, armed.final_state[name])
 
+    def test_zero_rates_match_no_fault_plane_buffered_async(self, tiny_motionsense):
+        """A buffered-async run leaves payloads in transit at every flush;
+        with or without an armed plane its records agree field by field,
+        payloads carried forward included."""
+
+        def run(faults):
+            scenario = ScenarioConfig(
+                latency=LogNormalLatency(median=1.0, sigma=1.0),
+                aggregation="buffered-async",
+                buffer_size=2,
+                faults=faults,
+            )
+            return make_sim(tiny_motionsense, scenario, rounds=4, seed=3).run()
+
+        plain = run(None)
+        armed = run(FaultConfig())
+        assert armed.fault_ledger.injected == 0
+        assert any(r.num_carried_forward > 0 for r in plain.rounds)
+        assert armed.rounds == plain.rounds
+        for name, value in plain.final_state.items():
+            np.testing.assert_array_equal(value, armed.final_state[name])
+
     def test_faulted_run_identical_across_parallelism(self, tiny_motionsense):
         def run(parallelism):
             scenario = faulted_scenario(

@@ -274,7 +274,7 @@ class TestLeadingAxes:
             return cotangent.setdefault("g", rng.standard_normal(shape).astype(np.float32))
 
         out, grads = _forward_backward(fn, arrays, labels, seed_for)
-        if kernel in ("conv2d", "locally_connected2d"):
+        if kernel == "locally_connected2d":
             check = lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-6)
         else:
             check = np.testing.assert_array_equal
