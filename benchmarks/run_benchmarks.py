@@ -3,7 +3,7 @@
 
 Runs the crypto/transport/mixing micro-benchmarks, the flat-parameter-plane
 attack/aggregation micro-benchmarks, the round-throughput sweep (clients/sec
-at 16–1024 simulated clients, flat vs retained reference path, with a
+at 16–1024 simulated clients, flat vs the dict-based oracle path, with a
 per-phase train/mix/reduce/merge breakdown), the sharded-round sweep
 (hierarchical aggregation at 1/2/4/8 leaf shards over 64–1024 clients,
 modeled critical-path throughput), the cohort-batched-training comparison
@@ -36,6 +36,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+# The dict-based reference paths timed beside the flat ones are test oracles
+# (``tests/oracles/algebra.py``), imported from the repository root.
+if str(Path(__file__).resolve().parent.parent) not in sys.path:
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -107,16 +112,10 @@ def gradsim_attack_flat(broadcast, references, updates):
 
 
 def gradsim_attack_reference(broadcast, references, updates):
-    """The retained dict-based scoring path (the pre-flat-plane seed code)."""
-    from repro.attacks.gradsim import score_updates_reference
-    from repro.federated.update import state_delta_reference
-    from repro.nn.serialization import flatten
+    """The dict-based scoring oracle (the pre-flat-plane seed code)."""
+    from tests.oracles.algebra import reference_deltas, score_updates_reference
 
-    class_deltas = {
-        attribute: flatten(state_delta_reference(state, broadcast))
-        for attribute, state in references.items()
-    }
-    return score_updates_reference(updates, broadcast, class_deltas)
+    return score_updates_reference(updates, broadcast, reference_deltas(references, broadcast))
 
 
 def round_throughput(model, repeats: int) -> dict:
@@ -130,10 +129,11 @@ def round_throughput(model, repeats: int) -> dict:
     a throughput sag at large cohorts is attributable to a specific stage.
     """
     from repro.federated.flat import flat_mean, flat_rows
-    from repro.federated.update import aggregate_updates, aggregate_updates_reference
-    from repro.mixnn.mixing import mix_updates, mix_updates_reference
+    from repro.federated.update import aggregate_updates
+    from repro.mixnn.mixing import mix_updates
     from repro.nn.serialization import schema_of
     from repro.utils.rng import rng_from_seed
+    from tests.oracles.algebra import aggregate_updates_reference, mix_updates_reference
 
     sweep = {}
     for cohort in THROUGHPUT_COHORTS:
@@ -438,13 +438,14 @@ def byzantine_robustness() -> list[dict]:
 
 def collect(repeats: int) -> dict:
     from repro.experiments.system_perf import run_system_perf
-    from repro.federated.update import aggregate_updates, aggregate_updates_reference
+    from repro.federated.update import aggregate_updates
     from repro.mixnn.crypto import decrypt, encrypt, process_keypair, selftest
     from repro.mixnn.mixing import mix_updates
     from repro.mixnn.transport import pack_update, unpack_update
     from repro.utils import native
     from repro.utils.rng import rng_from_seed
     from repro.experiments.models import paper_cnn
+    from tests.oracles.algebra import aggregate_updates_reference
 
     selftest()
     keypair = process_keypair()

@@ -17,7 +17,7 @@ import pytest
 
 from repro.experiments.models import paper_cnn
 from repro.federated.client import LocalTrainingConfig, train_locally
-from repro.federated.update import aggregate_updates, aggregate_updates_reference
+from repro.federated.update import aggregate_updates
 from repro.mixnn.crypto import (
     _keystream_reference,
     _mac,
@@ -32,6 +32,7 @@ from repro.mixnn.proxy import MixNNProxy
 from repro.nn import CrossEntropyLoss, Tensor
 from repro.utils import native
 from repro.utils.rng import rng_from_seed
+from tests.oracles.algebra import aggregate_updates_reference
 
 from .conftest import make_updates
 from .run_benchmarks import (
@@ -157,8 +158,9 @@ class TestFlatPlaneSpeedupVsBaseline:
     container at the pre-flat-plane revision (``aggregate_16_updates`` from
     the snapshot run, ``gradsim_attack`` back-filled with the seed scoring
     path at the same revision).  The flat implementations must beat them by
-    5×; the retained ``*_reference`` paths are also measured live as a
-    drift check (printed, not asserted — container load can shift them).
+    5×; the dict-based oracles (``tests/oracles/algebra.py``) are also
+    measured live as a drift check (printed, not asserted — container load
+    can shift them).
     """
 
     BASELINE_PATH = Path(__file__).parent / "BENCH_2026-07-30.json"

@@ -1,7 +1,7 @@
 """``repro.attacks`` — ∇Sim and the §6.4 robustness analyses."""
 
-from .background import build_reference_states, reference_deltas
-from .gradsim import GradSimAttack, RoundInference, cosine_similarity
+from .background import build_reference_states
+from .gradsim import GradSimAttack, RoundInference
 from .membership import MembershipAttack, MembershipReport, per_sample_losses
 from .reconstruction import (
     RelinkAttack,
@@ -14,9 +14,7 @@ from .timing import TimingAttackReport, TimingSideChannel
 __all__ = [
     "GradSimAttack",
     "RoundInference",
-    "cosine_similarity",
     "build_reference_states",
-    "reference_deltas",
     "neighbor_counts",
     "pairwise_distances",
     "RelinkAttack",

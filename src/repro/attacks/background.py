@@ -23,7 +23,7 @@ from ..federated.client import LocalTrainingConfig, train_locally
 from ..nn import Module
 from ..utils.rng import rng_from_seed
 
-__all__ = ["build_reference_states", "reference_deltas", "reference_delta_matrix"]
+__all__ = ["build_reference_states", "reference_delta_matrix"]
 
 
 def build_reference_states(
@@ -64,16 +64,6 @@ def build_reference_states(
         train_locally(model, pooled, attack_config, rng)
         references[attribute] = model.state_dict()
     return references
-
-
-def reference_deltas(reference_states: dict[int, dict], broadcast_state: dict) -> dict[int, np.ndarray]:
-    """Flattened gradient direction of each reference model vs the broadcast.
-
-    Each delta is one vectorized subtract on the flat parameter plane (the
-    per-class vectors are the rows of :func:`reference_delta_matrix`).
-    """
-    attributes, matrix = reference_delta_matrix(reference_states, broadcast_state)
-    return {attribute: matrix[i] for i, attribute in enumerate(attributes)}
 
 
 def reference_delta_matrix(

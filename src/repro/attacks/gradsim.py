@@ -30,56 +30,34 @@ from ..federated.client import LocalTrainingConfig
 from ..federated.flat import FlatUpdateBatch
 from ..federated.update import ModelUpdate, aggregate_states
 from ..nn import Module
-from ..nn.serialization import flatten
 from .background import build_reference_states, reference_delta_matrix
 
 __all__ = [
-    "cosine_similarity",
     "score_updates",
-    "score_updates_reference",
     "GradSimAttack",
     "RoundInference",
 ]
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two flat vectors (0 when either is null)."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    norm = np.linalg.norm(a) * np.linalg.norm(b)
-    if norm == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / norm)
-
-
 def score_updates(
     updates: list[ModelUpdate],
     broadcast_state: dict,
-    class_deltas: "dict[int, np.ndarray] | tuple[list[int], np.ndarray]",
+    class_deltas: tuple[list[int], np.ndarray],
 ) -> dict[int, dict[int, float]]:
     """∇Sim scoring of a whole round on the flat parameter plane.
 
     All ``N`` update directions against all ``K`` class directions in one
-    ``(N, D) @ (D, K)`` matmul — the per-update, per-class cosine loop is
-    retained as :func:`score_updates_reference` and agrees to float32
-    precision (same argmax on non-degenerate data).
+    ``(N, D) @ (D, K)`` matmul.  ``class_deltas`` is the ``(attributes,
+    matrix)`` pair of :func:`~repro.attacks.background.reference_delta_matrix`.
+    The per-update, per-class cosine loop it replaced is a test oracle
+    (``tests/oracles/algebra.py``); the two agree to float32 precision and
+    pick the same argmax on non-degenerate data.
 
-    ``class_deltas`` is either the ``{attribute: direction}`` dict of
-    :func:`~repro.attacks.background.reference_deltas` or, fastest, the
-    ``(attributes, matrix)`` pair of
-    :func:`~repro.attacks.background.reference_delta_matrix`.
-
-    Returns ``{apparent_id: {attribute: cosine}}`` with the dict orders the
-    reference produces (update order / class insertion order).
+    Returns ``{apparent_id: {attribute: cosine}}`` in update order, each
+    inner dict in ``attributes`` order.
     """
-    if isinstance(class_deltas, tuple):
-        attributes, reference_matrix = class_deltas
-        reference_matrix = np.asarray(reference_matrix, dtype=np.float32)
-    else:
-        attributes = list(class_deltas)
-        reference_matrix = np.stack(
-            [np.asarray(class_deltas[a], dtype=np.float32).ravel() for a in attributes]
-        )  # (K, D)
+    attributes, reference_matrix = class_deltas
+    reference_matrix = np.asarray(reference_matrix, dtype=np.float32)
     deltas = FlatUpdateBatch.delta_matrix(updates, broadcast_state)  # (N, D) float32
     dots = deltas @ reference_matrix.T  # sgemm, (N, K)
     delta_norms = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
@@ -94,22 +72,6 @@ def score_updates(
         }
         for i, update in enumerate(updates)
     }
-
-
-def score_updates_reference(
-    updates: list[ModelUpdate],
-    broadcast_state: dict,
-    class_deltas: dict[int, np.ndarray],
-) -> dict[int, dict[int, float]]:
-    """Retained per-update, per-class implementation of :func:`score_updates`."""
-    out: dict[int, dict[int, float]] = {}
-    for update in updates:
-        direction = flatten(update.delta(broadcast_state))
-        out[update.apparent_id] = {
-            attribute: cosine_similarity(direction, delta)
-            for attribute, delta in class_deltas.items()
-        }
-    return out
 
 
 @dataclass

@@ -9,7 +9,7 @@ benchmarks: Bonawitz-style pairwise-masking secure aggregation
 """
 
 from .base import Defense, NoDefense
-from .dp import ClipAndNoiseDefense, clip_delta, delta_norm
+from .dp import ClipAndNoiseDefense
 from .mixnn_defense import MixNNDefense
 from .noisy_gradient import GaussianNoiseDefense
 from .secure_aggregation import SecureAggregationDefense
@@ -21,6 +21,4 @@ __all__ = [
     "MixNNDefense",
     "SecureAggregationDefense",
     "ClipAndNoiseDefense",
-    "clip_delta",
-    "delta_norm",
 ]

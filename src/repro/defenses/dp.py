@@ -20,27 +20,7 @@ from ..federated.flat import FlatUpdateBatch, row_norms
 from ..federated.update import ModelUpdate
 from .base import Defense
 
-__all__ = ["ClipAndNoiseDefense", "delta_norm", "clip_delta"]
-
-
-def delta_norm(delta: dict) -> float:
-    """Global L2 norm of a per-parameter delta."""
-    total = 0.0
-    for value in delta.values():
-        total += float(np.square(np.asarray(value, dtype=np.float64)).sum())
-    return float(np.sqrt(total))
-
-
-def clip_delta(delta: dict, max_norm: float) -> dict[str, np.ndarray]:
-    """Scale a delta down to ``max_norm`` if it exceeds it (DP-FedAvg clip)."""
-    norm = delta_norm(delta)
-    if norm <= max_norm or norm == 0.0:
-        return {name: np.asarray(value, dtype=np.float32).copy() for name, value in delta.items()}
-    scale = max_norm / norm
-    return {
-        name: (np.asarray(value, dtype=np.float32) * scale).astype(np.float32)
-        for name, value in delta.items()
-    }
+__all__ = ["ClipAndNoiseDefense"]
 
 
 class ClipAndNoiseDefense(Defense):
@@ -74,16 +54,15 @@ class ClipAndNoiseDefense(Defense):
         batch = FlatUpdateBatch.from_updates(updates)
         reference = batch.schema.pack(broadcast_state)
         deltas = batch.matrix - reference
-        # norm of the float32 delta (what clip_delta sees), not of the exact
-        # float64 difference
+        # norm of the float32 delta, not of the exact float64 difference
         norms = row_norms(deltas, batch.schema)
         # scale rows above the bound down to it (DP-FedAvg clip); zero-norm
-        # rows keep scale 1 like the reference clip
+        # rows keep scale 1
         scales = np.ones(len(batch))
         over = (norms > self.clip_norm) & (norms > 0.0)
         scales[over] = self.clip_norm / norms[over]
-        # float32 multiply with the float32-cast scale, matching clip_delta's
-        # weak-scalar (NEP 50) promotion
+        # float32 multiply with the float32-cast scale, what a float32 array
+        # times a Python-float scale computes under NEP 50
         clipped = deltas * scales[:, None].astype(np.float32)
         noise = rng.normal(0.0, sigma, size=batch.matrix.shape).astype(np.float32)
         processed = batch.with_matrix(reference + clipped + noise)

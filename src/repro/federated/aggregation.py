@@ -12,8 +12,9 @@ aggregator.
 
 All rules run on the flat parameter plane — one ``np.median``/``np.sort``/
 ``einsum`` over the round's ``(N, D)`` matrix instead of per-parameter
-stacking — and each keeps its dict-based implementation as a ``*_reference``
-cross-checked by the equivalence tests.
+stacking.  The dict-based implementations they replaced are test oracles
+(``tests/oracles/algebra.py``), and the equivalence tests hold each rule to
+its oracle bit for bit.
 """
 
 from __future__ import annotations
@@ -24,32 +25,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flat import FlatUpdateBatch, flat_mean
-from .update import ModelUpdate, aggregate_states_reference, aggregate_updates
+from .update import ModelUpdate, aggregate_updates
 
 __all__ = [
     "AGGREGATION_RULES",
     "coordinate_median",
-    "coordinate_median_reference",
     "trimmed_mean",
-    "trimmed_mean_reference",
     "norm_filtered_mean",
-    "norm_filtered_mean_reference",
     "pairwise_sq_distances",
-    "pairwise_sq_distances_reference",
     "krum",
-    "krum_reference",
     "multi_krum",
-    "multi_krum_reference",
     "AggregationPolicy",
     "AggregationReport",
 ]
 
 #: selectable server-side aggregation rules (``SimulationConfig.aggregation``)
 AGGREGATION_RULES = ("mean", "median", "trimmed", "norm_filter", "krum", "multi-krum")
-
-
-def _stack(updates: list[ModelUpdate], name: str) -> np.ndarray:
-    return np.stack([np.asarray(u.state[name], dtype=np.float32) for u in updates])
 
 
 def coordinate_median(updates: list[ModelUpdate]) -> "OrderedDict[str, np.ndarray]":
@@ -60,42 +51,12 @@ def coordinate_median(updates: list[ModelUpdate]) -> "OrderedDict[str, np.ndarra
     return batch.schema.views(batch.median())
 
 
-def coordinate_median_reference(updates: list[ModelUpdate]) -> "OrderedDict[str, np.ndarray]":
-    """Retained per-parameter implementation of :func:`coordinate_median`."""
-    if not updates:
-        raise ValueError("cannot aggregate an empty update list")
-    return OrderedDict(
-        (name, np.median(_stack(updates, name), axis=0).astype(np.float32))
-        for name in updates[0].state
-    )
-
-
 def trimmed_mean(updates: list[ModelUpdate], trim: int = 1) -> "OrderedDict[str, np.ndarray]":
     """Coordinate-wise mean after dropping the ``trim`` extremes on each side."""
     if not updates:
         raise ValueError("cannot aggregate an empty update list")
-    if trim < 0:
-        raise ValueError(f"trim must be >= 0, got {trim}")
-    if 2 * trim >= len(updates):
-        raise ValueError(f"trim={trim} removes all of {len(updates)} updates")
     batch = FlatUpdateBatch.from_updates(updates)
     return batch.schema.views(batch.trimmed_mean(trim))
-
-
-def trimmed_mean_reference(updates: list[ModelUpdate], trim: int = 1) -> "OrderedDict[str, np.ndarray]":
-    """Retained per-parameter implementation of :func:`trimmed_mean`."""
-    if not updates:
-        raise ValueError("cannot aggregate an empty update list")
-    if trim < 0:
-        raise ValueError(f"trim must be >= 0, got {trim}")
-    if 2 * trim >= len(updates):
-        raise ValueError(f"trim={trim} removes all of {len(updates)} updates")
-    out: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    for name in updates[0].state:
-        stacked = np.sort(_stack(updates, name), axis=0)
-        kept = stacked[trim : len(updates) - trim]
-        out[name] = kept.mean(axis=0).astype(np.float32)
-    return out
 
 
 def norm_filtered_mean(
@@ -115,41 +76,29 @@ def norm_filtered_mean(
         raise ValueError(
             f"max_norm must be > 0 (a non-positive bound rejects every update), got {max_norm}"
         )
-    batch = FlatUpdateBatch.from_updates(updates)
-    kept = batch.norms(reference) <= max_norm
-    if not kept.any():
-        raise ValueError("norm filter rejected every update")
-    return batch.schema.views(
-        flat_mean(list(batch.matrix[kept]), batch.schema).astype(np.float32, copy=False)
-    )
+    return _norm_filter(updates, reference, max_norm)[0]
 
 
-def norm_filtered_mean_reference(
+def _norm_filter(
     updates: list[ModelUpdate],
     reference: dict,
-    max_norm: float,
-) -> "OrderedDict[str, np.ndarray]":
-    """Retained per-parameter implementation of :func:`norm_filtered_mean`."""
-    if not updates:
-        raise ValueError("cannot aggregate an empty update list")
-    if not max_norm > 0:
-        raise ValueError(
-            f"max_norm must be > 0 (a non-positive bound rejects every update), got {max_norm}"
-        )
-    kept: list[ModelUpdate] = []
-    for update in updates:
-        delta_sq = 0.0
-        for name, value in update.state.items():
-            diff = np.asarray(value, dtype=np.float64) - np.asarray(reference[name], dtype=np.float64)
-            delta_sq += float((diff**2).sum())
-        if np.sqrt(delta_sq) <= max_norm:
-            kept.append(update)
-    if not kept:
-        raise ValueError("norm filter rejected every update")
-    out: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    for name in kept[0].state:
-        out[name] = _stack(kept, name).mean(axis=0).astype(np.float32)
-    return out
+    max_norm: float | None,
+    norm_multiplier: float = 2.0,
+) -> tuple["OrderedDict[str, np.ndarray]", np.ndarray]:
+    """The norm filter's mean and the boolean mask of the updates it kept.
+
+    An update is kept when its delta norm against ``reference`` is at most
+    ``max_norm`` or, with ``max_norm=None``, at most ``norm_multiplier ×``
+    the cohort's median delta norm.
+    """
+    batch = FlatUpdateBatch.from_updates(updates)
+    norms = batch.norms(reference)
+    bound = norm_multiplier * float(np.median(norms)) if max_norm is None else max_norm
+    kept = norms <= bound
+    if not kept.any():
+        raise ValueError(f"norm filter rejected every update (max_norm={max_norm})")
+    rows = [batch.matrix[i] for i in np.flatnonzero(kept)]
+    return batch.schema.views(flat_mean(rows, batch.schema)), kept
 
 
 # ----------------------------------------------------------------------
@@ -159,10 +108,10 @@ def _gram_sq_distances(blocks: list[np.ndarray]) -> np.ndarray:
     """Pairwise squared L2 distances accumulated per parameter span.
 
     Each block is one span's ``(N, size)`` float64 matrix; the Gram trick
-    (``d² = |a|² + |b|² − 2 a·b``) turns every span into one matmul.  Both
-    the flat and reference paths feed C-contiguous float64 blocks holding
-    identical values, so the per-span partial sums — and hence the Krum
-    scores and selections downstream — are bit-identical.
+    (``d² = |a|² + |b|² − 2 a·b``) turns every span into one matmul.  The
+    flat path and its per-parameter oracle feed C-contiguous float64 blocks
+    holding identical values, so the per-span partial sums — and hence the
+    Krum scores and selections downstream — are bit-identical.
     """
     count = blocks[0].shape[0]
     d2 = np.zeros((count, count), dtype=np.float64)
@@ -173,27 +122,22 @@ def _gram_sq_distances(blocks: list[np.ndarray]) -> np.ndarray:
     return d2
 
 
+def _span_sq_distances(batch: FlatUpdateBatch) -> np.ndarray:
+    """Pairwise squared distances between a batch's rows, one float64 block
+    per parameter span."""
+    return _gram_sq_distances(
+        [
+            batch.matrix[:, offset : offset + size].astype(np.float64)
+            for offset, size in zip(batch.schema.offsets, batch.schema.sizes)
+        ]
+    )
+
+
 def pairwise_sq_distances(updates: list[ModelUpdate]) -> np.ndarray:
     """``(N, N)`` pairwise squared distances between updates (flat plane)."""
     if not updates:
         raise ValueError("cannot compute distances over an empty update list")
-    batch = FlatUpdateBatch.from_updates(updates)
-    blocks = [
-        batch.matrix[:, offset : offset + size].astype(np.float64)
-        for offset, size in zip(batch.schema.offsets, batch.schema.sizes)
-    ]
-    return _gram_sq_distances(blocks)
-
-
-def pairwise_sq_distances_reference(updates: list[ModelUpdate]) -> np.ndarray:
-    """Retained per-parameter implementation of :func:`pairwise_sq_distances`."""
-    if not updates:
-        raise ValueError("cannot compute distances over an empty update list")
-    blocks = [
-        np.stack([np.asarray(u.state[name], dtype=np.float64).ravel() for u in updates])
-        for name in updates[0].state
-    ]
-    return _gram_sq_distances(blocks)
+    return _span_sq_distances(FlatUpdateBatch.from_updates(updates))
 
 
 def _check_krum_cohort(count: int, num_attackers: int) -> None:
@@ -223,35 +167,15 @@ def krum(updates: list[ModelUpdate], num_attackers: int = 0, return_index: bool 
     Byzantine-robust for up to ``num_attackers`` (``f``) colluding attackers
     when ``n >= 2f + 3``; the selected update is an *actual participant's*
     update, never a blend, so one poisoned round costs one honest update at
-    worst.  Bit-identical to :func:`krum_reference`.
+    worst.
     """
     if not updates:
         raise ValueError("cannot aggregate an empty update list")
     _check_krum_cohort(len(updates), num_attackers)
     batch = FlatUpdateBatch.from_updates(updates)
-    blocks = [
-        batch.matrix[:, offset : offset + size].astype(np.float64)
-        for offset, size in zip(batch.schema.offsets, batch.schema.sizes)
-    ]
-    scores = _krum_scores(_gram_sq_distances(blocks), num_attackers)
+    scores = _krum_scores(_span_sq_distances(batch), num_attackers)
     index = int(np.argmin(scores))
     state = batch.schema.views(batch.matrix[index].copy())
-    return (state, index) if return_index else state
-
-
-def krum_reference(
-    updates: list[ModelUpdate], num_attackers: int = 0, return_index: bool = False
-):
-    """Retained per-parameter implementation of :func:`krum`."""
-    if not updates:
-        raise ValueError("cannot aggregate an empty update list")
-    _check_krum_cohort(len(updates), num_attackers)
-    scores = _krum_scores(pairwise_sq_distances_reference(updates), num_attackers)
-    index = int(np.argmin(scores))
-    state: "OrderedDict[str, np.ndarray]" = OrderedDict(
-        (name, np.asarray(value, dtype=np.float32).copy())
-        for name, value in updates[index].state.items()
-    )
     return (state, index) if return_index else state
 
 
@@ -276,7 +200,7 @@ def multi_krum(
 
     Defaults to ``select = n - f - 2`` (the classical choice).  Keeps Krum's
     selection guarantee while averaging enough honest updates to retain
-    convergence speed.  Bit-identical to :func:`multi_krum_reference`.
+    convergence speed.
     """
     if not updates:
         raise ValueError("cannot aggregate an empty update list")
@@ -285,34 +209,11 @@ def multi_krum(
         select = len(updates) - num_attackers - 2
     _check_multi_krum_select(len(updates), select)
     batch = FlatUpdateBatch.from_updates(updates)
-    blocks = [
-        batch.matrix[:, offset : offset + size].astype(np.float64)
-        for offset, size in zip(batch.schema.offsets, batch.schema.sizes)
-    ]
-    scores = _krum_scores(_gram_sq_distances(blocks), num_attackers)
+    scores = _krum_scores(_span_sq_distances(batch), num_attackers)
     selected = _multi_krum_selection(scores, select)
     state = batch.schema.views(
         flat_mean([batch.matrix[i] for i in selected], batch.schema)
     )
-    return (state, selected) if return_selected else state
-
-
-def multi_krum_reference(
-    updates: list[ModelUpdate],
-    num_attackers: int = 0,
-    select: int | None = None,
-    return_selected: bool = False,
-):
-    """Retained per-parameter implementation of :func:`multi_krum`."""
-    if not updates:
-        raise ValueError("cannot aggregate an empty update list")
-    _check_krum_cohort(len(updates), num_attackers)
-    if select is None:
-        select = len(updates) - num_attackers - 2
-    _check_multi_krum_select(len(updates), select)
-    scores = _krum_scores(pairwise_sq_distances_reference(updates), num_attackers)
-    selected = _multi_krum_selection(scores, select)
-    state = aggregate_states_reference([updates[i].state for i in selected])
     return (state, selected) if return_selected else state
 
 
@@ -406,22 +307,9 @@ class AggregationPolicy:
         if rule == "norm_filter":
             if reference is None:
                 raise ValueError("norm_filter needs the pre-merge global state as reference")
-            batch = FlatUpdateBatch.from_updates(updates)
-            norms = batch.norms(reference)
-            if self.max_norm is not None:
-                bound = self.max_norm
-            else:
-                bound = self.norm_multiplier * float(np.median(norms))
-            mask = norms <= bound
-            if not mask.any():
-                raise ValueError(
-                    f"norm filter rejected every update (explicit max_norm={self.max_norm})"
-                )
+            state, mask = _norm_filter(updates, reference, self.max_norm, self.norm_multiplier)
             kept = tuple(int(i) for i in np.flatnonzero(mask))
             dropped = tuple(int(i) for i in np.flatnonzero(~mask))
-            state = batch.schema.views(
-                flat_mean([batch.matrix[i] for i in kept], batch.schema)
-            )
             return state, kept, dropped
         f = self._assumed_attackers(count)
         if rule == "krum":

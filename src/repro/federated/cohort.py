@@ -14,14 +14,15 @@ in-place Adam.
 
 Numerical contract (also in README "Cohort-batched training"):
 
-* Clients whose architecture uses only ``Linear`` / ``Flatten`` / elementwise
-  activations and the softmax cross-entropy loss (e.g. ``linear_probe``)
-  train **bit-identically** to the serial :func:`~repro.federated.client.
-  train_locally` path: broadcast ``np.matmul`` dispatches one 2-D GEMM per
-  leading slice with the same accumulation order as the serial call.
-* ``Conv2d`` / ``LocallyConnected2d`` architectures batch their einsum
-  contractions over the client axis, which may reassociate reductions —
-  per-client results agree with serial within **1e-6 relative tolerance**.
+* Clients whose architecture uses only ``Linear`` / ``Conv2d`` / pooling /
+  ``Flatten`` / elementwise activations and the softmax cross-entropy loss
+  (e.g. ``linear_probe``, ``paper_cnn``) train **bit-identically** to the
+  serial :func:`~repro.federated.client.train_locally` path: broadcast
+  ``np.matmul`` dispatches one 2-D GEMM per leading slice with the same
+  accumulation order as the serial call.
+* ``LocallyConnected2d`` architectures batch their einsum contraction over
+  the client axis, which may reassociate reductions — per-client results
+  agree with serial within **1e-6 relative tolerance**.
 * Per-client batch sampling is *exactly* the serial schedule: the same
   ``rng_from_seed(stable_seed(seed, client_id, round))`` generator drawing
   ``permutation(n)`` once per epoch.

@@ -11,21 +11,20 @@ looping over per-parameter ``OrderedDict``\\ s and re-copying every array per
 client.
 
 The dict-of-arrays API stays available everywhere as zero-copy views into the
-flat buffers (``schema.views``); the per-parameter implementations are
-retained as ``*_reference`` next to each flat path and cross-checked
-bit-for-bit by ``tests/federated/test_flat.py``.
+flat buffers (``schema.views``).  The per-parameter implementations these
+paths replaced are test oracles (``tests/oracles/algebra.py``), and
+``tests/federated/test_flat.py`` holds each flat path to its oracle bit for
+bit.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..nn.serialization import StateSchema, schema_of
 from .update import ModelUpdate
 
-__all__ = ["FlatState", "FlatUpdateBatch", "unit_columns", "row_norms", "flat_mean", "flat_rows"]
+__all__ = ["FlatUpdateBatch", "unit_columns", "row_norms", "flat_mean", "flat_rows"]
 
 
 def flat_rows(updates: list[ModelUpdate], schema: StateSchema) -> list[np.ndarray]:
@@ -86,8 +85,8 @@ def row_norms(matrix: np.ndarray, schema: StateSchema) -> np.ndarray:
     """Per-row L2 norm of a batch matrix, reduced per parameter span.
 
     Squares in float64 and accumulates span partial sums in schema order —
-    bit-identical to the dict-based loops (``delta_norm``-style) that square
-    each parameter array separately and add the partial sums sequentially.
+    bit-identical to a dict loop that squares each parameter array
+    separately and adds the partial sums sequentially.
     """
     values = matrix.astype(np.float64, copy=False)
     totals = np.zeros(matrix.shape[0], dtype=np.float64)
@@ -96,26 +95,6 @@ def row_norms(matrix: np.ndarray, schema: StateSchema) -> np.ndarray:
         # reference's per-parameter ``(diff**2).sum()`` bit for bit
         totals += np.square(values[:, offset : offset + size]).sum(axis=1)
     return np.sqrt(totals)
-
-
-@dataclass
-class FlatState:
-    """One model state on the flat plane: a schema plus its float32 vector."""
-
-    schema: StateSchema
-    vector: np.ndarray
-
-    @classmethod
-    def from_state(cls, state: dict, schema: StateSchema | None = None) -> "FlatState":
-        schema = schema or schema_of(state)
-        return cls(schema=schema, vector=schema.pack(state))
-
-    def as_dict(self):
-        """Zero-copy dict-of-arrays view (shares memory with ``vector``)."""
-        return self.schema.views(self.vector)
-
-    def copy(self) -> "FlatState":
-        return FlatState(schema=self.schema, vector=self.vector.copy())
 
 
 def unit_columns(
@@ -252,10 +231,6 @@ class FlatUpdateBatch:
     # ------------------------------------------------------------------
     # Back to updates
     # ------------------------------------------------------------------
-    def state_at(self, i: int):
-        """Zero-copy dict view of row ``i``."""
-        return self.schema.views(self.matrix[i])
-
     def to_updates(self, extra_metadata: dict | None = None) -> list[ModelUpdate]:
         """Re-materialize per-update objects whose states view the matrix rows.
 
@@ -289,31 +264,8 @@ class FlatUpdateBatch:
         return FlatUpdateBatch(schema=self.schema, matrix=matrix, updates=self.updates)
 
     # ------------------------------------------------------------------
-    # Update algebra (each bit-identical to its dict-based reference)
+    # Update algebra (each bit-identical to its dict-based oracle)
     # ------------------------------------------------------------------
-    def mean(self, weights: list[float] | np.ndarray | None = None) -> np.ndarray:
-        """Column mean (FedAvg ``Agr``); optionally weighted."""
-        if isinstance(weights, np.ndarray):
-            weights = weights.tolist()
-        return flat_mean(list(self.matrix), self.schema, weights)
-
-    def staleness_weighted_mean(
-        self, staleness_alpha: float, sample_weighted: bool = False
-    ) -> np.ndarray:
-        """Staleness-aware column mean for buffered-async rounds.
-
-        Weights each row by ``(1 + staleness) ** -alpha`` from its update's
-        ``staleness`` metadata (see :func:`repro.federated.update.update_weights`);
-        requires per-update bookkeeping.  A batch with no stale rows reduces
-        to the plain (bit-identical) :meth:`mean`.
-        """
-        if self.updates is None:
-            raise ValueError("batch has no per-update bookkeeping (built from raw states)")
-        from .update import update_weights
-
-        weights = update_weights(self.updates, sample_weighted, staleness_alpha)
-        return flat_mean(list(self.matrix), self.schema, weights)
-
     def median(self) -> np.ndarray:
         """Coordinate-wise median across participants."""
         return np.median(self.matrix, axis=0).astype(np.float32)
@@ -338,9 +290,9 @@ class FlatUpdateBatch:
     def norms(self, reference: np.ndarray | dict | None = None) -> np.ndarray:
         """Per-participant L2 norm (of the delta when a reference is given).
 
-        Bit-identical to the retained dict-based norm computations: float64
-        of the original values (not of a float32-rounded delta), reduced per
-        parameter span and accumulated in schema order.
+        Bit-identical to the dict-based norm oracles: float64 of the original
+        values (not of a float32-rounded delta), reduced per parameter span
+        and accumulated in schema order.
         """
         if reference is None:
             deltas = self.matrix.astype(np.float64)

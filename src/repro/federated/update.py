@@ -15,8 +15,9 @@ vector under a :class:`~repro.nn.serialization.StateSchema`, and a round's
 dict-of-arrays API remains the public surface, as cheap zero-copy views into
 the flat buffer.  An update whose state is backed by a flat buffer exposes it
 via ``flat_vector``; consumers that hold one skip all per-parameter
-re-marshalling.  The original per-parameter dict implementations are retained
-as ``*_reference`` and cross-checked bit-for-bit by the equivalence tests.
+re-marshalling.  The per-parameter dict implementations these replaced are
+test oracles (``tests/oracles/algebra.py``), and the equivalence tests hold
+each flat path to its oracle bit for bit.
 
 Invariant: once an update is flat-backed, its ``state`` entries are views into
 ``flat_vector`` — mutate parameters in place (``state[n][...] = x``) or build
@@ -46,14 +47,10 @@ __all__ = [
     "ModelUpdate",
     "layer_groups",
     "aggregate_states",
-    "aggregate_states_reference",
     "aggregate_updates",
-    "aggregate_updates_reference",
     "layerwise_staleness_mean",
-    "layerwise_staleness_mean_reference",
     "update_weights",
     "state_delta",
-    "state_delta_reference",
 ]
 
 
@@ -174,8 +171,8 @@ def state_delta(state: dict, reference: dict) -> "OrderedDict[str, np.ndarray]":
     """Per-parameter difference ``state − reference``.
 
     Computed as one vectorized subtract into a single flat buffer; the
-    returned per-parameter arrays are views into it (bit-identical to
-    :func:`state_delta_reference`).
+    returned per-parameter arrays are views into it (bit-identical to the
+    per-parameter subtract).
     """
     if set(state) != set(reference):
         raise KeyError("state and reference have different parameter sets")
@@ -191,22 +188,12 @@ def state_delta(state: dict, reference: dict) -> "OrderedDict[str, np.ndarray]":
     return out
 
 
-def state_delta_reference(state: dict, reference: dict) -> "OrderedDict[str, np.ndarray]":
-    """Retained per-parameter implementation of :func:`state_delta`."""
-    if set(state) != set(reference):
-        raise KeyError("state and reference have different parameter sets")
-    return OrderedDict(
-        (name, np.asarray(state[name], dtype=np.float32) - np.asarray(reference[name], dtype=np.float32))
-        for name in state
-    )
-
-
 def aggregate_states(states: list[dict], weights: list[float] | None = None) -> "OrderedDict[str, np.ndarray]":
     """Weighted mean of parameter states (FedAvg's column-mean ``Agr``, §4.2).
 
     With ``weights=None`` this is the plain mean the utility-equivalence proof
     assumes.  Runs on the flat plane — one ``(N, D)`` matrix, one reduction —
-    and is bit-identical to :func:`aggregate_states_reference`.
+    and is bit-identical to the per-parameter stacked mean.
     """
     if not states:
         raise ValueError("cannot aggregate an empty state list")
@@ -226,31 +213,6 @@ def aggregate_states(states: list[dict], weights: list[float] | None = None) -> 
             raise ValueError("all states must share the same parameter shapes")
     rows = [schema.pack(state) for state in states]
     return schema.views(flat_mean(rows, schema, weights))
-
-
-def aggregate_states_reference(
-    states: list[dict], weights: list[float] | None = None
-) -> "OrderedDict[str, np.ndarray]":
-    """Retained per-parameter implementation of :func:`aggregate_states`."""
-    if not states:
-        raise ValueError("cannot aggregate an empty state list")
-    names = list(states[0].keys())
-    for other in states[1:]:
-        if list(other.keys()) != names:
-            raise KeyError("all states must share the same parameter schema")
-    if weights is None:
-        weights = [1.0] * len(states)
-    if len(weights) != len(states):
-        raise ValueError(f"{len(weights)} weights for {len(states)} states")
-    total = float(sum(weights))
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    out: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    for name in names:
-        stacked = np.stack([np.asarray(s[name], dtype=np.float32) for s in states])
-        w = np.asarray(weights, dtype=np.float32).reshape((-1,) + (1,) * (stacked.ndim - 1))
-        out[name] = (stacked * w).sum(axis=0) / total
-    return out
 
 
 def update_weights(
@@ -354,53 +316,3 @@ def aggregate_updates(
     schema = schema_of(updates[0].state)
     rows = flat_rows(updates, schema)
     return schema.views(flat_mean(rows, schema, weights))
-
-
-def layerwise_staleness_mean_reference(
-    updates: list[ModelUpdate],
-    staleness_alpha: float,
-    sample_weighted: bool = False,
-) -> "OrderedDict[str, np.ndarray]":
-    """Retained per-parameter implementation of :func:`layerwise_staleness_mean`.
-
-    Accumulates per-update numerator/denominator in the same float32 order as
-    the flat path, so the two agree bit for bit.
-    """
-    from .scenario import staleness_weight
-
-    names = list(updates[0].state.keys())
-    numerator = {
-        name: np.zeros_like(np.asarray(updates[0].state[name], dtype=np.float32))
-        for name in names
-    }
-    denominator = {name: np.zeros_like(numerator[name]) for name in names}
-    for update in updates:
-        base = float(update.num_samples) if sample_weighted else 1.0
-        scalar = staleness_weight(int(update.metadata.get("staleness", 0)), staleness_alpha)
-        per_param = update.metadata.get("param_staleness", {})
-        for name in names:
-            if name in per_param:
-                weight = base * staleness_weight(int(per_param[name]), staleness_alpha)
-            else:
-                weight = base * scalar
-            weight = np.float32(weight)
-            numerator[name] += np.asarray(update.state[name], dtype=np.float32) * weight
-            denominator[name] += weight
-    for name in names:
-        if not np.all(denominator[name] > 0):
-            raise ValueError("weights must sum to a positive value in every parameter")
-    return OrderedDict((name, numerator[name] / denominator[name]) for name in names)
-
-
-def aggregate_updates_reference(
-    updates: list[ModelUpdate],
-    sample_weighted: bool = False,
-    staleness_alpha: float | None = None,
-) -> "OrderedDict[str, np.ndarray]":
-    """Retained per-parameter implementation of :func:`aggregate_updates`."""
-    if staleness_alpha is not None and any(
-        "param_staleness" in u.metadata for u in updates
-    ):
-        return layerwise_staleness_mean_reference(updates, staleness_alpha, sample_weighted)
-    weights = update_weights(updates, sample_weighted, staleness_alpha)
-    return aggregate_states_reference([u.state for u in updates], weights)

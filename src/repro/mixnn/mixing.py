@@ -15,8 +15,6 @@ scheme), or individual parameter tensors.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
 from ..federated.flat import FlatUpdateBatch, unit_columns
@@ -26,7 +24,6 @@ __all__ = [
     "mixing_matrix",
     "is_valid_mixing_matrix",
     "mix_updates",
-    "mix_updates_reference",
     "Granularity",
 ]
 
@@ -84,7 +81,8 @@ def mix_updates(
     Runs on the flat parameter plane: the batch is one ``(C, D)`` matrix and
     each mixing unit is a column-slice gather, instead of per-update
     per-parameter dict copies.  Bit-identical (values, identities, sources,
-    RNG stream) to :func:`mix_updates_reference`.
+    RNG stream) to the per-parameter mix it replaced, which is a test oracle
+    (``tests/oracles/algebra.py``).
     """
     if not updates:
         raise ValueError("cannot mix an empty update batch")
@@ -124,53 +122,6 @@ def mix_updates(
                     "unit_sources": [sender_ids[int(s)] for s in matrix[i]],
                 },
                 flat_vector=row,
-            )
-        )
-    return mixed
-
-
-def mix_updates_reference(
-    updates: list[ModelUpdate],
-    rng: np.random.Generator,
-    granularity: str = "layer",
-    matrix: np.ndarray | None = None,
-) -> list[ModelUpdate]:
-    """Retained per-parameter implementation of :func:`mix_updates`."""
-    if not updates:
-        raise ValueError("cannot mix an empty update batch")
-    schema = updates[0].parameter_names
-    for update in updates[1:]:
-        if update.parameter_names != schema:
-            raise KeyError("all updates must share the same parameter schema")
-    units = _mixing_units(updates[0], granularity)
-    if matrix is None:
-        matrix = mixing_matrix(len(updates), len(units), rng)
-    elif not is_valid_mixing_matrix(matrix, len(updates)):
-        raise ValueError("provided mixing matrix is not a per-column permutation")
-    if matrix.shape != (len(updates), len(units)):
-        raise ValueError(f"matrix shape {matrix.shape} != {(len(updates), len(units))}")
-
-    # Build the name→unit map once per batch, so each emitted update's state
-    # is assembled in schema order in a single pass (no per-update rebuild).
-    unit_of = {name: j for j, unit in enumerate(units) for name in unit}
-    column_of = [unit_of[name] for name in schema]
-
-    mixed: list[ModelUpdate] = []
-    for i, slot in enumerate(updates):
-        row = matrix[i]
-        state: "OrderedDict[str, np.ndarray]" = OrderedDict(
-            (name, updates[int(row[j])].state[name].copy())
-            for name, j in zip(schema, column_of)
-        )
-        sources = [updates[int(row[j])].sender_id for j in range(len(units))]
-        mixed.append(
-            ModelUpdate(
-                sender_id=-1,  # the server cannot name a true sender
-                apparent_id=slot.sender_id,
-                round_index=slot.round_index,
-                state=state,
-                num_samples=slot.num_samples,
-                metadata={"mixed": True, "granularity": granularity, "unit_sources": sources},
             )
         )
     return mixed

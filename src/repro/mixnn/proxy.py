@@ -126,10 +126,13 @@ class MixNNProxy:
     # Internal schema handling
     # ------------------------------------------------------------------
     def _ensure_schema(self, update: ModelUpdate) -> None:
+        """Configure the lists from the first update; reject any other names,
+        order or shapes (interned schemas compare by identity first)."""
+        state_schema = schema_of(update.state)
         if self._schema is None:
-            self._schema = update.parameter_names
-            self._state_schema = schema_of(update.state)
-            self._update_nbytes = 4 * self._state_schema.total_size
+            self._schema = state_schema.names
+            self._state_schema = state_schema
+            self._update_nbytes = 4 * state_schema.total_size
             self._units = [tuple(u) for u in _mixing_units(update, self.granularity)]
             position = {
                 name: (unit_index, member_index)
@@ -138,7 +141,7 @@ class MixNNProxy:
             }
             self._compose_index = [position[name] for name in self._schema]
             self._lists = OrderedDict((i, ObliviousList(self.k)) for i in range(len(self._units)))
-        elif update.parameter_names != self._schema:
+        elif state_schema != self._state_schema:
             raise KeyError("update schema differs from the proxy's configured model")
 
     def _store(self, update: ModelUpdate) -> None:
@@ -226,32 +229,14 @@ class MixNNProxy:
     def _ingest(self, plaintext: bytes, ciphertext_len: int) -> ModelUpdate | None:
         """Parse one decrypted message and run the §4.3 store/emit step.
 
-        Raises :class:`~repro.mixnn.transport.IntegrityError` when the
-        envelope's nonce does not match its claimed ``(sender, round)`` and
-        :class:`ReplayError` (counted in ``stats.replays_rejected``) when the
-        nonce was already ingested — both before any layer piece is buffered,
-        so a rejected message leaves the mixing state untouched.
+        The blob is freed whether :meth:`_admit` accepts the message or not,
+        so a rejected message leaves the mixing state and the enclave's
+        memory untouched; an admitted one is charged as its parsed arrays.
         """
-        update = unpack_update(plaintext)
-        nonce = update.metadata.get("nonce")
-        if nonce is not None and nonce != envelope_nonce(update.sender_id, update.round_index):
+        try:
+            update = self._admit(plaintext)
+        finally:
             self.enclave.free(len(plaintext))
-            raise IntegrityError(
-                f"envelope nonce does not bind to (sender {update.sender_id}, "
-                f"round {update.round_index}) — forged or mis-bound envelope"
-            )
-        replay_key = nonce if nonce is not None else (update.sender_id, update.round_index)
-        if replay_key in self._seen_nonces:
-            self.enclave.free(len(plaintext))
-            self.stats.replays_rejected += 1
-            raise ReplayError(
-                f"duplicate upload for sender {update.sender_id} round "
-                f"{update.round_index}: replay rejected"
-            )
-        self._seen_nonces.add(replay_key)
-        self._ensure_schema(update)
-        # Re-account: the serialized blob is replaced by the parsed arrays.
-        self.enclave.free(len(plaintext))
         self.enclave.allocate(self._update_nbytes)
         self._round_index = update.round_index
         self.stats.received += 1
@@ -265,6 +250,33 @@ class MixNNProxy:
         emitted = self._compose()
         self._store(update)
         return emitted
+
+    def _admit(self, plaintext: bytes) -> ModelUpdate:
+        """Parse a decrypted message and check that it may join the round.
+
+        Raises ``FrameError``/``IntegrityError`` for a malformed or modified
+        body or a nonce not bound to its ``(sender, round)``, ``ReplayError``
+        (counted in ``stats.replays_rejected``) for a nonce already ingested,
+        and ``KeyError`` for names or shapes other than the configured
+        model's.  Only an admitted message's nonce is recorded.
+        """
+        update = unpack_update(plaintext)
+        nonce = update.metadata.get("nonce")
+        if nonce is not None and nonce != envelope_nonce(update.sender_id, update.round_index):
+            raise IntegrityError(
+                f"envelope nonce does not bind to (sender {update.sender_id}, "
+                f"round {update.round_index}) — forged or mis-bound envelope"
+            )
+        replay_key = nonce if nonce is not None else (update.sender_id, update.round_index)
+        if replay_key in self._seen_nonces:
+            self.stats.replays_rejected += 1
+            raise ReplayError(
+                f"duplicate upload for sender {update.sender_id} round "
+                f"{update.round_index}: replay rejected"
+            )
+        self._ensure_schema(update)
+        self._seen_nonces.add(replay_key)
+        return update
 
     def resize(self, k: int) -> None:
         """Re-size the layer lists between rounds (churn adaptation).

@@ -25,14 +25,11 @@ from .loss import BCEWithLogitsLoss, CrossEntropyLoss, MSELoss
 from .module import Module, Parameter, Sequential
 from .optim import SGD, Adam, Optimizer
 from .serialization import (
-    StateSpec,
     flatten,
     load_state,
     save_state,
-    spec_of,
     state_from_bytes,
     state_to_bytes,
-    unflatten,
 )
 from .utils import clip_grad_norm_, freeze, global_grad_norm, unfreeze
 from .tensor import GradTape, Tensor, as_tensor, concatenate, is_grad_enabled, no_grad, stack
@@ -65,10 +62,7 @@ __all__ = [
     "Optimizer",
     "SGD",
     "Adam",
-    "StateSpec",
-    "spec_of",
     "flatten",
-    "unflatten",
     "state_to_bytes",
     "state_from_bytes",
     "save_state",

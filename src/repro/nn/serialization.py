@@ -7,12 +7,11 @@ Two representations are used throughout the reproduction:
 * the **flat vector** — the concatenated float view that ∇Sim measures cosine
   similarity on and that the wire format transports.
 
-``flatten``/``unflatten`` convert losslessly between the two given a
-:class:`StateSpec` captured from a model.  :class:`StateSchema` extends the
-spec with the *flat-plane contract*: every parameter name maps to a fixed
-``(offset, shape, dtype=float32)`` slot in one contiguous vector, so a state
-dict can be materialized as zero-copy views onto that vector and a round's
-updates can live in one ``(N, D)`` matrix (see
+:class:`StateSchema` is the *flat-plane contract* between the two: every
+parameter name maps to a fixed ``(offset, shape, dtype=float32)`` slot in one
+contiguous vector, so :func:`flatten` (or ``schema.pack``) turns a state dict
+into that vector, ``schema.views`` turns the vector back into a dict of
+zero-copy views, and a round's updates can live in one ``(N, D)`` matrix (see
 :mod:`repro.federated.flat`).
 
 The byte encoding (:func:`state_to_bytes`) is a raw framed format: a JSON
@@ -31,7 +30,6 @@ from __future__ import annotations
 import io
 import json
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,12 +37,9 @@ from .module import Module
 
 __all__ = [
     "FrameError",
-    "StateSpec",
     "StateSchema",
-    "spec_of",
     "schema_of",
     "flatten",
-    "unflatten",
     "state_to_bytes",
     "state_from_bytes",
     "flat_to_bytes",
@@ -69,37 +64,6 @@ class FrameError(ValueError):
 _RAW_MAGIC = b"RW01"
 #: Magic prefix of a zip archive, i.e. the legacy ``.npz`` encoding.
 _ZIP_MAGIC = b"PK\x03\x04"
-
-
-@dataclass(frozen=True)
-class StateSpec:
-    """Ordered (name, shape) schema of a model's parameters."""
-
-    names: tuple[str, ...]
-    shapes: tuple[tuple[int, ...], ...]
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(int(np.prod(shape)) for shape in self.shapes)
-
-    @property
-    def total_size(self) -> int:
-        return sum(self.sizes)
-
-    def matches(self, state: dict) -> bool:
-        """Whether ``state`` has exactly this schema."""
-        if tuple(state.keys()) != self.names:
-            return False
-        return all(tuple(np.asarray(state[n]).shape) == s for n, s in zip(self.names, self.shapes))
-
-
-def spec_of(source: Module | dict) -> StateSpec:
-    """Capture the :class:`StateSpec` of a model or state dict."""
-    state = source.state_dict() if isinstance(source, Module) else source
-    return StateSpec(
-        names=tuple(state.keys()),
-        shapes=tuple(tuple(np.asarray(v).shape) for v in state.values()),
-    )
 
 
 class StateSchema:
@@ -223,19 +187,6 @@ def flatten(state: dict) -> np.ndarray:
     if not state:
         return np.zeros(0, dtype=np.float32)
     return np.concatenate([np.asarray(v, dtype=np.float32).ravel() for v in state.values()])
-
-
-def unflatten(vector: np.ndarray, spec: StateSpec) -> "OrderedDict[str, np.ndarray]":
-    """Inverse of :func:`flatten` under ``spec``."""
-    vector = np.asarray(vector, dtype=np.float32).ravel()
-    if vector.size != spec.total_size:
-        raise ValueError(f"vector has {vector.size} scalars, spec expects {spec.total_size}")
-    out: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    offset = 0
-    for name, shape, size in zip(spec.names, spec.shapes, spec.sizes):
-        out[name] = vector[offset : offset + size].reshape(shape).copy()
-        offset += size
-    return out
 
 
 def state_to_bytes(state: dict) -> bytes:

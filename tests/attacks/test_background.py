@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attacks.background import build_reference_states, reference_deltas
+from repro.attacks.background import build_reference_states, reference_delta_matrix
 from repro.experiments.models import paper_cnn
 from repro.federated.client import LocalTrainingConfig
 from repro.utils.rng import rng_from_seed
@@ -72,8 +72,9 @@ class TestReferenceDeltas:
         refs = build_reference_states(
             broadcast, dataset.background_clients(), model_fn, config, rng_from_seed(1)
         )
-        deltas = reference_deltas(refs, broadcast)
+        attributes, deltas = reference_delta_matrix(refs, broadcast)
         total = sum(v.size for v in broadcast.values())
-        for delta in deltas.values():
-            assert delta.shape == (total,)
+        assert attributes == list(refs)
+        assert deltas.shape == (len(refs), total)
+        for delta in deltas:
             assert np.linalg.norm(delta) > 0

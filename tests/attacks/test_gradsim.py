@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.attacks.gradsim import GradSimAttack, cosine_similarity
+from repro.attacks.gradsim import GradSimAttack
 from repro.experiments.models import paper_cnn
 from repro.federated.client import FederatedClient, LocalTrainingConfig
 from repro.federated.update import ModelUpdate
 from repro.utils.rng import rng_from_seed
 
+from ..oracles.algebra import cosine_similarity
+
 
 class TestCosineSimilarity:
+    """The cosine the per-class ∇Sim scoring oracle is built on."""
+
     def test_identical_vectors(self):
         v = np.array([1.0, 2.0, 3.0])
         assert cosine_similarity(v, v) == pytest.approx(1.0)

@@ -3,16 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.defenses import (
-    ClipAndNoiseDefense,
-    SecureAggregationDefense,
-    clip_delta,
-    delta_norm,
-)
+from repro.defenses import ClipAndNoiseDefense, SecureAggregationDefense
 from repro.federated.update import aggregate_updates, state_delta
 from repro.utils.rng import rng_from_seed
 
 from ..conftest import make_updates
+from ..oracles.algebra import clip_delta, delta_norm, state_delta_reference
 
 
 class TestSecureAggregation:
@@ -112,6 +108,22 @@ class TestClipAndNoise:
         for update in processed:
             norm = delta_norm(state_delta(update.state, broadcast))
             assert norm <= 0.5 + 1e-4
+
+    def test_clip_bit_identical_to_oracle(self, small_model):
+        """Without noise, every processed update is the broadcast plus the
+        per-parameter clip of its delta, bit for bit."""
+        broadcast = small_model.state_dict()
+        updates = make_updates(small_model, 6)
+        deltas = [state_delta_reference(u.state, broadcast) for u in updates]
+        # a bound between the delta norms clips some rows and keeps the rest
+        bound = float(np.median([delta_norm(d) for d in deltas]))
+        processed = ClipAndNoiseDefense(clip_norm=bound, noise_multiplier=0.0).process_round(
+            updates, rng_from_seed(0), broadcast_state=broadcast
+        )
+        for delta, out in zip(deltas, processed):
+            clipped = clip_delta(delta, bound)
+            for name in broadcast:
+                np.testing.assert_array_equal(out.state[name], broadcast[name] + clipped[name])
 
     def test_noise_added_when_configured(self, small_model):
         broadcast = small_model.state_dict()

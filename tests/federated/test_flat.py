@@ -1,10 +1,15 @@
-"""Flat parameter plane: property-style equivalence against the references.
+"""Flat parameter plane: property-style equivalence against the oracles.
+
+Marked ``oracles``::
+
+    PYTHONPATH=src python -m pytest -m oracles -q
 
 Every flat-plane path must be *bit-identical* (``np.array_equal``, no
-tolerances) to the retained dict-based reference implementation it replaced,
+tolerances) to the dict-based oracle it replaced (:mod:`tests.oracles.algebra`),
 across randomized schemas (parameter counts, shapes, scalar params, bare
 names) and client counts — this is the contract that makes the flat plane a
-drop-in data plane rather than an approximation.
+drop-in data plane rather than an approximation.  ∇Sim scoring agrees with
+its cosine loop to float32 precision and on every argmax.
 """
 
 from collections import OrderedDict
@@ -12,36 +17,44 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from repro.attacks.background import reference_delta_matrix, reference_deltas
-from repro.attacks.gradsim import score_updates, score_updates_reference
+from repro.attacks.background import reference_delta_matrix
+from repro.attacks.gradsim import score_updates
 from repro.federated.aggregation import (
     AggregationPolicy,
     coordinate_median,
-    coordinate_median_reference,
     krum,
-    krum_reference,
     multi_krum,
-    multi_krum_reference,
     norm_filtered_mean,
-    norm_filtered_mean_reference,
     pairwise_sq_distances,
-    pairwise_sq_distances_reference,
     trimmed_mean,
-    trimmed_mean_reference,
 )
-from repro.federated.flat import FlatState, FlatUpdateBatch, row_norms, unit_columns
+from repro.federated.flat import FlatUpdateBatch, row_norms, unit_columns
 from repro.federated.update import (
     ModelUpdate,
     aggregate_states,
-    aggregate_states_reference,
     aggregate_updates,
-    aggregate_updates_reference,
     state_delta,
-    state_delta_reference,
 )
-from repro.mixnn.mixing import mix_updates, mix_updates_reference, mixing_matrix
+from repro.mixnn.mixing import mix_updates, mixing_matrix
 from repro.nn.serialization import schema_of
 from repro.utils.rng import rng_from_seed
+
+from ..oracles.algebra import (
+    aggregate_states_reference,
+    aggregate_updates_reference,
+    coordinate_median_reference,
+    krum_reference,
+    mix_updates_reference,
+    multi_krum_reference,
+    norm_filtered_mean_reference,
+    pairwise_sq_distances_reference,
+    reference_deltas,
+    score_updates_reference,
+    state_delta_reference,
+    trimmed_mean_reference,
+)
+
+pytestmark = pytest.mark.oracles
 
 
 def random_schema_state(rng: np.random.Generator, scale: float = 1.0) -> "OrderedDict[str, np.ndarray]":
@@ -428,9 +441,10 @@ class TestAttackScoringEquivalence:
         references = {
             attribute: states_like(template, rng, 1)[0] for attribute in range(classes)
         }
-        class_deltas = reference_deltas(references, template)
-        flat = score_updates(updates, template, class_deltas)
-        reference = score_updates_reference(updates, template, class_deltas)
+        flat = score_updates(updates, template, reference_delta_matrix(references, template))
+        reference = score_updates_reference(
+            updates, template, reference_deltas(references, template)
+        )
         assert list(flat) == list(reference)
         for participant in reference:
             assert list(flat[participant]) == list(reference[participant])
@@ -452,7 +466,7 @@ class TestAttackScoringEquivalence:
             state=OrderedDict((k, v.copy()) for k, v in template.items()),
         )
         references = {a: states_like(template, rng, 1)[0] for a in range(2)}
-        class_deltas = reference_deltas(references, template)
+        class_deltas = reference_delta_matrix(references, template)
         scores = score_updates([identical], template, class_deltas)
         assert all(value == 0.0 for value in scores[0].values())
 
@@ -508,15 +522,6 @@ class TestFlatPlumbing:
         name = next(iter(clone.state))
         clone.state[name][...] = 55.0
         assert not np.any(update.state[name] == 55.0)
-
-    def test_flat_state_roundtrip(self):
-        rng = rng_from_seed(42)
-        template = random_schema_state(rng)
-        flat_state = FlatState.from_state(template)
-        assert_states_identical(flat_state.as_dict(), template)
-        duplicate = flat_state.copy()
-        duplicate.vector[:] = 0.0
-        assert_states_identical(flat_state.as_dict(), template)
 
     def test_unit_columns_cover_each_coordinate_once(self):
         rng = rng_from_seed(43)

@@ -20,16 +20,16 @@ from repro.federated import (
     SimulationConfig,
     staleness_weight,
 )
-from repro.federated.flat import FlatUpdateBatch
 from repro.federated.server import AggregationServer
 from repro.federated.update import (
     ModelUpdate,
     aggregate_updates,
-    aggregate_updates_reference,
     update_weights,
 )
 from repro.mixnn.enclave import SGXEnclaveSim
 from repro.utils.rng import rng_from_seed
+
+from ..oracles.algebra import aggregate_updates_reference, layerwise_staleness_mean_reference
 
 
 def model_fn_for_dataset(dataset):
@@ -246,21 +246,6 @@ class TestStalenessWeighting:
         for name in flat:
             np.testing.assert_array_equal(flat[name], reference[name])
 
-    def test_flat_batch_staleness_weighted_mean(self, small_model):
-        updates = [
-            ModelUpdate(
-                sender_id=i,
-                round_index=1,
-                state=small_model.state_dict(),
-                metadata={"staleness": i},
-            )
-            for i in range(3)
-        ]
-        batch = FlatUpdateBatch.from_updates(updates)
-        weighted = batch.staleness_weighted_mean(0.5)
-        expected = batch.mean([(1.0 + i) ** -0.5 for i in range(3)])
-        np.testing.assert_array_equal(weighted, expected)
-
 
 class TestScenarioRounds:
     def test_no_scenario_bit_identical_to_default_scenario(self, tiny_motionsense):
@@ -440,12 +425,9 @@ class TestMixNNStalenessPassthrough:
             assert result[name][0] == pytest.approx(expected, rel=1e-6)
 
     def test_layerwise_flat_and_reference_agree_bitwise(self, small_model):
-        """The retained per-parameter reference validates the flat path for
-        chimera batches too (same float32 accumulation order)."""
-        from repro.federated.update import (
-            layerwise_staleness_mean,
-            layerwise_staleness_mean_reference,
-        )
+        """The per-parameter oracle validates the flat path for chimera
+        batches too (same float32 accumulation order)."""
+        from repro.federated.update import layerwise_staleness_mean
 
         rng = rng_from_seed(3)
         names = list(small_model.state_dict())

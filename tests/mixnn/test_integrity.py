@@ -69,6 +69,21 @@ class TestEnvelopeIntegrity:
         with pytest.raises(IntegrityError, match="digest mismatch"):
             unpack_update(bytes(plaintext))
 
+    def test_tampered_body_rejection_frees_enclave_memory(self, small_model, enclave):
+        proxy = build_proxy(enclave, k=2)
+        first, second = make_updates(small_model, 2)
+        proxy.receive(proxy.encrypt_for_proxy(first))
+        resident_before = enclave.memory.used_bytes
+        plaintext = bytearray(decrypt(enclave.keypair, proxy.encrypt_for_proxy(second).ciphertext))
+        plaintext[-10] ^= 0x01
+        tampered = EncryptedUpdate(
+            ciphertext=encrypt(enclave.public_key, bytes(plaintext)), transport_id=1
+        )
+        with pytest.raises(IntegrityError, match="digest mismatch"):
+            proxy.receive(tampered)
+        assert enclave.memory.used_bytes == resident_before
+        assert proxy.pending() == 1
+
     def test_integrity_error_is_a_frame_error(self):
         # the fault plane's corruption handling catches FrameError; a digest
         # mismatch must flow through the same retry path

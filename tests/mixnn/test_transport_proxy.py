@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.experiments.models import paper_cnn
 from repro.federated.update import aggregate_updates
 from repro.mixnn.proxy import MixNNProxy
 from repro.mixnn.transport import pack_update, unpack_update, update_nbytes
@@ -57,6 +58,20 @@ class TestTransport:
 
 def build_proxy(enclave, k, seed=0):
     return MixNNProxy(enclave=enclave, k=k, rng=rng_from_seed(seed))
+
+
+def mismatched_update(model, mismatch):
+    """An update from a fresh sender whose parameter names or shapes differ
+    from ``model``'s; a reshaped parameter keeps every name and the size."""
+    if mismatch == "names":
+        model = paper_cnn((3, 8, 8), 10, rng_from_seed(1), conv_layers=3)
+    update = make_updates(model, 1)[0]
+    # a fresh sender, so the replay guard lets the schema check speak
+    update.sender_id = 7
+    if mismatch == "shapes":
+        first = next(iter(update.state))
+        update.state[first] = update.state[first].reshape(-1)
+    return update
 
 
 class TestProxyWarmup:
@@ -123,18 +138,33 @@ class TestProxyRound:
             assert all(m.round_index == round_index for m in emitted)
 
     def test_schema_change_rejected(self, small_model, enclave):
-        from repro.experiments.models import paper_cnn
-
         proxy = build_proxy(enclave, k=2)
         updates = make_updates(small_model, 2)
         for update in updates:
             proxy.receive(proxy.encrypt_for_proxy(update))
-        other_model = paper_cnn((3, 8, 8), 10, rng_from_seed(1), conv_layers=3)
-        alien = make_updates(other_model, 1)[0]
-        # a fresh sender, so the replay guard lets the schema check speak
-        alien.sender_id = 7
+        alien = mismatched_update(small_model, "names")
         with pytest.raises(KeyError, match="schema"):
             proxy.receive(proxy.encrypt_for_proxy(alien))
+
+    def test_shape_change_rejected(self, small_model, enclave):
+        """Same names, one parameter reshaped: rejected on arrival, before
+        its pieces can reach a chimera and fail the server's merge."""
+        proxy = build_proxy(enclave, k=3)
+        for update in make_updates(small_model, 2):
+            proxy.receive(proxy.encrypt_for_proxy(update))
+        reshaped = mismatched_update(small_model, "shapes")
+        with pytest.raises(KeyError, match="schema"):
+            proxy.receive(proxy.encrypt_for_proxy(reshaped))
+        assert proxy.pending() == 2
+
+    @pytest.mark.parametrize("mismatch", ["names", "shapes"])
+    def test_schema_rejection_frees_enclave_memory(self, small_model, enclave, mismatch):
+        proxy = build_proxy(enclave, k=3)
+        proxy.receive(proxy.encrypt_for_proxy(make_updates(small_model, 1)[0]))
+        resident_before = enclave.memory.used_bytes
+        with pytest.raises(KeyError, match="schema"):
+            proxy.receive(proxy.encrypt_for_proxy(mismatched_update(small_model, mismatch)))
+        assert enclave.memory.used_bytes == resident_before
 
     def test_stats_track_counts_and_bytes(self, small_model, enclave):
         proxy = build_proxy(enclave, k=2)

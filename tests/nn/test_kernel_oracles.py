@@ -1,8 +1,8 @@
 """``conv2d`` and ``max_pool2d`` against their einsum / block-reduce oracles, bit for bit.
 
-Marked ``kernels``::
+Marked ``oracles``::
 
-    PYTHONPATH=src python -m pytest -m kernels -q
+    PYTHONPATH=src python -m pytest -m oracles -q
 
 The production kernels call ``np.matmul`` on operands laid out as einsum's
 batch-matmul lowering laid them out, and fold the pool's taps with
@@ -26,7 +26,7 @@ from repro.utils.rng import rng_from_seed
 
 from ..oracles.kernels import conv2d_reference, max_pool2d_reference
 
-pytestmark = pytest.mark.kernels
+pytestmark = pytest.mark.oracles
 
 LEADS = [(), (1,), (3,)]
 LAYOUTS = ["c-contiguous", "channel-major", "transposed"]

@@ -7,12 +7,10 @@ import pytest
 
 from repro.nn import Linear, Sequential, ReLU
 from repro.nn.serialization import (
-    StateSpec,
     flatten,
-    spec_of,
+    schema_of,
     state_from_bytes,
     state_to_bytes,
-    unflatten,
 )
 from repro.utils.rng import rng_from_seed
 
@@ -22,36 +20,35 @@ def model():
     return Sequential(Linear(4, 3, rng=rng_from_seed(0)), ReLU(), Linear(3, 2, rng=rng_from_seed(1)))
 
 
-class TestSpec:
-    def test_spec_of_model(self, model):
-        spec = spec_of(model)
-        assert spec.names == ("layer0.weight", "layer0.bias", "layer2.weight", "layer2.bias")
-        assert spec.shapes == ((3, 4), (3,), (2, 3), (2,))
-        assert spec.total_size == 12 + 3 + 6 + 2
+class TestSchema:
+    def test_schema_of_model(self, model):
+        schema = schema_of(model)
+        assert schema.names == ("layer0.weight", "layer0.bias", "layer2.weight", "layer2.bias")
+        assert schema.shapes == ((3, 4), (3,), (2, 3), (2,))
+        assert schema.total_size == 12 + 3 + 6 + 2
 
-    def test_spec_of_state_dict(self, model):
-        assert spec_of(model.state_dict()) == spec_of(model)
+    def test_schema_of_state_dict(self, model):
+        assert schema_of(model.state_dict()) is schema_of(model)
 
     def test_matches(self, model):
-        spec = spec_of(model)
-        assert spec.matches(model.state_dict())
+        schema = schema_of(model)
+        assert schema.matches(model.state_dict())
         wrong_order = OrderedDict(reversed(list(model.state_dict().items())))
-        assert not spec.matches(wrong_order)
+        assert not schema.matches(wrong_order)
         wrong_shape = model.state_dict()
         wrong_shape["layer0.bias"] = np.zeros((4,))
-        assert not spec.matches(wrong_shape)
+        assert not schema.matches(wrong_shape)
 
     def test_sizes(self, model):
-        assert spec_of(model).sizes == (12, 3, 6, 2)
+        assert schema_of(model).sizes == (12, 3, 6, 2)
 
 
 class TestFlatten:
     def test_round_trip(self, model):
         state = model.state_dict()
-        spec = spec_of(state)
         vector = flatten(state)
         assert vector.dtype == np.float32
-        restored = unflatten(vector, spec)
+        restored = schema_of(state).views(vector)
         for name in state:
             np.testing.assert_array_equal(state[name], restored[name])
 
@@ -63,17 +60,10 @@ class TestFlatten:
     def test_empty_state(self):
         assert flatten({}).shape == (0,)
 
-    def test_unflatten_size_mismatch(self, model):
-        spec = spec_of(model)
+    def test_views_size_mismatch(self, model):
+        schema = schema_of(model)
         with pytest.raises(ValueError, match="scalars"):
-            unflatten(np.zeros(spec.total_size + 1), spec)
-
-    def test_unflatten_copies(self, model):
-        spec = spec_of(model)
-        vector = np.zeros(spec.total_size, dtype=np.float32)
-        restored = unflatten(vector, spec)
-        restored["layer0.bias"][:] = 7.0
-        assert vector.sum() == 0.0
+            schema.views(np.zeros(schema.total_size + 1, dtype=np.float32))
 
 
 class TestBytes:
