@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..nn.serialization import schema_of
-from ..utils.rng import rng_from_seed, stable_seed
+from ..utils.rng import rng_from_seed, seeded_uniform, stable_seed
 
 __all__ = [
     "ATTACK_KINDS",
@@ -160,10 +160,8 @@ class AdversaryInjector:
         fraction = self.config.fraction
         if fraction <= 0.0:
             return False
-        rng = rng_from_seed(
-            stable_seed(self.seed, "adv", self.config.kind, client_id, round_index)
-        )
-        return float(rng.random()) < fraction
+        draw = seeded_uniform(stable_seed(self.seed, "adv", self.config.kind, client_id, round_index))
+        return draw < fraction
 
     def should_replay(self, client_id: int, round_index: int) -> bool:
         """Does this attacker replay its ciphertext to the proxy this round?"""
@@ -172,8 +170,7 @@ class AdversaryInjector:
             return False
         if not self.is_attacker(client_id, round_index):
             return False
-        rng = rng_from_seed(stable_seed(self.seed, "adv", "replay", client_id, round_index))
-        return float(rng.random()) < rate
+        return seeded_uniform(stable_seed(self.seed, "adv", "replay", client_id, round_index)) < rate
 
     # ------------------------------------------------------------------
     # Poisoning (in place, on the flat plane)

@@ -14,15 +14,14 @@ in-place Adam.
 
 Numerical contract (also in README "Cohort-batched training"):
 
-* Clients whose architecture uses only ``Linear`` / ``Conv2d`` / pooling /
-  ``Flatten`` / elementwise activations and the softmax cross-entropy loss
-  (e.g. ``linear_probe``, ``paper_cnn``) train **bit-identically** to the
-  serial :func:`~repro.federated.client.train_locally` path: broadcast
+* Clients whose architecture uses only ``Linear`` / ``Conv2d`` /
+  ``LocallyConnected2d`` / pooling / ``Flatten`` / elementwise activations
+  and the softmax cross-entropy loss (e.g. ``linear_probe``, ``paper_cnn``,
+  ``deepface_like``) train **bit-identically** to the serial
+  :func:`~repro.federated.client.train_locally` path: broadcast
   ``np.matmul`` dispatches one 2-D GEMM per leading slice with the same
-  accumulation order as the serial call.
-* ``LocallyConnected2d`` architectures batch their einsum contraction over
-  the client axis, which may reassociate reductions — per-client results
-  agree with serial within **1e-6 relative tolerance**.
+  accumulation order as the serial call, and the locally connected kernel
+  runs its serial einsums once per slice.
 * Per-client batch sampling is *exactly* the serial schedule: the same
   ``rng_from_seed(stable_seed(seed, client_id, round))`` generator drawing
   ``permutation(n)`` once per epoch.

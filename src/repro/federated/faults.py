@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..utils.rng import rng_from_seed, stable_seed
+from ..utils.rng import rng_from_seed, seeded_uniform, stable_seed
 
 __all__ = [
     "FAULT_KINDS",
@@ -178,8 +178,7 @@ class FaultInjector:
     def _draw(self, rate: float, *key) -> bool:
         if rate <= 0.0:
             return False
-        rng = rng_from_seed(stable_seed(self.seed, "fault", *key))
-        return float(rng.random()) < rate
+        return seeded_uniform(stable_seed(self.seed, "fault", *key)) < rate
 
     # ------------------------------------------------------------------
     # Injection draws (one per pipeline hop)
@@ -259,8 +258,8 @@ class FaultInjector:
         base = min(config.backoff_max, config.backoff_base * config.backoff_factor**attempt)
         if config.backoff_jitter == 0.0:
             return float(base)
-        rng = rng_from_seed(stable_seed(self.seed, "fault", "backoff", kind, entity, round_index, attempt))
-        return float(base * (1.0 + config.backoff_jitter * (2.0 * float(rng.random()) - 1.0)))
+        draw = seeded_uniform(stable_seed(self.seed, "fault", "backoff", kind, entity, round_index, attempt))
+        return float(base * (1.0 + config.backoff_jitter * (2.0 * draw - 1.0)))
 
     def retry_latency(self, base_latency: float, client_id: int, round_index: int, attempt: int) -> float:
         """Transit latency of a retransmission (attempt ``>= 1``).
@@ -271,10 +270,10 @@ class FaultInjector:
         """
         if base_latency <= 0.0:
             return 0.0
-        rng = rng_from_seed(
+        draw = seeded_uniform(
             stable_seed(self.seed, "fault", "retry-latency", client_id, round_index, attempt)
         )
-        return float(base_latency * (0.5 + float(rng.random())))
+        return float(base_latency * (0.5 + draw))
 
     def corrupt_frame(self, blob: bytes, entity: int, round_index: int, attempt: int = 0) -> bytes:
         """Deterministically corrupt a wire frame (for adversarial tests).

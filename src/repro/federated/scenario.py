@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from ..utils.rng import rng_from_seed, stable_seed
+from ..utils.rng import rng_from_seed, seeded_uniform, stable_seed
 from .adversary import AdversaryConfig
 from .faults import FaultConfig
 
@@ -118,8 +118,7 @@ class RandomDropout(ClientAvailability):
     def is_available(self, seed: int, client_id: int, round_index: int) -> bool:
         if self.probability == 0.0:
             return True
-        rng = rng_from_seed(stable_seed(seed, "availability", client_id, round_index))
-        return float(rng.random()) >= self.probability
+        return seeded_uniform(stable_seed(seed, "availability", client_id, round_index)) >= self.probability
 
 
 class ChurnTrace(ClientAvailability):

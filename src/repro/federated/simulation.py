@@ -42,10 +42,9 @@ one event queue (the binary heap of
 :class:`~repro.federated.events.VirtualClockScheduler`).  Every scenario
 decision is a pure function of ``(seed, client_id, round)`` with
 deterministic event tie-breaking, so results remain bit-identical across
-``parallelism``, ``cohort_batching`` (all but locally connected nets) and
-``num_shards`` settings.  Local training always runs to completion before
-its arrival events are scheduled — virtual time orders the *arrivals*, not
-the training computation.
+``parallelism``, ``cohort_batching`` and ``num_shards`` settings.  Local
+training always runs to completion before its arrival events are scheduled
+— virtual time orders the *arrivals*, not the training computation.
 """
 
 from __future__ import annotations
@@ -144,10 +143,9 @@ class SimulationConfig:
     #: them in one pass of the local loop (see :mod:`repro.federated.cohort`)
     #: instead of one client at a time.  ``False`` (the default) trains
     #: client by client through the same loop.  Per-client results are
-    #: bit-identical to serial for Linear/conv/pooling/elementwise
-    #: architectures and within 1e-6 relative tolerance for locally
-    #: connected ones; composes with ``num_shards`` (each shard stacks its
-    #: slice).
+    #: bit-identical to serial for Linear/conv/locally connected/pooling/
+    #: elementwise architectures; composes with ``num_shards`` (each shard
+    #: stacks its slice).
     cohort_batching: bool = False
 
     def __post_init__(self) -> None:

@@ -25,15 +25,17 @@ class ObliviousList(Generic[T]):
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._slots: list[T | None] = [None] * capacity
+        #: occupied slots, kept by insert and take so size queries scan nothing
+        self._occupied = 0
         #: total slot touches, used to assert access-pattern uniformity
         self.touch_count = 0
 
     def __len__(self) -> int:
-        return sum(1 for slot in self._slots if slot is not None)
+        return self._occupied
 
     @property
     def full(self) -> bool:
-        return len(self) == self.capacity
+        return self._occupied == self.capacity
 
     def insert(self, item: T) -> None:
         """Place ``item`` in the first free slot, scanning every slot."""
@@ -45,6 +47,7 @@ class ObliviousList(Generic[T]):
                 placed = True
         if not placed:
             raise OverflowError("oblivious list is full")
+        self._occupied += 1
 
     def take(self, index: int) -> T:
         """Remove and return the item in the ``index``-th occupied slot.
@@ -64,6 +67,7 @@ class ObliviousList(Generic[T]):
                     self._slots[i] = None
         if taken is None:
             raise IndexError(f"occupied index {index} out of range (have {occupied + 1})")
+        self._occupied -= 1
         return taken
 
     def items(self) -> list[T]:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..federated.update import ModelUpdate
-from ..nn.serialization import schema_of
+from ..nn.serialization import FrameError, schema_of
 from .enclave import SGXEnclaveSim, UpdateDecryptError
 from .mixing import _mixing_units
 from .oram import ObliviousList
@@ -65,6 +65,9 @@ class ProxyStats:
     decrypt_failures: int = 0
     #: duplicate ``(sender, round)`` uploads refused by the replay guard
     replays_rejected: int = 0
+    #: decrypted messages :meth:`MixNNProxy.stream` skipped as malformed,
+    #: tampered or shaped for another model (replays are counted above)
+    rejected: int = 0
 
 
 class MixNNProxy:
@@ -323,9 +326,12 @@ class MixNNProxy:
         plaintexts are resident at once before ingestion begins.
 
         A poisoned ciphertext is skipped (``stats.decrypt_failures``) instead
-        of killing the batch; with the fault plane attached, injected enclave
-        faults retry with backoff, charging each retry's decrypt cost and
-        recording a ledger entry.  ``round_hint`` keys those fault draws.
+        of killing the batch, and so is a message :meth:`receive` would refuse
+        (``stats.rejected``, or ``stats.replays_rejected`` for a replay), so the
+        later messages are still ingested and their plaintexts freed.  With
+        the fault plane attached, injected enclave faults retry with backoff,
+        charging each retry's decrypt cost and recording a ledger entry.
+        ``round_hint`` keys those fault draws.
         """
         results = self.enclave.decrypt_many(
             [message.ciphertext for message in messages],
@@ -362,6 +368,10 @@ class MixNNProxy:
             except ReplayError:
                 # Already counted in stats.replays_rejected; the duplicate is
                 # dropped and the batch keeps streaming.
+                continue
+            except (FrameError, KeyError):
+                # _ingest freed the plaintext; IntegrityError is a FrameError.
+                self.stats.rejected += 1
                 continue
             if maybe is not None:
                 emitted.append(maybe)

@@ -28,10 +28,9 @@ clients stacked over one ``(M, D)`` weight block
 (:mod:`repro.federated.cohort`).  A kernel reads ``len(L)`` from its
 parameter's rank (the loss from its labels').  Per slice, ``linear``,
 ``conv2d``, the pools and the losses are bitwise equal to the unstacked
-call: broadcast ``np.matmul`` runs one GEMM per leading slice.  Only
-``locally_connected2d`` still batches an einsum contraction over ``L``,
-which may reassociate the reduction; it agrees within 1e-6 relative
-tolerance.
+call: broadcast ``np.matmul`` runs one GEMM per leading slice, and
+``locally_connected2d`` runs its unstacked einsums once per slice (one
+contraction batched over ``L`` may reassociate its reduction).
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Tensor, _unbroadcast, as_tensor, is_grad_enabled
-
-#: einsum labels of the leading client axes.  Explicit subscripts, because
-#: parsing an ``...`` costs more than a small contraction.
-_LEAD = "mabcdefg"
 
 __all__ = [
     "im2col",
@@ -282,6 +277,15 @@ def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
     return Tensor._record(out_data, (x,), backward, "avg_pool2d")
 
 
+def _einsum_per_slice(subscripts: str, a: np.ndarray, b: np.ndarray, lead: tuple) -> np.ndarray:
+    """``np.einsum(subscripts, a[l], b[l])`` for every leading slice ``l``,
+    stacked back into ``(*lead, ...)``: each slice gets the unstacked call's bits."""
+    if not lead:
+        return np.einsum(subscripts, a, b, optimize=True)
+    out = np.stack([np.einsum(subscripts, a[l], b[l], optimize=True) for l in np.ndindex(*lead)])
+    return out.reshape(lead + out.shape[1:])
+
+
 def locally_connected2d(
     x: Tensor,
     weight: Tensor,
@@ -314,8 +318,7 @@ def locally_connected2d(
     cols = im2col(x.data.reshape(-1, c, h, w), (kh, kw), stride)  # (*L·N, K, OH, OW)
     flat_n = cols.shape[0]
     cols = cols.reshape(*lead, n, k, oh, ow)
-    m = _LEAD[: len(lead)]
-    out_data = np.einsum(f"{m}oyxk,{m}nkyx->{m}noyx", weight.data, cols, optimize=True)
+    out_data = _einsum_per_slice("oyxk,nkyx->noyx", weight.data, cols, lead)
     if bias is not None:
         out_data = out_data + bias.data[..., None, :, :, :]
 
@@ -325,12 +328,12 @@ def locally_connected2d(
 
     def backward(grad: np.ndarray) -> None:
         if weight.requires_grad:
-            dw = np.einsum(f"{m}noyx,{m}nkyx->{m}oyxk", grad, cols, optimize=True)
+            dw = _einsum_per_slice("noyx,nkyx->oyxk", grad, cols, lead)
             weight._accumulate(dw)
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=-4))
         if x.requires_grad:
-            dcols = np.einsum(f"{m}oyxk,{m}noyx->{m}nkyx", weight.data, grad, optimize=True)
+            dcols = _einsum_per_slice("oyxk,noyx->nkyx", weight.data, grad, lead)
             dx = col2im(dcols.reshape(flat_n, k, oh, ow), (flat_n, c, h, w), (kh, kw), stride)
             x._accumulate(dx.reshape(x.shape))
 

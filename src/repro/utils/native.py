@@ -1,21 +1,27 @@
-"""Optional native acceleration for the MixNN hybrid cipher.
+"""Optional native acceleration: the MixNN hybrid cipher and seeded generators.
 
 The MixNN DEM (:mod:`repro.mixnn.crypto`) XORs payloads with a keystream of
 ``SHA256(key || nonce || counter)`` blocks.  Generating that keystream one
 ``hashlib`` call at a time costs ~35 ms/MB of Python dispatch; the hashing
 itself is ~5 ms/MB of native work.  Its RSA-KEM spends ~1.4 ms of Python
 big-int ``pow`` on the two 512-bit CRT halves of a 1024-bit private
-operation; OpenSSL's Montgomery exponentiation does both in ~0.12 ms.  This
-module JIT-compiles (via ``cffi`` against OpenSSL's ``libcrypto``) one small
-extension with two C functions, a fused keystream+XOR and a modular
-exponentiation, and caches the built extension on disk keyed by a hash of its
-source, so compilation happens once per machine.  Both calls release the GIL.
+operation; OpenSSL's Montgomery exponentiation does both in ~0.12 ms.  And
+every per-``(seed, client, round)`` draw of :mod:`repro.utils.rng` builds a
+fresh ``np.random.default_rng(seed)``, ~13 µs of it numpy's ``SeedSequence``
+hashing four 32-bit words in Python-level loops.  This module JIT-compiles
+(via ``cffi`` against OpenSSL's ``libcrypto``) one small extension with four C
+functions: a fused keystream+XOR, a modular exponentiation, numpy's
+``SeedSequence`` hash of a one-word seed, and the first PCG64 uniform drawn
+from that hash.  It caches the built extension on disk keyed by a hash of its
+source, so compilation happens once per machine for all of them.  Every call
+releases the GIL.
 
 Everything degrades gracefully: if ``cffi``, a C compiler, or ``libcrypto``
 is unavailable (or ``REPRO_NO_NATIVE=1`` is set) :func:`load` returns ``None``
-and callers fall back to the pure-Python bulk keystream and to ``pow``.
-Correctness of the native paths against the reference implementations is
-checked by ``repro.mixnn.crypto.selftest()``.
+and callers fall back to the pure-Python bulk keystream, to ``pow`` and to
+``np.random.default_rng``.  Correctness of the crypto paths against the
+reference implementations is checked by ``repro.mixnn.crypto.selftest()``;
+the seeding functions are held to numpy by the ``oracles`` tests.
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ import sys
 import tempfile
 import threading
 
-__all__ = ["load", "ctr_sha256_xor", "mod_exp", "available"]
+import numpy as np
+
+__all__ = ["load", "ctr_sha256_xor", "mod_exp", "seed_words", "seeded_uniform", "available"]
 
 _MODULE_NAME = "_repro_ctr_native"
 
@@ -38,6 +46,8 @@ _CDEF = (
     "int mod_exp(const unsigned char *base, size_t base_len, "
     "const unsigned char *exponent, size_t exponent_len, "
     "const unsigned char *modulus, size_t modulus_len, unsigned char *out);"
+    "void seed_words(uint32_t seed, uint64_t *out);"
+    "double seeded_uniform(uint32_t seed);"
 )
 
 _SOURCE = r"""
@@ -98,6 +108,52 @@ int mod_exp(const unsigned char *base, size_t base_len,
     BN_clear_free(b);
     BN_CTX_free(ctx);
     return ok;
+}
+
+/* numpy's SeedSequence(seed).generate_state(4, np.uint64) for one 32-bit
+ * entropy word: hash [seed, 0, 0, 0] into the pool, mix every pool word into
+ * every other, then draw eight 32-bit output words, low word first. */
+static uint32_t hashmix(uint32_t value, uint32_t *hash_const) {
+    value ^= *hash_const;
+    *hash_const *= 0x931e8875u;
+    value *= *hash_const;
+    return value ^ (value >> 16);
+}
+
+void seed_words(uint32_t seed, uint64_t *out) {
+    uint32_t pool[4], half[8], hash_const = 0x43b0d7e5u, out_const = 0x8b51f9ddu;
+    for (int i = 0; i < 4; i++)
+        pool[i] = hashmix(i == 0 ? seed : 0, &hash_const);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst) {
+                uint32_t mixed = 0xca01f9ddu * pool[dst] - 0x4973f715u * hashmix(pool[src], &hash_const);
+                pool[dst] = mixed ^ (mixed >> 16);
+            }
+    for (int i = 0; i < 8; i++) {
+        uint32_t value = pool[i % 4] ^ out_const;
+        out_const *= 0x58f38dedu;
+        value *= out_const;
+        half[i] = value ^ (value >> 16);
+    }
+    for (int i = 0; i < 4; i++)
+        out[i] = (uint64_t)half[2 * i] | (uint64_t)half[2 * i + 1] << 32;
+}
+
+/* The first Generator.random() of np.random.default_rng(seed): PCG64 seeded
+ * with state = words[0:2] and increment = words[2:4] (high word first), one
+ * 128-bit LCG step, the XSL-RR output, and its top 53 bits times 2^-53. */
+double seeded_uniform(uint32_t seed) {
+    const __uint128_t mult = ((__uint128_t)2549297995355413924ULL << 64) | 4865540595714422341ULL;
+    uint64_t words[4];
+    seed_words(seed, words);
+    __uint128_t inc = (((__uint128_t)words[2] << 64 | words[3]) << 1) | 1u;
+    __uint128_t state = (inc + ((__uint128_t)words[0] << 64 | words[1])) * mult + inc;
+    state = state * mult + inc;
+    uint64_t folded = (uint64_t)(state >> 64) ^ (uint64_t)state;
+    unsigned rot = (unsigned)(state >> 122);
+    uint64_t next = (folded >> rot) | (folded << ((-rot) & 63));
+    return (double)(next >> 11) * (1.0 / 9007199254740992.0);
 }
 """
 
@@ -212,7 +268,7 @@ def load():
 
 
 def available() -> bool:
-    """Whether the native CTR and ``mod_exp`` paths can be used on this machine."""
+    """Whether the native CTR, ``mod_exp`` and seeding paths can be used on this machine."""
     return load() is not None
 
 
@@ -268,3 +324,36 @@ def mod_exp(base: int, exponent: int, modulus: int) -> int:
     ):
         raise RuntimeError("OpenSSL BN_mod_exp_mont_consttime failed")
     return int.from_bytes(out, "big")
+
+
+def _seeding_lib(seed: int):
+    """The loaded library, once ``seed`` is checked to fit numpy's one-word entropy."""
+    if not 0 <= seed < 2**32:
+        raise ValueError(f"seed must be in [0, 2**32), got {seed}")
+    lib = load()
+    if lib is None:
+        raise RuntimeError("native seeding helper is not available on this machine")
+    return lib
+
+
+def seed_words(seed: int) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` for ``0 <= seed < 2**32``.
+
+    The four words numpy's ``PCG64`` seeds itself from, without the ~13 µs
+    of Python-level hashing.  A seed outside the range raises
+    :class:`ValueError`.  Requires the native library, like :func:`mod_exp`.
+    """
+    lib = _seeding_lib(seed)
+    out = np.empty(4, np.uint64)
+    lib.seed_words(seed, _ffi.from_buffer("uint64_t[]", out))
+    return out
+
+
+def seeded_uniform(seed: int) -> float:
+    """``np.random.default_rng(seed).random()`` for ``0 <= seed < 2**32``.
+
+    The first uniform of ``seed``'s stream computed in C, building neither a
+    ``SeedSequence`` nor a generator.  Same range and availability contract
+    as :func:`seed_words`.
+    """
+    return _seeding_lib(seed).seeded_uniform(seed)

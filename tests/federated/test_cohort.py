@@ -10,13 +10,11 @@ they differ only in whether equal-size clients are stacked over a leading
 axis of one ``(M, D)`` block.  The load-bearing properties:
 
 * **Bit-equality** — for Linear/Flatten/activation architectures (the
-  ``linear_probe`` family and deeper MLPs) and for ``Conv2d``/``MaxPool2d``
-  ones (``paper_cnn``), stacked training produces per-client rows and losses
+  ``linear_probe`` family and deeper MLPs), for ``Conv2d``/``MaxPool2d``
+  ones (``paper_cnn``) and for ``LocallyConnected2d`` ones
+  (``deepface_like``), stacked training produces per-client rows and losses
   byte-identical to the serial ``train_rows_into`` path, for any cohort
   size, epoch count, batch size, or dataset-size mix.
-* **Tolerance** — ``LocallyConnected2d`` architectures batch their einsum
-  reduction over the client axis; per-client rows agree with serial within
-  1e-6 relative tolerance.
 * **Aliasing** — the stacked model's parameters are views into the block
   before, during and after training, and the template is never written.
 * **Wiring** — ``SimulationConfig(cohort_batching=True)`` is end-to-end
@@ -177,12 +175,21 @@ class TestBatchedVsSerialProperty:
         np.testing.assert_array_equal(rows_batch, rows_serial)
         assert metas_batch == metas_serial
 
-    def test_deepface_like_within_tolerance(self):
-        datasets = _image_population(3, sizes=(8,), shape=(1, 8, 8))
+    @given(
+        cohort=st.integers(min_value=1, max_value=5),
+        epochs=st.integers(min_value=1, max_value=2),
+        batch=st.integers(min_value=2, max_value=8),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_deepface_like_bit_identical(self, cohort, epochs, batch):
+        datasets = _image_population(cohort, sizes=(6, 9), shape=(1, 8, 8))
         model_fn = ModelFactory("deepface_like", (1, 8, 8), 3)
-        config = LocalTrainingConfig(local_epochs=1, batch_size=4)
-        rows_serial, _, rows_batch, _ = _train_both(datasets, model_fn, config)
-        np.testing.assert_allclose(rows_batch, rows_serial, rtol=1e-6, atol=1e-7)
+        config = LocalTrainingConfig(local_epochs=epochs, batch_size=batch)
+        rows_serial, metas_serial, rows_batch, metas_batch = _train_both(
+            datasets, model_fn, config
+        )
+        np.testing.assert_array_equal(rows_batch, rows_serial)
+        assert metas_batch == metas_serial
 
 
 def _make_sim(dataset, model_fn, seed=0, **overrides):

@@ -167,6 +167,54 @@ class TestReplayRejection:
         assert proxy.stats.replays_rejected == 0
 
 
+class TestStreamRejection:
+    """``stream`` skips a message ``receive`` would refuse and keeps going."""
+
+    @staticmethod
+    def reshaped(update):
+        first = next(iter(update.state))
+        update.state[first] = update.state[first].reshape(-1)
+        return update
+
+    def test_batch_survives_a_reshaped_update(self, small_model, enclave):
+        proxy = build_proxy(enclave, k=3)
+        good = make_updates(small_model, 4)
+        batch = [good[0], self.reshaped(good[1]), good[2], good[3]]
+        messages = [proxy.encrypt_for_proxy(u) for u in batch]
+        resident_before = enclave.memory.used_bytes
+        emitted = proxy.stream(messages)
+        assert proxy.stats.received == 3
+        assert proxy.stats.rejected == 1
+        assert proxy.pending() == 3
+        emitted.extend(proxy.flush())
+        assert len(emitted) == 3
+        assert enclave.memory.used_bytes == resident_before
+
+    def test_tampered_body_is_skipped_and_counted(self, small_model, enclave):
+        proxy = build_proxy(enclave, k=2)
+        first, second, third = make_updates(small_model, 3)
+        plaintext = bytearray(decrypt(enclave.keypair, proxy.encrypt_for_proxy(second).ciphertext))
+        plaintext[-10] ^= 0x01
+        tampered = EncryptedUpdate(
+            ciphertext=encrypt(enclave.public_key, bytes(plaintext)), transport_id=1
+        )
+        resident_before = enclave.memory.used_bytes
+        emitted = proxy.stream([proxy.encrypt_for_proxy(first), tampered, proxy.encrypt_for_proxy(third)])
+        emitted.extend(proxy.flush())
+        assert (proxy.stats.received, proxy.stats.rejected, len(emitted)) == (2, 1, 2)
+        assert proxy.stats.replays_rejected == 0
+        assert enclave.memory.used_bytes == resident_before
+
+    def test_receive_still_raises(self, small_model, enclave):
+        proxy = build_proxy(enclave, k=3)
+        good, other = make_updates(small_model, 2)
+        proxy.receive(proxy.encrypt_for_proxy(good))
+        with pytest.raises(KeyError, match="schema"):
+            proxy.receive(proxy.encrypt_for_proxy(self.reshaped(other)))
+        assert proxy.stats.rejected == 0
+        assert proxy.pending() == 1
+
+
 class TestChimeraProvenance:
     def test_chimeras_carry_unit_digests(self, small_model, enclave):
         proxy = build_proxy(enclave, k=3)

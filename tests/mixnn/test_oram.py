@@ -53,6 +53,26 @@ class TestBasics:
         assert sorted(lst.items()) == ["b", "c"]
 
 
+    def test_len_follows_every_operation(self):
+        """The running count matches the occupied slots after inserts, takes,
+        a refused insert and a refused take, in any order."""
+        lst = ObliviousList(4)
+        for step, op in enumerate("iiitiiitttti"):
+            if op == "i":
+                try:
+                    lst.insert(step)
+                except OverflowError:
+                    assert lst.full
+            else:
+                try:
+                    lst.take(step % 3)
+                except IndexError:
+                    pass
+            occupied = sum(slot is not None for slot in lst._slots)
+            assert len(lst) == occupied
+            assert lst.full == (occupied == lst.capacity)
+
+
 class TestObliviousness:
     def test_every_operation_touches_all_slots(self):
         """Touch count depends only on operation count, never on indices."""

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import functional as F
@@ -264,6 +264,7 @@ class TestLeadingAxes:
         stride=st.sampled_from([1, 2]),
         seed=st.integers(min_value=0, max_value=2**16),
     )
+    @example(kernel="locally_connected2d", lead=(3,), batch=1, padding=0, stride=2, seed=226)
     @settings(max_examples=120, deadline=None)
     def test_stacked_equals_each_slice(self, kernel, lead, batch, padding, stride, seed):
         rng = np.random.default_rng(seed)
@@ -274,10 +275,7 @@ class TestLeadingAxes:
             return cotangent.setdefault("g", rng.standard_normal(shape).astype(np.float32))
 
         out, grads = _forward_backward(fn, arrays, labels, seed_for)
-        if kernel == "locally_connected2d":
-            check = lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-6)
-        else:
-            check = np.testing.assert_array_equal
+        check = np.testing.assert_array_equal
         for index in np.ndindex(lead):
             out_i, grads_i = _forward_backward(
                 fn,

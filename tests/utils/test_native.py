@@ -1,15 +1,25 @@
-"""The native helper: OpenSSL ``mod_exp`` against ``pow``, the warm-cache load and the first load under concurrency."""
+"""The native helper: OpenSSL ``mod_exp`` against ``pow``, the seeding
+kernel against numpy's ``SeedSequence`` and ``default_rng``, the warm-cache
+load and the first load under concurrency."""
 
+import hashlib
+import json
 import os
+import pickle
+import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.utils import native
+from repro.utils.rng import rng_from_seed, seeded_uniform
 
 needs_native = pytest.mark.skipif(not native.available(), reason="native helper unavailable")
 
@@ -94,3 +104,162 @@ class TestLoad:
         assert all(result is sentinel[0] for result in results)
         assert native._ffi is sentinel[1]
         assert len(calls) == 1
+
+
+#: one-word seeds: the whole range numpy hashes as a single entropy word
+word_seeds = st.integers(0, 2**32 - 1)
+edge_seeds = (0, 1, 2**31 - 1, 2**32 - 1)
+
+#: every distribution the repository draws from a seeded generator
+DRAWS = {
+    "random": lambda g: g.random(5),
+    "standard_normal": lambda g: g.standard_normal((2, 3)),
+    "normal": lambda g: g.normal(1.5, 0.3, 4),
+    "integers": lambda g: g.integers(0, 1000, 6),
+    "choice": lambda g: g.choice(50, size=5, replace=False),
+    "permutation": lambda g: g.permutation(20),
+    "dirichlet": lambda g: g.dirichlet([0.5, 1.0, 2.0], 3),
+}
+
+
+def with_edge_seeds(test):
+    for seed in edge_seeds:
+        test = example(seed=seed)(test)
+    return test
+
+
+@pytest.mark.oracles
+@needs_native
+class TestSeedingKernel:
+    """``seed_words`` and ``seeded_uniform`` held bit for bit to numpy."""
+
+    @given(seed=word_seeds)
+    @with_edge_seeds
+    @settings(max_examples=300, deadline=None)
+    def test_seed_words_match_seed_sequence(self, seed):
+        expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        words = native.seed_words(seed)
+        assert words.dtype == np.uint64
+        np.testing.assert_array_equal(words, expected)
+
+    @given(seed=word_seeds)
+    @with_edge_seeds
+    @settings(max_examples=300, deadline=None)
+    def test_seeded_uniform_matches_first_random(self, seed):
+        expected = np.random.default_rng(seed).random()
+        assert native.seeded_uniform(seed) == expected
+        assert seeded_uniform(seed) == expected
+
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_kernel_rejects_seeds_beyond_one_word(self, seed):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            native.seed_words(seed)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            native.seeded_uniform(seed)
+
+    def test_rng_from_seed_takes_the_native_path(self):
+        seed_seq = rng_from_seed(5).bit_generator.seed_seq
+        assert not isinstance(seed_seq, np.random.SeedSequence)
+
+
+@pytest.mark.oracles
+class TestRngFromSeed:
+    """``rng_from_seed(s)`` is ``np.random.default_rng(s)``, draw for draw."""
+
+    @pytest.mark.parametrize("kind", sorted(DRAWS))
+    @given(seed=word_seeds)
+    @with_edge_seeds
+    @settings(max_examples=40, deadline=None)
+    def test_streams_equal_default_rng(self, kind, seed):
+        ours, theirs = rng_from_seed(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(DRAWS[kind](ours), DRAWS[kind](theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.random() == theirs.random()
+
+    @given(seed=word_seeds, before=st.integers(0, 7))
+    @settings(max_examples=50, deadline=None)
+    def test_pickle_mid_stream_continues_identically(self, seed, before):
+        ours, theirs = rng_from_seed(seed), np.random.default_rng(seed)
+        ours.standard_normal(before)
+        theirs.standard_normal(before)
+        restored = pickle.loads(pickle.dumps(ours))
+        expected = theirs.integers(0, 2**31, 8)
+        np.testing.assert_array_equal(restored.integers(0, 2**31, 8), expected)
+        np.testing.assert_array_equal(ours.integers(0, 2**31, 8), expected)
+
+    @pytest.mark.parametrize("seed", [2**32, 2**40 + 3, np.int64(9), np.uint32(2**32 - 1)])
+    def test_other_seeds_take_numpy(self, seed):
+        ours = rng_from_seed(seed)
+        assert isinstance(ours.bit_generator.seed_seq, np.random.SeedSequence)
+        theirs = np.random.default_rng(seed)
+        np.testing.assert_array_equal(ours.random(4), theirs.random(4))
+        assert seeded_uniform(seed) == np.random.default_rng(seed).random()
+
+    def test_none_takes_numpy_entropy(self):
+        seed_seq = rng_from_seed(None).bit_generator.seed_seq
+        assert isinstance(seed_seq, np.random.SeedSequence)
+        assert 0.0 <= seeded_uniform(None) < 1.0
+
+    def test_negative_seed_raises_numpy_error(self):
+        with pytest.raises(ValueError) as expected:
+            np.random.default_rng(-1)
+        for draw in (rng_from_seed, seeded_uniform):
+            with pytest.raises(ValueError) as raised:
+                draw(-1)
+            assert str(raised.value) == str(expected.value)
+
+
+def buffered_async_run() -> tuple[str, str]:
+    """Weights digest and ``RoundRecord`` reprs of three buffered-async rounds
+    with churn, stragglers, crashes, frame faults with retries, sign-flip
+    attackers and multi-Krum: every seeded draw of the round engine."""
+    from repro.data import SyntheticPopulation
+    from repro.experiments.extensions import make_scenario
+    from repro.experiments.models import model_fn_for
+    from repro.federated import FederatedSimulation, LocalTrainingConfig, SimulationConfig
+    from repro.federated.adversary import AdversaryConfig
+    from repro.federated.faults import FaultConfig
+
+    dataset = SyntheticPopulation(population_size=200, seed=0)
+    scenario = replace(
+        make_scenario("buffered-async", 0.1, 64),
+        faults=FaultConfig(
+            frame_corruption_rate=0.1, client_crash_rate=0.05, quorum_fraction=0.8, hop_timeout=2.0
+        ),
+        adversary=AdversaryConfig(fraction=0.2, kind="sign-flip"),
+    )
+    config = SimulationConfig(
+        rounds=3,
+        local=LocalTrainingConfig(local_epochs=1, batch_size=8),
+        clients_per_round=64,
+        seed=3,
+        cohort_batching=True,
+        scenario=scenario,
+        aggregation="multi-krum",
+    )
+    result = FederatedSimulation(dataset, model_fn_for(dataset), config).run()
+    digest = hashlib.sha256(b"".join(v.tobytes() for v in result.final_state.values()))
+    return digest.hexdigest(), repr(result.rounds)
+
+
+@pytest.mark.oracles
+@needs_native
+def test_round_engine_identical_without_native():
+    """The same weights and records with the helper and in a ``REPRO_NO_NATIVE=1`` process."""
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, REPRO_NO_NATIVE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    script = (
+        "import json; from repro.utils import native; "
+        "from tests.utils.test_native import buffered_async_run; "
+        "print(json.dumps([native.available(), *buffered_async_run()]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    fallback_native, fallback_digest, fallback_records = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert fallback_native is False
+    digest, records = buffered_async_run()
+    assert fallback_digest == digest
+    assert fallback_records == records
