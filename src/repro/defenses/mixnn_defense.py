@@ -86,15 +86,15 @@ class MixNNDefense(Defense):
         clears or the attempt cap is hit; a real verification mismatch still
         raises :class:`EnclaveError`.
         """
-        injector, ledger = self._fault_injector, self._fault_ledger
+        injector = self._fault_injector
         if injector is not None and injector.config.attestation_failure_rate > 0:
-            for attempt in range(injector.config.max_attempts):
-                if not injector.attestation_fault(round_index, attempt):
-                    break
-                delay = injector.backoff("attestation", 0, round_index, attempt)
-                ledger.record(
-                    "attestation", 0, round_index, attempt, "retried", delay_seconds=delay
-                )
+            failures = injector.retry(
+                "attestation", 0, round_index, self._fault_ledger,
+                lambda attempt: injector.attestation_fault(round_index, attempt),
+            )
+            # One quote per failed handshake, added one at a time: a single
+            # product would round the simulated clock differently.
+            for _ in range(failures):
                 self.proxy.enclave.clock_seconds += (
                     self.proxy.enclave.cost_model.attestation_seconds
                 )
@@ -183,7 +183,6 @@ class MixNNDefense(Defense):
             k=len(survivors) if self._adaptive_k and survivors else proxy.k,
             rng=self._rng,
             granularity=proxy.granularity,
-            max_workers=proxy.max_workers,
         )
         failover.fault_injector = injector
         failover.fault_ledger = ledger

@@ -33,8 +33,6 @@ class ExperimentParams:
     #: weights; at our model scale the calibrated value reproduces the
     #: reported ≈10-point utility drop (Figure 5).
     noise_sigma: float = 0.05
-    #: MixNN list size k; the proxy buffers k updates before emitting (§4.3).
-    mix_k: int = 4
     #: round whose per-client accuracies Figure 6 plots
     fig6_round: int = 6
     #: reference-model training budget (paper: 5 learning rounds)

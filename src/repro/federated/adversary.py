@@ -28,11 +28,13 @@ Design rules, identical to the fault plane:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from ..nn.serialization import schema_of
 from ..utils.rng import rng_from_seed, seeded_uniform, stable_seed
+from .faults import Ledger, _resolved_count
 
 __all__ = [
     "ATTACK_KINDS",
@@ -277,40 +279,40 @@ class AdversaryRecord:
 
 
 @dataclass
-class AdversaryLedger:
+class AdversaryLedger(Ledger):
     """Append-only account of every injected attack and its resolution.
 
     The invariant ``injected == merged + filtered + rejected`` holds by
-    construction: :meth:`record` is the only entry writer and requires a
-    valid resolution.  Poisoned updates whose fate is not yet known (they
-    are still in the pipeline) sit in a *pending* set — registered at
-    injection, resolved at the server merge via the contributor mapping
-    (:func:`update_contributors`) or swept as ``filtered`` at the end of a
-    run if they never arrived.
+    construction (:class:`~repro.federated.faults.Ledger`).  Poisoned
+    updates whose fate is not yet known (they are still in the pipeline) sit
+    in a *pending* set — registered at injection, resolved at the server
+    merge via the contributor mapping (:func:`update_contributors`) or swept
+    as ``filtered`` at the end of a run if they never arrived.
     """
 
-    entries: list[AdversaryRecord] = field(default_factory=list)
+    KINDS: ClassVar[tuple[str, ...]] = ADVERSARY_KINDS
+    RESOLUTIONS: ClassVar[tuple[str, ...]] = ADVERSARY_RESOLUTIONS
+    NAME: ClassVar[str] = "adversary"
+    INSTANCE: ClassVar[str] = "adversary instance"
+
     #: (client_id, round_index) -> attack kind, awaiting a merge decision
     pending: dict[tuple[int, int], str] = field(default_factory=dict)
+
+    merged = _resolved_count("merged")
+    filtered = _resolved_count("filtered")
+    rejected = _resolved_count("rejected")
 
     def record(
         self, kind: str, client_id: int, round_index: int, resolution: str
     ) -> AdversaryRecord:
-        if kind not in ADVERSARY_KINDS:
-            raise ValueError(f"unknown adversary kind {kind!r}; choose from {ADVERSARY_KINDS}")
-        if resolution not in ADVERSARY_RESOLUTIONS:
-            raise ValueError(
-                f"every adversary instance needs a resolution from "
-                f"{ADVERSARY_RESOLUTIONS}, got {resolution!r}"
+        return self._append(
+            AdversaryRecord(
+                kind=kind,
+                client_id=int(client_id),
+                round_index=int(round_index),
+                resolution=resolution,
             )
-        entry = AdversaryRecord(
-            kind=kind,
-            client_id=int(client_id),
-            round_index=int(round_index),
-            resolution=resolution,
         )
-        self.entries.append(entry)
-        return entry
 
     # ------------------------------------------------------------------
     # Pending poison bookkeeping
@@ -351,62 +353,14 @@ class AdversaryLedger:
             self.resolve(client_id, round_index, resolution)
         return len(stranded)
 
-    # ------------------------------------------------------------------
-    # Accounting views
-    # ------------------------------------------------------------------
-    @property
-    def injected(self) -> int:
-        return len(self.entries)
-
-    @property
-    def merged(self) -> int:
-        return sum(1 for e in self.entries if e.resolution == "merged")
-
-    @property
-    def filtered(self) -> int:
-        return sum(1 for e in self.entries if e.resolution == "filtered")
-
-    @property
-    def rejected(self) -> int:
-        return sum(1 for e in self.entries if e.resolution == "rejected")
-
-    def round_slice(self, round_index: int) -> list[AdversaryRecord]:
-        """Entries injected during one round."""
-        return [e for e in self.entries if e.round_index == round_index]
-
-    def counts(self) -> dict:
-        """Per-kind and per-resolution tallies."""
-        by_kind: dict[str, int] = {}
-        by_resolution: dict[str, int] = {}
-        for entry in self.entries:
-            by_kind[entry.kind] = by_kind.get(entry.kind, 0) + 1
-            by_resolution[entry.resolution] = by_resolution.get(entry.resolution, 0) + 1
-        return {"by_kind": by_kind, "by_resolution": by_resolution}
-
     def validate(self) -> None:
-        """Check the accounting invariant; raises ``ValueError`` on breach."""
-        if self.injected != self.merged + self.filtered + self.rejected:
-            raise ValueError(
-                f"adversary ledger out of balance: {self.injected} injected != "
-                f"{self.merged} merged + {self.filtered} filtered + "
-                f"{self.rejected} rejected"
-            )
+        """Check the accounting invariant and that nothing is left pending."""
+        super().validate()
         if self.pending:
             raise ValueError(
                 f"adversary ledger has {len(self.pending)} unresolved pending "
                 f"poisons; resolve or sweep them before validating"
             )
-
-    def summary(self) -> dict:
-        """A serializable account for reports and benchmarks."""
-        self.validate()
-        return {
-            "injected": self.injected,
-            "merged": self.merged,
-            "filtered": self.filtered,
-            "rejected": self.rejected,
-            **self.counts(),
-        }
 
 
 def update_contributors(update) -> set[int]:

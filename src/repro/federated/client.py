@@ -210,11 +210,6 @@ class FederatedClient:
             metadata={"final_loss": loss},
         )
 
-    def test_accuracy(self, state: dict) -> float:
-        """Accuracy of a given model state on this client's local test data."""
-        self.model.load_state_dict(state)
-        return evaluate_accuracy(self.model, self.data.test)
-
 
 class ClientPopulation:
     """The client plane as a descriptor table: participants materialize on

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, ClassVar
 
 from ..utils.rng import rng_from_seed, seeded_uniform, stable_seed
 
@@ -37,6 +38,7 @@ __all__ = [
     "FaultConfig",
     "FaultInjector",
     "FaultRecord",
+    "Ledger",
     "FaultLedger",
 ]
 
@@ -261,6 +263,33 @@ class FaultInjector:
         draw = seeded_uniform(stable_seed(self.seed, "fault", "backoff", kind, entity, round_index, attempt))
         return float(base * (1.0 + config.backoff_jitter * (2.0 * draw - 1.0)))
 
+    def retry(
+        self,
+        kind: str,
+        entity: int,
+        round_index: int,
+        ledger: "FaultLedger",
+        failed: Callable[[int], bool],
+        exhausted: str = "retried",
+    ) -> int:
+        """Retry an in-line operation with backoff; return how often it failed.
+
+        Draws ``failed(attempt)`` for attempts ``0, 1, …`` until one succeeds
+        or all ``max_attempts`` draws fail.  Each failure lands in ``ledger``
+        with its :meth:`backoff` delay, resolved ``"retried"``, except the
+        last failure of a spent budget, resolved ``exhausted``.  The caller
+        applies its own per-failure side effects (a charge, a clock tick, a
+        failover) for the returned count.
+        """
+        max_attempts = self.config.max_attempts
+        for attempt in range(max_attempts):
+            if not failed(attempt):
+                return attempt
+            delay = self.backoff(kind, entity, round_index, attempt)
+            resolution = exhausted if attempt + 1 == max_attempts else "retried"
+            ledger.record(kind, entity, round_index, attempt, resolution, delay_seconds=delay)
+        return max_attempts
+
     def retry_latency(self, base_latency: float, client_id: int, round_index: int, attempt: int) -> float:
         """Transit latency of a retransmission (attempt ``>= 1``).
 
@@ -311,50 +340,41 @@ class FaultRecord:
     delay_seconds: float = 0.0
 
 
-@dataclass
-class FaultLedger:
-    """Append-only account of every injected fault and its resolution.
+def _resolved_count(resolution: str) -> property:
+    """A ledger view: the number of entries resolved as ``resolution``."""
+    return property(lambda ledger: ledger.resolved(resolution))
 
-    The invariant ``injected == retried + failed_over + discarded`` holds by
-    construction: :meth:`record` is the only writer and requires a valid
-    resolution.  ``retransmissions`` counts payload re-sends triggered by a
-    failover (they are recovery work, not separately injected faults).
+
+@dataclass
+class Ledger:
+    """Append-only account of injected instances, one resolution each.
+
+    A subclass names its ``KINDS`` and ``RESOLUTIONS`` and writes through
+    :meth:`_append`, the only entry writer, which refuses any other kind or
+    resolution; so the invariant ``injected == the sum of the per-resolution
+    counts`` holds by construction, and :meth:`validate` checks it.
     """
 
-    entries: list[FaultRecord] = field(default_factory=list)
-    retransmissions: int = 0
+    KINDS: ClassVar[tuple[str, ...]]
+    RESOLUTIONS: ClassVar[tuple[str, ...]]
+    #: the ledger's name and what one entry is, in error texts
+    NAME: ClassVar[str]
+    INSTANCE: ClassVar[str]
 
-    def record(
-        self,
-        kind: str,
-        entity: int,
-        round_index: int,
-        attempt: int = 0,
-        resolution: str = "",
-        delay_seconds: float = 0.0,
-    ) -> FaultRecord:
-        if kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind {kind!r}; choose from {FAULT_KINDS}")
-        if resolution not in RESOLUTIONS:
+    entries: list = field(default_factory=list)
+
+    def _append(self, entry):
+        if entry.kind not in self.KINDS:
             raise ValueError(
-                f"every fault needs a resolution from {RESOLUTIONS}, got {resolution!r}"
+                f"unknown {self.NAME} kind {entry.kind!r}; choose from {self.KINDS}"
             )
-        entry = FaultRecord(
-            kind=kind,
-            entity=int(entity),
-            round_index=int(round_index),
-            attempt=int(attempt),
-            resolution=resolution,
-            delay_seconds=float(delay_seconds),
-        )
+        if entry.resolution not in self.RESOLUTIONS:
+            raise ValueError(
+                f"every {self.INSTANCE} needs a resolution from {self.RESOLUTIONS}, "
+                f"got {entry.resolution!r}"
+            )
         self.entries.append(entry)
         return entry
-
-    def note_retransmissions(self, count: int) -> None:
-        """Account payload re-sends performed during a failover."""
-        if count < 0:
-            raise ValueError(f"retransmission count must be >= 0, got {count}")
-        self.retransmissions += count
 
     # ------------------------------------------------------------------
     # Accounting views
@@ -363,20 +383,12 @@ class FaultLedger:
     def injected(self) -> int:
         return len(self.entries)
 
-    @property
-    def retried(self) -> int:
-        return sum(1 for e in self.entries if e.resolution == "retried")
+    def resolved(self, resolution: str) -> int:
+        """The number of entries resolved as ``resolution``."""
+        return sum(1 for e in self.entries if e.resolution == resolution)
 
-    @property
-    def failed_over(self) -> int:
-        return sum(1 for e in self.entries if e.resolution == "failed-over")
-
-    @property
-    def discarded(self) -> int:
-        return sum(1 for e in self.entries if e.resolution == "discarded")
-
-    def round_slice(self, round_index: int) -> list[FaultRecord]:
-        """Entries handled during one round."""
+    def round_slice(self, round_index: int) -> list:
+        """Entries accounted to one round (each record's ``round_index``)."""
         return [e for e in self.entries if e.round_index == round_index]
 
     def counts(self) -> dict:
@@ -390,11 +402,14 @@ class FaultLedger:
 
     def validate(self) -> None:
         """Check the accounting invariant; raises ``ValueError`` on breach."""
-        if self.injected != self.retried + self.failed_over + self.discarded:
+        counts = [self.resolved(resolution) for resolution in self.RESOLUTIONS]
+        if self.injected != sum(counts):
+            terms = " + ".join(
+                f"{count} {resolution.replace('-', ' ')}"
+                for count, resolution in zip(counts, self.RESOLUTIONS)
+            )
             raise ValueError(
-                f"fault ledger out of balance: {self.injected} injected != "
-                f"{self.retried} retried + {self.failed_over} failed over + "
-                f"{self.discarded} discarded"
+                f"{self.NAME} ledger out of balance: {self.injected} injected != {terms}"
             )
 
     def summary(self) -> dict:
@@ -402,10 +417,61 @@ class FaultLedger:
         self.validate()
         return {
             "injected": self.injected,
-            "retried": self.retried,
-            "failed_over": self.failed_over,
-            "discarded": self.discarded,
+            **{r.replace("-", "_"): self.resolved(r) for r in self.RESOLUTIONS},
+            **self.counts(),
+        }
+
+
+@dataclass
+class FaultLedger(Ledger):
+    """Append-only account of every injected fault and its resolution.
+
+    The invariant ``injected == retried + failed_over + discarded`` holds by
+    construction (:class:`Ledger`).  ``retransmissions`` counts payload
+    re-sends triggered by a failover (they are recovery work, not separately
+    injected faults).
+    """
+
+    KINDS: ClassVar[tuple[str, ...]] = FAULT_KINDS
+    RESOLUTIONS: ClassVar[tuple[str, ...]] = RESOLUTIONS
+    NAME: ClassVar[str] = "fault"
+    INSTANCE: ClassVar[str] = "fault"
+
+    retransmissions: int = 0
+
+    retried = _resolved_count("retried")
+    failed_over = _resolved_count("failed-over")
+    discarded = _resolved_count("discarded")
+
+    def record(
+        self,
+        kind: str,
+        entity: int,
+        round_index: int,
+        attempt: int = 0,
+        resolution: str = "",
+        delay_seconds: float = 0.0,
+    ) -> FaultRecord:
+        return self._append(
+            FaultRecord(
+                kind=kind,
+                entity=int(entity),
+                round_index=int(round_index),
+                attempt=int(attempt),
+                resolution=resolution,
+                delay_seconds=float(delay_seconds),
+            )
+        )
+
+    def note_retransmissions(self, count: int) -> None:
+        """Account payload re-sends performed during a failover."""
+        if count < 0:
+            raise ValueError(f"retransmission count must be >= 0, got {count}")
+        self.retransmissions += count
+
+    def summary(self) -> dict:
+        return {
+            **super().summary(),
             "retransmissions": self.retransmissions,
             "recovery_seconds": round(sum(e.delay_seconds for e in self.entries), 6),
-            **self.counts(),
         }

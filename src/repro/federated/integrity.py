@@ -103,6 +103,31 @@ def _entry_hash(prev_hash: str, payload: dict) -> str:
     return hashlib.sha256(prev_hash.encode() + canonical.encode()).hexdigest()
 
 
+def _walk_chain(genesis: str, entries, head: str, name: str) -> None:
+    """Re-walk one hash chain from ``genesis`` to ``head``.
+
+    Every entry must name its predecessor's hash and hash to its own
+    recorded ``entry_hash``; raises :class:`TranscriptError`, naming the
+    chain, at the first breach.
+    """
+    running = genesis
+    for position, entry in enumerate(entries):
+        if entry.prev_hash != running:
+            raise TranscriptError(
+                f"{name} chain broken at entry {position} (round "
+                f"{entry.round_index}): prev_hash does not match the "
+                f"preceding entry"
+            )
+        if entry.entry_hash != _entry_hash(running, entry.payload()):
+            raise TranscriptError(
+                f"{name} entry {position} (round {entry.round_index}) "
+                f"was tampered with: recorded hash does not match its content"
+            )
+        running = entry.entry_hash
+    if head != running:
+        raise TranscriptError(f"{name} head does not match its last entry")
+
+
 @dataclass
 class RoundTranscript:
     """Append-only hash chain of every server merge.
@@ -145,23 +170,7 @@ class RoundTranscript:
 
     def verify(self) -> None:
         """Re-walk the chain; raises :class:`TranscriptError` on any breach."""
-        running = _GENESIS
-        for position, entry in enumerate(self.entries):
-            if entry.prev_hash != running:
-                raise TranscriptError(
-                    f"transcript chain broken at entry {position} (round "
-                    f"{entry.round_index}): prev_hash does not match the "
-                    f"preceding entry"
-                )
-            expected = _entry_hash(running, entry.payload())
-            if entry.entry_hash != expected:
-                raise TranscriptError(
-                    f"transcript entry {position} (round {entry.round_index}) "
-                    f"was tampered with: recorded hash does not match its content"
-                )
-            running = entry.entry_hash
-        if self.head != running:
-            raise TranscriptError("transcript head does not match the last entry")
+        _walk_chain(_GENESIS, self.entries, self.head, "transcript")
 
     def audit_round(self, position: int, received_updates: list) -> None:
         """Replay one round's inputs against the transcript.

@@ -121,17 +121,14 @@ class AggregationServer:
             )
         for observer in self.observers:
             observer.on_round(self.round_index, self._last_broadcast, updates)
-        injector, ledger = self._fault_injector, self._fault_ledger
+        injector = self._fault_injector
         if injector is not None and injector.config.merge_failure_rate > 0:
             # A crashed/delayed merge is retried against the same buffered
             # updates; the delay lands on the round's recovery time budget.
-            for attempt in range(injector.config.max_attempts):
-                if not injector.merge_fault(self.round_index, attempt):
-                    break
-                delay = injector.backoff("merge", -1, self.round_index, attempt)
-                ledger.record(
-                    "merge", -1, self.round_index, attempt, "retried", delay_seconds=delay
-                )
+            injector.retry(
+                "merge", -1, self.round_index, self._fault_ledger,
+                lambda attempt: injector.merge_fault(self.round_index, attempt),
+            )
         rule = self.policy.rule
         new_state, kept, dropped = self.policy.aggregate(
             updates,

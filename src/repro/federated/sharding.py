@@ -61,7 +61,7 @@ from ..nn.serialization import StateSchema, _intern_schema, schema_of
 from ..utils.rng import stable_seed  # noqa: F401  (re-exported draw key space)
 from .client import ClientPopulation, train_rows_into
 from .cohort import CohortTrainer
-from .integrity import TranscriptError, _entry_hash, update_digest
+from .integrity import TranscriptError, _entry_hash, _walk_chain, update_digest
 from .update import ModelUpdate
 
 __all__ = [
@@ -107,7 +107,7 @@ class ShardPlan:
     shard ``s`` owns the contiguous slice ``bounds[s] = (start, end)``.  The
     first ``N mod num_shards`` shards carry one extra row, so the plan is a
     pure function of ``(cohort_size, num_shards)`` — identical on every
-    replay, which the transcript binds and the checkpoint round-trips.
+    replay, which the transcript binds.
     """
 
     cohort_size: int
@@ -209,7 +209,10 @@ def _row_digest(row: np.ndarray) -> str:
 
 @dataclass
 class ShardChainEntry:
-    """One leaf aggregator's round, hash-chained along its shard."""
+    """One leaf aggregator's round, hash-chained along its shard.
+
+    Built without hashes; :meth:`ShardedTranscript.append_round` links it.
+    """
 
     round_index: int
     shard_index: int
@@ -223,8 +226,8 @@ class ShardChainEntry:
     row_digests: tuple[str, ...]
     #: SHA-256 of the leaf's float64 partial-sum witness
     partial_digest: str
-    prev_hash: str
-    entry_hash: str
+    prev_hash: str = ""
+    entry_hash: str = ""
 
     def payload(self) -> dict:
         return {
@@ -256,17 +259,6 @@ class ShardRootEntry:
 
 
 @dataclass
-class _ShardRoundRecord:
-    """Internal: what one shard did this round, before it enters the chain."""
-
-    shard_index: int
-    executor: str
-    client_ids: tuple[int, ...]
-    row_digests: tuple[str, ...]
-    partial_digest: str
-
-
-@dataclass
 class ShardedTranscript:
     """Hierarchical hash-chained transcript of the sharded data plane.
 
@@ -287,26 +279,17 @@ class ShardedTranscript:
         return len(self.root)
 
     def append_round(
-        self, round_index: int, plan: ShardPlan, records: list[_ShardRoundRecord]
+        self, round_index: int, plan: ShardPlan, entries: list[ShardChainEntry]
     ) -> ShardRootEntry:
+        """Link each shard's entry (in shard order) onto its chain, then bind
+        their heads in one root entry."""
         heads: list[str] = []
-        for record in records:  # shard order
-            prev = self.chain_heads.get(
-                record.shard_index, _chain_genesis(record.shard_index)
-            )
-            entry = ShardChainEntry(
-                round_index=int(round_index),
-                shard_index=int(record.shard_index),
-                executor=str(record.executor),
-                client_ids=tuple(int(c) for c in record.client_ids),
-                row_digests=tuple(record.row_digests),
-                partial_digest=str(record.partial_digest),
-                prev_hash=prev,
-                entry_hash="",
-            )
-            entry.entry_hash = _entry_hash(prev, entry.payload())
-            self.chains.setdefault(record.shard_index, []).append(entry)
-            self.chain_heads[record.shard_index] = entry.entry_hash
+        for entry in entries:
+            shard = entry.shard_index
+            entry.prev_hash = self.chain_heads.get(shard, _chain_genesis(shard))
+            entry.entry_hash = _entry_hash(entry.prev_hash, entry.payload())
+            self.chains.setdefault(shard, []).append(entry)
+            self.chain_heads[shard] = entry.entry_hash
             heads.append(entry.entry_hash)
         root_entry = ShardRootEntry(
             round_index=int(round_index),
@@ -323,49 +306,19 @@ class ShardedTranscript:
     def verify(self) -> None:
         """Walk every shard chain and the root chain; raise on any breach."""
         for shard_index, chain in sorted(self.chains.items()):
-            running = _chain_genesis(shard_index)
-            for position, entry in enumerate(chain):
-                if entry.prev_hash != running:
-                    raise TranscriptError(
-                        f"shard {shard_index} chain broken at entry {position} "
-                        f"(round {entry.round_index}): prev_hash mismatch"
-                    )
-                expected = _entry_hash(running, entry.payload())
-                if entry.entry_hash != expected:
-                    raise TranscriptError(
-                        f"shard {shard_index} entry {position} (round "
-                        f"{entry.round_index}) was tampered with"
-                    )
-                running = entry.entry_hash
-            if self.chain_heads.get(shard_index) != running:
-                raise TranscriptError(
-                    f"shard {shard_index} head does not match its last entry"
-                )
-        running = _SHARD_GENESIS
+            _walk_chain(
+                _chain_genesis(shard_index), chain, self.chain_heads.get(shard_index),
+                f"shard {shard_index}",
+            )
+        _walk_chain(_SHARD_GENESIS, self.root, self.root_head, "root")
         for position, entry in enumerate(self.root):
-            if entry.prev_hash != running:
-                raise TranscriptError(
-                    f"root chain broken at entry {position} (round "
-                    f"{entry.round_index}): prev_hash mismatch"
-                )
-            expected = _entry_hash(running, entry.payload())
-            if entry.entry_hash != expected:
-                raise TranscriptError(
-                    f"root entry {position} (round {entry.round_index}) was "
-                    f"tampered with"
-                )
-            for shard_index in range(len(entry.shard_heads)):
+            for shard_index, head in enumerate(entry.shard_heads):
                 chain = self.chains.get(shard_index, [])
-                if position >= len(chain) or (
-                    chain[position].entry_hash != entry.shard_heads[shard_index]
-                ):
+                if position >= len(chain) or chain[position].entry_hash != head:
                     raise TranscriptError(
                         f"root entry {position} (round {entry.round_index}) does "
                         f"not bind shard {shard_index}'s chain entry"
                     )
-            running = entry.entry_hash
-        if self.root_head != running:
-            raise TranscriptError("root head does not match the last root entry")
 
     def audit_round(self, position: int, trained_updates: list) -> None:
         """Replay one round's trained updates against the shard chains.
@@ -610,11 +563,6 @@ class ShardedRoundEngine:
         self.cohort_batching = bool(cohort_batching)
         #: hierarchical transcript of the data plane (one chain per shard)
         self.transcript = ShardedTranscript()
-        #: the most recent round's plan (checkpoint round-trips it)
-        self.last_plan: ShardPlan | None = None
-        #: shards currently dispatched (empty between rounds; checkpoint
-        #: round-trips it so a mid-round snapshot is honest about in-flight work)
-        self.pending_shards: tuple[int, ...] = ()
         #: per-phase wall-clock of the last round, for the benchmarks
         self.last_timings: dict | None = None
         self._resources = _ShardResources()
@@ -699,27 +647,18 @@ class ShardedRoundEngine:
         computes the identical pure-function rows, results are bit-identical
         under any crash schedule.
         """
-        injector, ledger = self._fault_injector, self._fault_ledger
+        injector = self._fault_injector
         executors = ["worker"] * plan.num_shards
         if injector is None or injector.config.shard_crash_rate <= 0.0:
             return executors
-        max_attempts = injector.config.max_attempts
         for shard in range(plan.num_shards):
-            for attempt in range(max_attempts):
-                if not injector.shard_crash(shard, round_index, attempt):
-                    break
-                delay = injector.backoff("shard-crash", shard, round_index, attempt)
-                if attempt + 1 >= max_attempts:
-                    ledger.record(
-                        "shard-crash", shard, round_index, attempt,
-                        "failed-over", delay_seconds=delay,
-                    )
-                    executors[shard] = "failover-root"
-                else:
-                    ledger.record(
-                        "shard-crash", shard, round_index, attempt,
-                        "retried", delay_seconds=delay,
-                    )
+            failures = injector.retry(
+                "shard-crash", shard, round_index, self._fault_ledger,
+                lambda attempt: injector.shard_crash(shard, round_index, attempt),
+                exhausted="failed-over",
+            )
+            if failures == injector.config.max_attempts:
+                executors[shard] = "failover-root"
         return executors
 
     # ------------------------------------------------------------------
@@ -746,7 +685,6 @@ class ShardedRoundEngine:
         wall_start = time.perf_counter()
         cohort = [int(c) for c in client_ids]
         plan = ShardPlan.build(len(cohort), self.num_shards)
-        self.last_plan = plan
         executors = self._resolve_shard_executors(plan, round_index)
         use_pool = self.backend == "process" and any(e == "worker" for e in executors)
 
@@ -765,34 +703,30 @@ class ShardedRoundEngine:
             for shard in range(plan.num_shards)
         }
         results: dict[int, tuple] = {}
-        self.pending_shards = tuple(range(plan.num_shards))
-        try:
-            if use_pool:
-                pool = self._resources.pool
-                futures = [
-                    pool.submit(_worker_run_shard, shard, pairs_of[shard], round_index)
-                    for shard in range(plan.num_shards)
-                    if executors[shard] == "worker"
-                ]
-                for future in futures:
-                    shard, metas, partial, train_s, reduce_s = future.result()
-                    results[shard] = (metas, partial, train_s, reduce_s)
-            inline_worker = None
-            for shard in range(plan.num_shards):
-                if shard in results:
-                    continue
-                # inline backend, or a failed-over slice the root adopts
-                if inline_worker is None:
-                    inline_worker = ShardWorker(
-                        self.population, self.schema, shared_rows, None,
-                        cohort_batching=self.cohort_batching,
-                    )
-                _, metas, partial, train_s, reduce_s = inline_worker.run(
-                    shard, pairs_of[shard], round_index, broadcast_state=broadcast_state
-                )
+        if use_pool:
+            pool = self._resources.pool
+            futures = [
+                pool.submit(_worker_run_shard, shard, pairs_of[shard], round_index)
+                for shard in range(plan.num_shards)
+                if executors[shard] == "worker"
+            ]
+            for future in futures:
+                shard, metas, partial, train_s, reduce_s = future.result()
                 results[shard] = (metas, partial, train_s, reduce_s)
-        finally:
-            self.pending_shards = ()
+        inline_worker = None
+        for shard in range(plan.num_shards):
+            if shard in results:
+                continue
+            # inline backend, or a failed-over slice the root adopts
+            if inline_worker is None:
+                inline_worker = ShardWorker(
+                    self.population, self.schema, shared_rows, None,
+                    cohort_batching=self.cohort_batching,
+                )
+            _, metas, partial, train_s, reduce_s = inline_worker.run(
+                shard, pairs_of[shard], round_index, broadcast_state=broadcast_state
+            )
+            results[shard] = (metas, partial, train_s, reduce_s)
 
         merge_start = time.perf_counter()
         # Root assembly: one copy out of the shared plane (the segment is
@@ -801,11 +735,12 @@ class ShardedRoundEngine:
         partials = [results[shard][1] for shard in range(plan.num_shards)]
         _check_partials(matrix, plan, partials)
 
-        records = []
+        entries = []
         for shard in range(plan.num_shards):
             start, end = plan.bounds[shard]
-            records.append(
-                _ShardRoundRecord(
+            entries.append(
+                ShardChainEntry(
+                    round_index=int(round_index),
                     shard_index=shard,
                     executor=executors[shard],
                     client_ids=tuple(cohort[start:end]),
@@ -815,7 +750,7 @@ class ShardedRoundEngine:
                     ).hexdigest(),
                 )
             )
-        self.transcript.append_round(round_index, plan, records)
+        self.transcript.append_round(round_index, plan, entries)
 
         updates: list[ModelUpdate] = []
         for shard in range(plan.num_shards):
@@ -850,15 +785,10 @@ class ShardedRoundEngine:
     # Checkpoint plumbing (the pool/plane is rebuilt lazily, never pickled)
     # ------------------------------------------------------------------
     def checkpoint_state(self) -> dict:
-        """The engine's persistent state: plan, in-flight set, transcript."""
-        return {
-            "plan": self.last_plan,
-            "pending_shards": self.pending_shards,
-            "transcript": self.transcript,
-        }
+        """The engine's persistent state: the shard transcript (a checkpoint
+        is taken between rounds, when no shard is in flight)."""
+        return {"transcript": self.transcript}
 
     def restore_checkpoint_state(self, state: dict) -> None:
-        self.last_plan = state.get("plan")
-        self.pending_shards = tuple(state.get("pending_shards", ()))
         transcript = state.get("transcript")
         self.transcript = transcript if transcript is not None else ShardedTranscript()

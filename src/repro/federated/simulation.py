@@ -1026,8 +1026,7 @@ class FederatedSimulation:
         }
         if self._shard_engine is not None:
             # The pool and shared plane are never pickled (rebuilt lazily);
-            # what persists is the plan, the in-flight shard set, and the
-            # hierarchical transcript.
+            # what persists is the hierarchical transcript.
             state["shard_state"] = self._shard_engine.checkpoint_state()
         return pickle.dumps(state)
 

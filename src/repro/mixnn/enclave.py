@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import os
 import secrets
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .crypto import CryptoError, KeyPair, decrypt, generate_keypair, stream_xor
@@ -215,39 +213,27 @@ class SGXEnclaveSim:
     # Update processing (cost-modelled)
     # ------------------------------------------------------------------
     def decrypt_update(self, ciphertext: bytes) -> bytes:
-        """Decrypt an incoming update inside the enclave, charging cost.
+        """Decrypt one incoming update inside the enclave, charging cost.
 
-        In constant-time mode the charged cost is padded to the largest
-        update processed so far, the §4.3 side-channel countermeasure
-        ("the execution time to process an update is constantly the same").
+        The one-item case of :meth:`decrypt_many`; a bad ciphertext raises
+        :class:`UpdateDecryptError` (a ``CryptoError``) after its charge.
         """
-        try:
-            plaintext = decrypt(self.keypair, ciphertext)
-        except CryptoError:
-            # A failed decrypt costs the same as a successful one.
-            self._charge(self.cost_model.decrypt_cost(len(ciphertext)))
-            raise
-        cost = self.cost_model.decrypt_cost(len(ciphertext)) + self.cost_model.store_cost(len(plaintext))
-        self._charge(cost)
-        self.allocate(len(plaintext))
-        return plaintext
+        return self.decrypt_many([ciphertext])[0]
 
     def decrypt_many(
         self,
         ciphertexts: list[bytes],
-        max_workers: int | None = None,
         ids: list | None = None,
         on_error: str = "raise",
     ) -> list:
-        """Decrypt a batch of updates, raising throughput with a thread pool.
+        """Decrypt a batch of updates in message order, charging each one.
 
-        The RSA-KEM's OpenSSL exponentiation, the fused native keystream and
-        the HMAC all release the GIL, so concurrent decryption scales on real
-        cores (on the ``pow`` fallback without the native helper, the KEM
-        holds it).  Accounting stays deterministic: costs are charged and memory
-        allocated serially in *message order* after all plaintexts are
-        recovered, so the simulated clock and EPC counters are bit-identical
-        to a sequential run.
+        Each ciphertext is decrypted, charged and allocated before the next,
+        so the simulated clock and EPC counters equal those of decrypting the
+        batch one item at a time.  In constant-time mode every charge is
+        padded to the largest update processed so far, the §4.3 side-channel
+        countermeasure ("the execution time to process an update is
+        constantly the same").
 
         ``ids`` labels each item (e.g. transport-level client ids) for error
         reporting; it defaults to the batch index.  Failures surface
@@ -262,18 +248,11 @@ class SGXEnclaveSim:
             ids = list(range(len(ciphertexts)))
         elif len(ids) != len(ciphertexts):
             raise ValueError(f"{len(ids)} ids for {len(ciphertexts)} ciphertexts")
-        if max_workers is None:
-            max_workers = min(8, os.cpu_count() or 1)
-        if max_workers <= 1 or len(ciphertexts) <= 1:
-            results = [self._decrypt_only(c) for c in ciphertexts]
-        else:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                results = list(pool.map(self._decrypt_only, ciphertexts))
         out: list = []
-        for index, (ciphertext, item_id, (plaintext, error)) in enumerate(
-            zip(ciphertexts, ids, results)
-        ):
-            if error is not None:
+        for index, (ciphertext, item_id) in enumerate(zip(ciphertexts, ids)):
+            try:
+                plaintext = decrypt(self.keypair, ciphertext)
+            except CryptoError as error:
                 # A failed decrypt costs the same as a successful one.
                 self._charge(self.cost_model.decrypt_cost(len(ciphertext)))
                 wrapped = UpdateDecryptError(item_id, index, error)
@@ -286,13 +265,6 @@ class SGXEnclaveSim:
             self.allocate(len(plaintext))
             out.append(plaintext)
         return out
-
-    def _decrypt_only(self, ciphertext: bytes) -> tuple[bytes | None, CryptoError | None]:
-        """Pure crypto work, safe to run off-thread (no shared-state writes)."""
-        try:
-            return decrypt(self.keypair, ciphertext), None
-        except CryptoError as exc:
-            return None, exc
 
     def charge_mixing(self, num_updates: int) -> None:
         self.clock_seconds += self.cost_model.mix_seconds_per_update * max(1, num_updates)

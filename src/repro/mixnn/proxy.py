@@ -79,7 +79,6 @@ class MixNNProxy:
         k: int = 4,
         rng: np.random.Generator | None = None,
         granularity: str = "layer",
-        max_workers: int | None = None,
     ) -> None:
         if k < 1:
             raise ValueError(f"list capacity k must be >= 1, got {k}")
@@ -87,8 +86,6 @@ class MixNNProxy:
         self.k = k
         self.rng = rng or np.random.default_rng()
         self.granularity = granularity
-        #: decryption-pool width for :meth:`process_round`; ``None`` = auto.
-        self.max_workers = max_workers
         self.stats = ProxyStats()
         # Lazily keyed off the first update's schema.
         self._units: list[tuple[str, ...]] | None = None
@@ -226,7 +223,9 @@ class MixNNProxy:
         "the proxy needs to initialize first each list with k updates before
         to send updates").
         """
-        plaintext = self.enclave.decrypt_update(message.ciphertext)
+        [plaintext] = self.enclave.decrypt_many(
+            [message.ciphertext], ids=[message.transport_id]
+        )
         return self._ingest(plaintext, len(message.ciphertext))
 
     def _ingest(self, plaintext: bytes, ciphertext_len: int) -> ModelUpdate | None:
@@ -316,30 +315,29 @@ class MixNNProxy:
     def stream(
         self, messages: list[EncryptedUpdate], round_hint: int | None = None
     ) -> list[ModelUpdate]:
-        """Ingest a batch of messages through the decryption pool, no flush.
+        """Ingest a batch of messages, no flush.
 
-        Ciphertexts are decrypted concurrently (:meth:`SGXEnclaveSim.decrypt_many`
-        — the KEM, DEM and MAC release the GIL), while the §4.3 mixing state machine
-        itself runs in message order, so the emission sequence and RNG draws
-        are identical to calling :meth:`receive` one message at a time.  The
-        EPC accounting honestly reflects the batch buffering: all decrypted
-        plaintexts are resident at once before ingestion begins.
+        The enclave decrypts the whole batch first, in message order on one
+        thread (:meth:`SGXEnclaveSim.decrypt_many`), so the EPC accounting
+        honestly reflects the batch buffering: all decrypted plaintexts are
+        resident at once before ingestion begins.  The §4.3 mixing state
+        machine then runs in message order, so the emission sequence and RNG
+        draws are identical to calling :meth:`receive` one message at a time.
 
         A poisoned ciphertext is skipped (``stats.decrypt_failures``) instead
         of killing the batch, and so is a message :meth:`receive` would refuse
         (``stats.rejected``, or ``stats.replays_rejected`` for a replay), so the
         later messages are still ingested and their plaintexts freed.  With
-        the fault plane attached, injected enclave faults retry with backoff,
-        charging each retry's decrypt cost and recording a ledger entry.
-        ``round_hint`` keys those fault draws.
+        the fault plane attached, injected enclave faults retry with backoff
+        (:meth:`~repro.federated.faults.FaultInjector.retry`), each retry
+        charging another decrypt.  ``round_hint`` keys those fault draws.
         """
         results = self.enclave.decrypt_many(
             [message.ciphertext for message in messages],
-            max_workers=self.max_workers,
             ids=[message.transport_id for message in messages],
             on_error="collect",
         )
-        injector, ledger = self.fault_injector, self.fault_ledger
+        injector = self.fault_injector
         emitted: list[ModelUpdate] = []
         for message, result in zip(messages, results):
             if isinstance(result, UpdateDecryptError):
@@ -347,21 +345,13 @@ class MixNNProxy:
                 continue
             if injector is not None and injector.config.enclave_failure_rate > 0:
                 round_index = round_hint if round_hint is not None else self._round_index
-                for attempt in range(injector.config.max_attempts):
-                    if not injector.enclave_fault(message.transport_id, round_index, attempt):
-                        break
-                    delay = injector.backoff(
-                        "enclave", message.transport_id, round_index, attempt
-                    )
-                    ledger.record(
-                        "enclave",
-                        message.transport_id,
-                        round_index,
-                        attempt,
-                        "retried",
-                        delay_seconds=delay,
-                    )
-                    # Each retry re-runs the in-enclave decrypt.
+                sender = message.transport_id
+                failures = injector.retry(
+                    "enclave", sender, round_index, self.fault_ledger,
+                    lambda attempt: injector.enclave_fault(sender, round_index, attempt),
+                )
+                # Each retry re-runs the in-enclave decrypt.
+                for _ in range(failures):
                     self._charge_retry(len(message.ciphertext))
             try:
                 maybe = self._ingest(result, len(message.ciphertext))

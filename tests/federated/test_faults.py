@@ -170,6 +170,40 @@ class TestFaultInjectorDeterminism:
         assert injector.corrupt_frame(b"", 0, 0) == b""
 
 
+class TestRetry:
+    """``FaultInjector.retry``: the one in-line retry-with-backoff loop."""
+
+    def test_fails_k_times_then_succeeds(self):
+        injector, ledger = FaultInjector(0, FaultConfig(max_attempts=4)), FaultLedger()
+        for k in range(4):
+            ledger.entries.clear()
+            assert injector.retry("merge", -1, 2, ledger, lambda attempt: attempt < k) == k
+            assert [(e.attempt, e.resolution) for e in ledger.entries] == [
+                (attempt, "retried") for attempt in range(k)
+            ]
+            assert [e.delay_seconds for e in ledger.entries] == [
+                injector.backoff("merge", -1, 2, attempt) for attempt in range(k)
+            ]
+
+    @pytest.mark.parametrize("exhausted", ["retried", "failed-over"])
+    def test_a_spent_budget_resolves_the_last_failure_as_exhausted(self, exhausted):
+        injector, ledger = FaultInjector(0, FaultConfig(max_attempts=3)), FaultLedger()
+        failures = injector.retry(
+            "shard-crash", 1, 0, ledger, lambda attempt: True, exhausted=exhausted
+        )
+        assert failures == 3
+        assert [e.resolution for e in ledger.entries] == ["retried", "retried", exhausted]
+        assert [(e.kind, e.entity, e.round_index) for e in ledger.entries] == [
+            ("shard-crash", 1, 0)
+        ] * 3
+
+    def test_a_clean_first_attempt_records_nothing(self):
+        injector, ledger = FaultInjector(0, FaultConfig()), FaultLedger()
+        injector.backoff = lambda *key: pytest.fail("backoff drawn without a failure")
+        assert injector.retry("enclave", 5, 0, ledger, lambda attempt: False) == 0
+        assert ledger.entries == []
+
+
 class TestFaultLedger:
     def test_rejects_unknown_kind_and_resolution(self):
         ledger = FaultLedger()

@@ -347,7 +347,6 @@ class TestEngineLifecycle:
         assert len(timings["per_shard_train_seconds"]) == 3
         assert len(timings["per_shard_reduce_seconds"]) == 3
         assert timings["wall_seconds"] >= timings["merge_seconds"]
-        assert engine.pending_shards == ()
 
 
 def crash_scenario(rate):
@@ -448,8 +447,6 @@ class TestShardedCheckpoint:
         resumed = make_sim(tiny_motionsense, num_shards=2)
         resumed.restore_checkpoint(blob)
         engine = resumed._shard_engine
-        assert engine.last_plan == sim._shard_engine.last_plan
-        assert engine.pending_shards == ()
         assert engine.transcript.root_head == sim._shard_engine.transcript.root_head
 
 

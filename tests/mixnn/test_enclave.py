@@ -159,3 +159,27 @@ class TestDecryptUpdate:
         with pytest.raises(CryptoError):
             enclave.decrypt_update(bytes(blob))
         assert enclave.clock_seconds > before
+
+    @pytest.mark.parametrize("constant_time", [True, False], ids=["constant-time", "variable-time"])
+    def test_one_by_one_and_batch_charge_alike(self, keypair, constant_time):
+        """``decrypt_update`` per item and one collecting ``decrypt_many`` run
+        the same accounting: equal clock, used and peak bytes."""
+        from repro.mixnn.crypto import CryptoError
+
+        sizes = (900, 30_000, 10, 4_000)
+        ciphertexts = [encrypt(keypair.public, bytes([i]) * n) for i, n in enumerate(sizes)]
+        for index in (1, 2):
+            tampered = bytearray(ciphertexts[index])
+            tampered[-1] ^= 1
+            ciphertexts[index] = bytes(tampered)
+        one_by_one = SGXEnclaveSim(keypair=keypair, constant_time=constant_time)
+        for ciphertext in ciphertexts:
+            try:
+                one_by_one.decrypt_update(ciphertext)
+            except CryptoError:
+                pass
+        batch = SGXEnclaveSim(keypair=keypair, constant_time=constant_time)
+        results = batch.decrypt_many(ciphertexts, on_error="collect")
+        assert [isinstance(r, CryptoError) for r in results] == [False, True, True, False]
+        assert one_by_one.stats() == batch.stats()
+        assert batch.stats()["used_bytes"] == sizes[0] + sizes[3]

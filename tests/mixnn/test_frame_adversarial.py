@@ -189,6 +189,19 @@ class TestDecryptManyFaultSurface:
         with pytest.raises(UpdateDecryptError, match=str(update.sender_id)):
             enclave.decrypt_many([bytes(bad)], ids=[update.sender_id])
 
+    def test_receive_names_the_sender_of_a_bad_ciphertext(self, enclave, keypair, small_model):
+        from dataclasses import replace
+
+        update = make_updates(small_model, 2)[1]
+        message = pack_update(update, keypair.public)
+        bad = bytearray(message.ciphertext)
+        bad[-1] ^= 1
+        with pytest.raises(UpdateDecryptError) as caught:
+            MixNNProxy(enclave=enclave, k=2, rng=rng_from_seed(0)).receive(
+                replace(message, ciphertext=bytes(bad))
+            )
+        assert caught.value.item_id == update.sender_id != 0
+
     def test_invalid_on_error_mode(self, enclave):
         with pytest.raises(ValueError, match="on_error"):
             enclave.decrypt_many([], on_error="ignore")

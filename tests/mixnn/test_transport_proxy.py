@@ -187,25 +187,27 @@ class TestProxyRound:
 
 
 class TestProxyDecryptionPool:
-    def test_pooled_round_identical_to_sequential(self, small_model, keypair):
-        """Concurrent decryption must not change what the proxy emits."""
+    def test_batched_round_identical_to_message_by_message(self, small_model, keypair):
+        """Decrypting the batch up front must not change what the proxy emits:
+        ``process_round`` equals ``receive`` per message followed by ``flush``."""
         from repro.mixnn.enclave import SGXEnclaveSim
 
-        def run(max_workers):
-            enclave = SGXEnclaveSim(keypair=keypair)
-            proxy = MixNNProxy(enclave=enclave, k=3, rng=rng_from_seed(0), max_workers=max_workers)
-            updates = make_updates(small_model, 6)
-            return proxy.process_round([proxy.encrypt_for_proxy(u) for u in updates])
+        def build():
+            return MixNNProxy(enclave=SGXEnclaveSim(keypair=keypair), k=3, rng=rng_from_seed(0))
 
-        sequential = run(1)
-        pooled = run(4)
-        assert [m.apparent_id for m in sequential] == [m.apparent_id for m in pooled]
-        assert [m.metadata["unit_sources"] for m in sequential] == [
-            m.metadata["unit_sources"] for m in pooled
+        batched_proxy, single_proxy = build(), build()
+        messages = [batched_proxy.encrypt_for_proxy(u) for u in make_updates(small_model, 6)]
+        batched = batched_proxy.process_round(messages)
+        single = [single_proxy.receive(m) for m in messages]
+        single = [m for m in single if m is not None] + single_proxy.flush()
+        assert len(batched) == len(single) == 6
+        assert [m.apparent_id for m in batched] == [m.apparent_id for m in single]
+        assert [m.metadata["unit_sources"] for m in batched] == [
+            m.metadata["unit_sources"] for m in single
         ]
-        for a, b in zip(sequential, pooled):
+        for a, b in zip(batched, single):
             for name in a.state:
-                np.testing.assert_array_equal(a.state[name], b.state[name])
+                assert a.state[name].tobytes() == b.state[name].tobytes()
 
     def test_decrypt_many_matches_single_decrypts(self, small_model, keypair):
         from repro.mixnn.crypto import encrypt
@@ -214,7 +216,7 @@ class TestProxyDecryptionPool:
         enclave = SGXEnclaveSim(keypair=keypair)
         payloads = [bytes([i]) * (1000 + i) for i in range(5)]
         ciphertexts = [encrypt(enclave.public_key, p) for p in payloads]
-        assert enclave.decrypt_many(ciphertexts, max_workers=4) == payloads
+        assert enclave.decrypt_many(ciphertexts) == payloads
 
     def test_decrypt_many_propagates_tampering(self, keypair):
         from repro.mixnn.crypto import CryptoError, encrypt
@@ -225,7 +227,7 @@ class TestProxyDecryptionPool:
         bad = bytearray(encrypt(enclave.public_key, b"tampered"))
         bad[-1] ^= 0x01
         with pytest.raises(CryptoError):
-            enclave.decrypt_many([good, bytes(bad)], max_workers=4)
+            enclave.decrypt_many([good, bytes(bad)])
 
 
 class TestProxyGranularity:
