@@ -122,53 +122,64 @@ class SyntheticPopulation(LazyFederatedDataset):
         self._prototypes = proto_rng.standard_normal(
             (self.num_classes, self.num_features)
         ).astype(np.float32)
+        #: sample count -> the unshuffled labels of a uniform (``alpha=None``)
+        #: shard, the same for every client
+        self._uniform_labels: dict[int, np.ndarray] = {}
+
+    def _label_pool(self, rng: np.random.Generator, num_samples: int) -> np.ndarray:
+        """A shard's labels before the shuffle, grouped by class."""
+        if self.alpha is None and num_samples in self._uniform_labels:
+            return self._uniform_labels[num_samples]
+        counts = shard_label_counts(num_samples, self.num_classes, self.alpha, rng)
+        pool = np.repeat(np.arange(self.num_classes), counts)
+        if self.alpha is None:
+            # Uniform counts draw nothing from ``rng``, so caching them
+            # leaves every client's stream where it was.
+            self._uniform_labels[num_samples] = pool
+        return pool
 
     def _make_shard(self, rng: np.random.Generator, num_samples: int) -> ArrayDataset:
-        counts = shard_label_counts(num_samples, self.num_classes, self.alpha, rng)
-        labels = rng.permutation(np.repeat(np.arange(self.num_classes), counts))
+        labels = rng.permutation(self._label_pool(rng, num_samples))
         features = self._prototypes[labels] + self.noise_scale * rng.standard_normal(
             (num_samples, self.num_features)
         ).astype(np.float32)
         return ArrayDataset(features, labels)
+
+    def _client(self, client_id: int, seed: int, metadata: dict) -> ClientDataset:
+        """The client whose shard ``seed`` draws; train and test are views of it."""
+        cut = self.samples_per_client
+        shard = self._make_shard(rng_from_seed(seed), cut + self.test_samples)
+        counts = np.bincount(shard.labels, minlength=self.num_classes)
+        return ClientDataset(
+            client_id=client_id,
+            train=ArrayDataset(shard.features[:cut], shard.labels[:cut]),
+            test=ArrayDataset(shard.features[cut:], shard.labels[cut:]),
+            attribute=int(counts.argmax()),
+            metadata=metadata,
+        )
 
     def client_data(self, client_id: int) -> ClientDataset:
         if not 0 <= client_id < self.population_size:
             raise IndexError(
                 f"client_id {client_id} outside population [0, {self.population_size})"
             )
-        rng = rng_from_seed(stable_seed(self.seed, "population-client", client_id))
-        total = self.samples_per_client + self.test_samples
-        shard = self._make_shard(rng, total)
-        train = shard.subset(np.arange(self.samples_per_client))
-        test = shard.subset(np.arange(self.samples_per_client, total))
-        counts = np.bincount(shard.labels, minlength=self.num_classes)
-        return ClientDataset(
-            client_id=client_id,
-            train=train,
-            test=test,
-            attribute=int(counts.argmax()),
-            metadata={"population_size": self.population_size},
+        return self._client(
+            client_id,
+            stable_seed(self.seed, "population-client", client_id),
+            {"population_size": self.population_size},
         )
 
     def _build_background(self) -> list[ClientDataset]:
         # A small disjoint cohort for attack tooling; ids beyond the
         # population so they can never collide with participants.
-        cohort = []
-        for index in range(32):
-            rng = rng_from_seed(stable_seed(self.seed, "population-background", index))
-            total = self.samples_per_client + self.test_samples
-            shard = self._make_shard(rng, total)
-            counts = np.bincount(shard.labels, minlength=self.num_classes)
-            cohort.append(
-                ClientDataset(
-                    client_id=self.population_size + index,
-                    train=shard.subset(np.arange(self.samples_per_client)),
-                    test=shard.subset(np.arange(self.samples_per_client, total)),
-                    attribute=int(counts.argmax()),
-                    metadata={"background": True},
-                )
+        return [
+            self._client(
+                self.population_size + index,
+                stable_seed(self.seed, "population-background", index),
+                {"background": True},
             )
-        return cohort
+            for index in range(32)
+        ]
 
     def _build_test(self) -> ArrayDataset:
         rng = rng_from_seed(stable_seed(self.seed, "population-test"))

@@ -150,14 +150,27 @@ def _check_krum_cohort(count: int, num_attackers: int) -> None:
         )
 
 
+#: rows of the distance matrix scored per sort in :func:`_krum_scores`
+_KRUM_BLOCK_ROWS = 128
+
+
 def _krum_scores(d2: np.ndarray, num_attackers: int) -> np.ndarray:
-    """Per-update Krum score: sum of its ``n - f - 2`` closest distances."""
+    """Per-update Krum score: sum of its ``n - f - 2`` closest distances.
+
+    Scores up to :data:`_KRUM_BLOCK_ROWS` rows at a time: each row's
+    off-diagonal distances are gathered into one ``(rows, n - 1)`` block,
+    sorted along rows in place, and the first ``n - f - 2`` columns summed.
+    """
     count = d2.shape[0]
     closest = count - num_attackers - 2
     scores = np.empty(count, dtype=np.float64)
-    for i in range(count):
-        others = np.sort(np.delete(d2[i], i))
-        scores[i] = others[:closest].sum()
+    columns = np.arange(count)
+    for start in range(0, count, _KRUM_BLOCK_ROWS):
+        stop = min(start + _KRUM_BLOCK_ROWS, count)
+        off_diagonal = columns != np.arange(start, stop)[:, None]
+        block = d2[start:stop][off_diagonal].reshape(stop - start, count - 1)
+        block.sort(axis=1)
+        scores[start:stop] = block[:, :closest].sum(axis=1)
     return scores
 
 

@@ -2,15 +2,18 @@
 
 §4.3 notes that when a model does not fit the EPC, ORAM mechanisms such as
 ZeroTrace can hide which list slot the proxy touches.  This module provides a
-functional simulation: an :class:`ObliviousList` whose read/remove operations
-*touch every slot* (linear scan with constant work per slot) so the memory
-access pattern is independent of the selected index, and which counts the
-touches so tests can verify obliviousness.
+functional simulation: an :class:`ObliviousList` whose insert, take and read
+operations *touch every slot* — each scans the whole occupancy bitmap in one
+numpy call (``argmin`` for the first free slot, ``flatnonzero`` for the
+occupied ones) — so the work per operation is independent of the selected
+index, and which counts the touches so tests can verify obliviousness.
 """
 
 from __future__ import annotations
 
 from typing import Generic, TypeVar
+
+import numpy as np
 
 T = TypeVar("T")
 
@@ -25,6 +28,8 @@ class ObliviousList(Generic[T]):
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._slots: list[T | None] = [None] * capacity
+        #: occupancy bitmap, scanned whole by every operation
+        self._used = np.zeros(capacity, dtype=bool)
         #: occupied slots, kept by insert and take so size queries scan nothing
         self._occupied = 0
         #: total slot touches, used to assert access-pattern uniformity
@@ -39,14 +44,12 @@ class ObliviousList(Generic[T]):
 
     def insert(self, item: T) -> None:
         """Place ``item`` in the first free slot, scanning every slot."""
-        placed = False
-        for i in range(self.capacity):
-            self.touch_count += 1
-            if self._slots[i] is None and not placed:
-                self._slots[i] = item
-                placed = True
-        if not placed:
+        self.touch_count += self.capacity
+        slot = int(np.argmin(self._used))
+        if self._used[slot]:
             raise OverflowError("oblivious list is full")
+        self._slots[slot] = item
+        self._used[slot] = True
         self._occupied += 1
 
     def take(self, index: int) -> T:
@@ -55,26 +58,18 @@ class ObliviousList(Generic[T]):
         Scans all slots regardless of ``index`` so the physical access
         pattern leaks nothing about which element was selected.
         """
-        occupied = -1
-        taken: T | None = None
-        for i in range(self.capacity):
-            self.touch_count += 1
-            slot = self._slots[i]
-            if slot is not None:
-                occupied += 1
-                if occupied == index:
-                    taken = slot
-                    self._slots[i] = None
-        if taken is None:
-            raise IndexError(f"occupied index {index} out of range (have {occupied + 1})")
+        self.touch_count += self.capacity
+        occupied = np.flatnonzero(self._used)
+        if not 0 <= index < len(occupied):
+            raise IndexError(f"occupied index {index} out of range (have {len(occupied)})")
+        slot = int(occupied[index])
+        taken = self._slots[slot]
+        self._slots[slot] = None
+        self._used[slot] = False
         self._occupied -= 1
         return taken
 
     def items(self) -> list[T]:
         """Snapshot of occupied items in slot order (touches every slot)."""
-        out: list[T] = []
-        for i in range(self.capacity):
-            self.touch_count += 1
-            if self._slots[i] is not None:
-                out.append(self._slots[i])
-        return out
+        self.touch_count += self.capacity
+        return [self._slots[slot] for slot in np.flatnonzero(self._used).tolist()]

@@ -66,7 +66,9 @@ class Adam(Optimizer):
 
     Steps write ``param.data`` in place (``a -= b`` computes the same values
     as ``a = a - b``), so a parameter that is a view into a larger weight
-    store — a cohort's ``(M, D)`` block — keeps writing through to it.
+    store — a cohort's ``(M, D)`` block — keeps writing through to it.  Each
+    step runs the textbook float32 expression's operations in its order, in
+    ``out=`` form on two scratch arrays per parameter.
     """
 
     def __init__(
@@ -95,10 +97,20 @@ class Adam(Optimizer):
             grad = param.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.data
+            # m = b1 m + (1 - b1) g
+            scratch = np.multiply(grad, 1.0 - self.beta1)
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += scratch
+            # v = b2 v + (1 - b2) g g
+            np.multiply(grad, 1.0 - self.beta2, out=scratch)
+            scratch *= grad
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            v += scratch
+            # data -= lr (m / bias1) / (sqrt(v / bias2) + eps)
+            np.divide(v, bias2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += self.eps
+            update = np.divide(m, bias1)
+            update *= self.lr
+            update /= scratch
+            param.data -= update

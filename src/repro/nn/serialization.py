@@ -77,9 +77,12 @@ class StateSchema:
 
     Instances are interned per ``(names, shapes)`` via :func:`schema_of`, so
     schema identity checks are cheap pointer comparisons in the hot paths.
+    Each builds its ``RW01`` frame prefix once, at construction:
+    :func:`flat_to_bytes` writes it and :func:`flat_from_bytes` recognizes
+    it without parsing JSON.
     """
 
-    __slots__ = ("names", "shapes", "sizes", "offsets", "total_size", "_index")
+    __slots__ = ("names", "shapes", "sizes", "offsets", "total_size", "prefix", "_index")
 
     #: the one dtype of the flat plane (the wire format's dtype as well)
     dtype = np.float32
@@ -97,6 +100,12 @@ class StateSchema:
             offset += size
         self.offsets = tuple(offsets)
         self.total_size = offset
+        header = json.dumps(
+            {"names": list(self.names), "shapes": [list(s) for s in self.shapes]},
+            separators=(",", ":"),
+        ).encode()
+        #: the RW01 frame up to the payload: magic, header length, JSON header
+        self.prefix = _RAW_MAGIC + len(header).to_bytes(4, "big") + header
         #: name -> (offset, size, shape)
         self._index = {
             name: (off, size, shape)
@@ -162,6 +171,8 @@ class StateSchema:
 
 #: interning table: (names, shapes) -> StateSchema
 _SCHEMA_CACHE: dict[tuple, StateSchema] = {}
+#: the interned schemas by their RW01 frame prefix
+_PREFIX_CACHE: dict[bytes, StateSchema] = {}
 
 
 def _intern_schema(names: tuple[str, ...], shapes: tuple[tuple[int, ...], ...]) -> StateSchema:
@@ -170,6 +181,7 @@ def _intern_schema(names: tuple[str, ...], shapes: tuple[tuple[int, ...], ...]) 
     schema = _SCHEMA_CACHE.get(key)
     if schema is None:
         schema = _SCHEMA_CACHE[key] = StateSchema(names, shapes)
+        _PREFIX_CACHE[schema.prefix] = schema
     return schema
 
 
@@ -291,13 +303,7 @@ def flat_to_bytes(schema: StateSchema, vector: np.ndarray) -> bytes:
         raise ValueError(f"vector has {vector.size} scalars, schema expects {schema.total_size}")
     if not vector.flags.c_contiguous:
         vector = np.ascontiguousarray(vector)
-    header = json.dumps(
-        {"names": list(schema.names), "shapes": [list(s) for s in schema.shapes]},
-        separators=(",", ":"),
-    ).encode()
-    return b"".join(
-        [_RAW_MAGIC, len(header).to_bytes(4, "big"), header, memoryview(vector.reshape(-1)).cast("B")]
-    )
+    return b"".join([schema.prefix, memoryview(vector.reshape(-1)).cast("B")])
 
 
 def flat_from_bytes(blob: bytes) -> tuple[StateSchema, np.ndarray]:
@@ -305,7 +311,9 @@ def flat_from_bytes(blob: bytes) -> tuple[StateSchema, np.ndarray]:
 
     Raw-framed blobs yield a single zero-copy read-only float32 view covering
     the whole payload (the per-parameter dict view is ``schema.views(vector)``
-    when needed).  Legacy ``.npz`` blobs are loaded through numpy and packed.
+    when needed).  A header an interned schema already wrote is looked up by
+    its bytes; only an unknown one is parsed and validated as JSON.  Legacy
+    ``.npz`` blobs are loaded through numpy and packed.
     """
     if blob[:4] == _ZIP_MAGIC:
         state = state_from_bytes(blob)
@@ -313,8 +321,11 @@ def flat_from_bytes(blob: bytes) -> tuple[StateSchema, np.ndarray]:
         return schema, schema.pack(state)
     if blob[:4] != _RAW_MAGIC:
         raise FrameError("unrecognized state encoding (neither raw-framed nor .npz)")
-    names, shapes, offset = _parse_raw_header(blob)
-    schema = _intern_schema(names, shapes)
+    offset = 8 + int.from_bytes(blob[4:8], "big")
+    schema = _PREFIX_CACHE.get(bytes(blob[:offset]))
+    if schema is None:
+        names, shapes, offset = _parse_raw_header(blob)
+        schema = _intern_schema(names, shapes)
     expected = offset + 4 * schema.total_size
     if expected != len(blob):
         excess = len(blob) - expected

@@ -5,16 +5,26 @@ The MixNN DEM (:mod:`repro.mixnn.crypto`) XORs payloads with a keystream of
 ``hashlib`` call at a time costs ~35 ms/MB of Python dispatch; the hashing
 itself is ~5 ms/MB of native work.  Its RSA-KEM spends ~1.4 ms of Python
 big-int ``pow`` on the two 512-bit CRT halves of a 1024-bit private
-operation; OpenSSL's Montgomery exponentiation does both in ~0.12 ms.  And
-every per-``(seed, client, round)`` draw of :mod:`repro.utils.rng` builds a
-fresh ``np.random.default_rng(seed)``, ~13 µs of it numpy's ``SeedSequence``
+operation; OpenSSL does the whole CRT in ~0.14 ms on Montgomery contexts
+built once per key, and the client's public op in ~0.015 ms.  And every
+per-``(seed, client, round)`` draw of :mod:`repro.utils.rng` builds a fresh
+``np.random.default_rng(seed)``, ~13 µs of it numpy's ``SeedSequence``
 hashing four 32-bit words in Python-level loops.  This module JIT-compiles
-(via ``cffi`` against OpenSSL's ``libcrypto``) one small extension with four C
-functions: a fused keystream+XOR, a modular exponentiation, numpy's
-``SeedSequence`` hash of a one-word seed, and the first PCG64 uniform drawn
-from that hash.  It caches the built extension on disk keyed by a hash of its
-source, so compilation happens once per machine for all of them.  Every call
-releases the GIL.
+(via ``cffi`` against OpenSSL's ``libcrypto``) one small extension with:
+
+* a fused keystream+XOR (:func:`ctr_sha256_xor`);
+* a constant-time modular exponentiation (:func:`mod_exp`), for Miller–Rabin
+  and the factor-less private op;
+* a per-key RSA handle with two entry points: the public op
+  (:func:`rsa_public`, a variable window over the public exponent only) and
+  the CRT private op (:func:`rsa_private`, both halves constant-time and the
+  recombination in C, in one call);
+* numpy's ``SeedSequence`` hash of a one-word seed (:func:`seed_words`) and
+  the first PCG64 uniform drawn from that hash (:func:`seeded_uniform`).
+
+It caches the built extension on disk keyed by a hash of its source, so
+compilation happens once per machine for all of them.  Every call releases
+the GIL.
 
 Everything degrades gracefully: if ``cffi``, a C compiler, or ``libcrypto``
 is unavailable (or ``REPRO_NO_NATIVE=1`` is set) :func:`load` returns ``None``
@@ -26,6 +36,7 @@ the seeding functions are held to numpy by the ``oracles`` tests.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.util
 import os
@@ -35,7 +46,16 @@ import threading
 
 import numpy as np
 
-__all__ = ["load", "ctr_sha256_xor", "mod_exp", "seed_words", "seeded_uniform", "available"]
+__all__ = [
+    "load",
+    "ctr_sha256_xor",
+    "mod_exp",
+    "rsa_public",
+    "rsa_private",
+    "seed_words",
+    "seeded_uniform",
+    "available",
+]
 
 _MODULE_NAME = "_repro_ctr_native"
 
@@ -48,6 +68,11 @@ _CDEF = (
     "const unsigned char *modulus, size_t modulus_len, unsigned char *out);"
     "void seed_words(uint32_t seed, uint64_t *out);"
     "double seeded_uniform(uint32_t seed);"
+    "typedef struct rsa_key rsa_key;"
+    "rsa_key *rsa_key_new(const unsigned char *numbers, int count, size_t width);"
+    "void rsa_key_free(rsa_key *key);"
+    "int rsa_public(const rsa_key *key, const unsigned char *m, size_t m_len, unsigned char *out);"
+    "int rsa_private(const rsa_key *key, const unsigned char *c, size_t c_len, unsigned char *out);"
 )
 
 _SOURCE = r"""
@@ -154,6 +179,129 @@ double seeded_uniform(uint32_t seed) {
     unsigned rot = (unsigned)(state >> 122);
     uint64_t next = (folded >> rot) | (folded << ((-rot) & 63));
     return (double)(next >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* An RSA key's numbers and the Montgomery contexts of n, p and q, built once
+ * per key and only read afterwards, so calls may share it across threads.
+ * A public key leaves the private half NULL. */
+typedef struct rsa_key {
+    int modulus_len;
+    BIGNUM *n, *e;
+    BN_MONT_CTX *mont_n;
+    BIGNUM *p, *q, *dp, *dq, *q_inv; /* q_inv in p's Montgomery form */
+    BN_MONT_CTX *mont_p, *mont_q;
+} rsa_key;
+
+void rsa_key_free(rsa_key *key) {
+    if (key == NULL)
+        return;
+    BN_MONT_CTX_free(key->mont_q);
+    BN_MONT_CTX_free(key->mont_p);
+    BN_clear_free(key->q_inv);
+    BN_clear_free(key->dq);
+    BN_clear_free(key->dp);
+    BN_clear_free(key->q);
+    BN_clear_free(key->p);
+    BN_MONT_CTX_free(key->mont_n);
+    BN_free(key->e);
+    BN_free(key->n);
+    OPENSSL_free(key);
+}
+
+/* The secret numbers are flagged constant-time, as OpenSSL's own RSA does. */
+static BIGNUM *secret_bn(const unsigned char *bytes, size_t width) {
+    BIGNUM *bn = BN_bin2bn(bytes, (int)width, NULL);
+    if (bn != NULL)
+        BN_set_flags(bn, BN_FLG_CONSTTIME);
+    return bn;
+}
+
+/* `numbers` holds `count` big-endian integers of `width` bytes each: n and e,
+ * then for a private key p, q, d mod (p-1), d mod (q-1) and q^-1 mod p.
+ * Returns NULL if a modulus is not odd (or on allocation failure). */
+rsa_key *rsa_key_new(const unsigned char *numbers, int count, size_t width) {
+    rsa_key *key = OPENSSL_zalloc(sizeof(*key));
+    BN_CTX *ctx = BN_CTX_new();
+    int ok = key != NULL && ctx != NULL
+        && (key->n = BN_bin2bn(numbers, (int)width, NULL)) != NULL
+        && (key->e = BN_bin2bn(numbers + width, (int)width, NULL)) != NULL
+        && (key->mont_n = BN_MONT_CTX_new()) != NULL
+        && BN_is_odd(key->n) && BN_MONT_CTX_set(key->mont_n, key->n, ctx);
+    if (ok && count == 7)
+        ok = (key->p = secret_bn(numbers + 2 * width, width)) != NULL
+            && (key->q = secret_bn(numbers + 3 * width, width)) != NULL
+            && (key->dp = secret_bn(numbers + 4 * width, width)) != NULL
+            && (key->dq = secret_bn(numbers + 5 * width, width)) != NULL
+            && (key->q_inv = secret_bn(numbers + 6 * width, width)) != NULL
+            && (key->mont_p = BN_MONT_CTX_new()) != NULL
+            && (key->mont_q = BN_MONT_CTX_new()) != NULL
+            && BN_is_odd(key->p) && BN_is_odd(key->q)
+            && BN_MONT_CTX_set(key->mont_p, key->p, ctx)
+            && BN_MONT_CTX_set(key->mont_q, key->q, ctx)
+            && BN_to_montgomery(key->q_inv, key->q_inv, key->mont_p, ctx);
+    BN_CTX_free(ctx);
+    if (!ok) {
+        ERR_clear_error();
+        rsa_key_free(key);
+        return NULL;
+    }
+    key->modulus_len = BN_num_bytes(key->n);
+    return key;
+}
+
+/* out = m^e mod n as exactly modulus_len bytes.  The exponent is public, so
+ * this is BN_mod_exp_mont's variable window, which reduces m >= n first.
+ * Returns 1 on success, 0 on failure. */
+int rsa_public(const rsa_key *key, const unsigned char *m, size_t m_len, unsigned char *out) {
+    int ok = 0;
+    BN_CTX *ctx = BN_CTX_new();
+    BIGNUM *a = BN_bin2bn(m, (int)m_len, NULL);
+    BIGNUM *r = BN_new();
+    if (ctx && a && r
+        && BN_mod_exp_mont(r, a, key->e, key->n, ctx, key->mont_n)
+        && BN_bn2binpad(r, out, key->modulus_len) == key->modulus_len)
+        ok = 1;
+    else
+        ERR_clear_error();
+    BN_free(r);
+    BN_free(a);
+    BN_CTX_free(ctx);
+    return ok;
+}
+
+/* out = c^d mod n by the CRT, as exactly modulus_len bytes: both halves by
+ * BN_mod_exp_mont_consttime on the contexts of p and q, recombined as
+ * mq + q * (q^-1 (mp - mq) mod p).  Returns 0 for a key without factors. */
+int rsa_private(const rsa_key *key, const unsigned char *c, size_t c_len, unsigned char *out) {
+    int ok = 0;
+    BN_CTX *ctx;
+    BIGNUM *a, *mp, *mq, *r;
+    if (key->p == NULL)
+        return 0;
+    ctx = BN_CTX_new();
+    a = BN_bin2bn(c, (int)c_len, NULL);
+    mp = BN_new();
+    mq = BN_new();
+    r = BN_new();
+    if (ctx && a && mp && mq && r
+        && BN_nnmod(r, a, key->p, ctx)
+        && BN_mod_exp_mont_consttime(mp, r, key->dp, key->p, ctx, key->mont_p)
+        && BN_nnmod(r, a, key->q, ctx)
+        && BN_mod_exp_mont_consttime(mq, r, key->dq, key->q, ctx, key->mont_q)
+        && BN_mod_sub(r, mp, mq, key->p, ctx)
+        && BN_mod_mul_montgomery(r, r, key->q_inv, key->mont_p, ctx)
+        && BN_mul(r, r, key->q, ctx)
+        && BN_add(r, r, mq)
+        && BN_bn2binpad(r, out, key->modulus_len) == key->modulus_len)
+        ok = 1;
+    else
+        ERR_clear_error();
+    BN_clear_free(r);
+    BN_clear_free(mq);
+    BN_clear_free(mp);
+    BN_free(a);
+    BN_CTX_free(ctx);
+    return ok;
 }
 """
 
@@ -268,7 +416,7 @@ def load():
 
 
 def available() -> bool:
-    """Whether the native CTR, ``mod_exp`` and seeding paths can be used on this machine."""
+    """Whether the native CTR, ``mod_exp``, RSA and seeding paths can be used on this machine."""
     return load() is not None
 
 
@@ -324,6 +472,65 @@ def mod_exp(base: int, exponent: int, modulus: int) -> int:
     ):
         raise RuntimeError("OpenSSL BN_mod_exp_mont_consttime failed")
     return int.from_bytes(out, "big")
+
+
+@functools.lru_cache(maxsize=16)
+def _rsa_key(*numbers: int):
+    """The C handle of the RSA key ``numbers``, built once per key.
+
+    ``numbers`` is ``(n, e)`` or ``(n, e, p, q, dp, dq, q_inv)``; the handle
+    holds them with the Montgomery contexts of ``n``, ``p`` and ``q``, and
+    is freed when it leaves the cache and its last caller drops it.
+    """
+    lib = load()
+    if lib is None:
+        raise RuntimeError("native RSA helper is not available on this machine")
+    n = numbers[0]
+    if n < 3 or not n & 1 or any(not 0 < x < n for x in numbers[1:]):
+        raise ValueError("not an RSA key: n must be odd and every other number in (0, n)")
+    width = (n.bit_length() + 7) // 8
+    packed = b"".join(x.to_bytes(width, "big") for x in numbers)
+    handle = lib.rsa_key_new(_ffi.from_buffer(packed), len(numbers), width)
+    if handle == _ffi.NULL:
+        raise ValueError("not an RSA key: a modulus or factor is even")
+    return _ffi.gc(handle, lib.rsa_key_free)
+
+
+def _rsa_call(entry, handle, value: int, modulus: int) -> int:
+    """Run ``entry`` (``rsa_public`` or ``rsa_private``) on ``value`` mod ``modulus``."""
+    if value < 0:
+        value %= modulus
+    size = (modulus.bit_length() + 7) // 8
+    out = bytearray(size)
+    data = value.to_bytes((value.bit_length() + 7) // 8, "big")
+    if not entry(handle, _ffi.from_buffer(data), len(data), _ffi.from_buffer(out)):
+        raise RuntimeError("OpenSSL RSA exponentiation failed")
+    return int.from_bytes(out, "big")
+
+
+def rsa_public(m: int, n: int, e: int) -> int:
+    """``pow(m, e, n)``: the RSA public op on the handle cached for ``(n, e)``.
+
+    Runs ``BN_mod_exp_mont``, a variable window over ``e``, as OpenSSL's own
+    RSA public op does: the exponent is public, and no secret exponent ever
+    takes this path.  Any ``m`` is accepted and reduced mod ``n``.  Requires the native library; an ``n`` that is not odd and at
+    least 3, or an ``e`` outside ``(0, n)``, raises :class:`ValueError`.
+    """
+    handle = _rsa_key(n, e)
+    return _rsa_call(load().rsa_public, handle, m, n)
+
+
+def rsa_private(c: int, n: int, e: int, p: int, q: int, dp: int, dq: int, q_inv: int) -> int:
+    """``pow(c, d, n)`` by the CRT in one native call, on the handle cached for the key.
+
+    ``dp``, ``dq`` and ``q_inv`` are ``d mod (p-1)``, ``d mod (q-1)`` and
+    ``q^-1 mod p``.  Both halves run ``BN_mod_exp_mont_consttime`` on the
+    Montgomery contexts of ``p`` and ``q``; the recombination is in C too.
+    Any ``c`` is accepted, including one above ``n``.  Requires the native
+    library, like :func:`rsa_public`.
+    """
+    handle = _rsa_key(n, e, p, q, dp, dq, q_inv)
+    return _rsa_call(load().rsa_private, handle, c, n)
 
 
 def _seeding_lib(seed: int):

@@ -21,6 +21,8 @@ from repro.attacks.background import reference_delta_matrix
 from repro.attacks.gradsim import score_updates
 from repro.federated.aggregation import (
     AggregationPolicy,
+    _krum_scores,
+    _multi_krum_selection,
     coordinate_median,
     krum,
     multi_krum,
@@ -44,6 +46,7 @@ from ..oracles.algebra import (
     aggregate_updates_reference,
     coordinate_median_reference,
     krum_reference,
+    krum_scores_reference,
     mix_updates_reference,
     multi_krum_reference,
     norm_filtered_mean_reference,
@@ -263,6 +266,30 @@ class TestKrumEquivalence:
         ref_state, ref_sel = multi_krum_reference(updates, attackers, return_selected=True)
         assert flat_sel == ref_sel
         assert_states_identical(flat_state, ref_state)
+
+    @pytest.mark.parametrize("count", [127, 128, 129, 600])
+    def test_blocked_scores_match_row_oracle_with_duplicates(self, count):
+        """Scores and the multi-Krum selection across the 128-row block
+        boundary, with duplicate updates: exact-zero and tiny negative Gram
+        distances off the diagonal."""
+        rng = rng_from_seed(count)
+        template = OrderedDict(
+            w=rng.standard_normal((4, 3)).astype(np.float32), b=rng.standard_normal(4).astype(np.float32)
+        )
+        states = states_like(template, rng, count)
+        for source, target in rng.integers(0, count, (count // 8, 2)):
+            states[target] = states[source]
+        updates = updates_from(states, rng)
+        d2 = pairwise_sq_distances(updates)
+        assert (d2[~np.eye(count, dtype=bool)] == 0.0).any()
+        attackers = (count - 3) // 2
+        scores, expected = _krum_scores(d2, attackers), krum_scores_reference(d2, attackers)
+        assert scores.tobytes() == expected.tobytes()
+        select = count - attackers - 2
+        assert _multi_krum_selection(scores, select) == _multi_krum_selection(expected, select)
+        _, flat_sel = multi_krum(updates, attackers, return_selected=True)
+        _, ref_sel = multi_krum_reference(updates, attackers, return_selected=True)
+        assert flat_sel == ref_sel
 
     def test_krum_rejects_tiny_cohorts(self):
         rng = rng_from_seed(5)

@@ -37,8 +37,8 @@ def _native_must_not_run(*args, **kwargs):
 def _force_fallback(patch) -> None:
     """Run on the pure-Python paths, as without cffi, a compiler or OpenSSL."""
     patch.setattr(native, "load", lambda: None)
-    patch.setattr(native, "mod_exp", _native_must_not_run)
-    patch.setattr(native, "ctr_sha256_xor", _native_must_not_run)
+    for name in ("mod_exp", "rsa_public", "rsa_private", "ctr_sha256_xor"):
+        patch.setattr(native, name, _native_must_not_run)
 
 
 @pytest.fixture()
@@ -182,18 +182,26 @@ class TestCRTDecryption:
         assert dataclasses.replace(kp)._crt == kp._crt
 
     @needs_native
-    def test_kem_runs_on_native_mod_exp(self, kp, monkeypatch):
+    def test_kem_runs_on_native_rsa(self, kp, monkeypatch):
         calls = []
-        real = native.mod_exp
 
-        def counting(base, exponent, modulus):
-            calls.append(modulus)
-            return real(base, exponent, modulus)
+        def counting(name):
+            real = getattr(native, name)
 
-        monkeypatch.setattr(native, "mod_exp", counting)
-        assert decrypt(kp, encrypt(kp.public, b"kem on OpenSSL")) == b"kem on OpenSSL"
-        # The public op under n, then both CRT halves.
-        assert calls == [kp.n, kp.p, kp.q]
+            def op(value, n, *key):
+                calls.append((name, n))
+                return real(value, n, *key)
+
+            return op
+
+        for name in ("rsa_public", "rsa_private"):
+            monkeypatch.setattr(native, name, counting(name))
+        monkeypatch.setattr(native, "mod_exp", _native_must_not_run)
+        blob = encrypt(kp.public, b"kem on OpenSSL")
+        # One public op under n per encrypt, one CRT private op per decrypt.
+        assert calls == [("rsa_public", kp.n)]
+        assert decrypt(kp, blob) == b"kem on OpenSSL"
+        assert calls == [("rsa_public", kp.n), ("rsa_private", kp.n)]
 
 
 class TestPurePythonFallback:

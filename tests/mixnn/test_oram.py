@@ -1,8 +1,42 @@
 """Oblivious list storage: semantics and access-pattern uniformity."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mixnn.oram import ObliviousList
+
+
+class PlainSlots:
+    """The oblivious list's contract on a plain list of slots, ``None`` free."""
+
+    def __init__(self, capacity: int) -> None:
+        self.slots = [None] * capacity
+
+    def insert(self, item) -> None:
+        if None not in self.slots:
+            raise OverflowError("oblivious list is full")
+        self.slots[self.slots.index(None)] = item
+
+    def take(self, index: int):
+        occupied = [slot for slot, item in enumerate(self.slots) if item is not None]
+        if not 0 <= index < len(occupied):
+            raise IndexError(f"occupied index {index} out of range (have {len(occupied)})")
+        item, self.slots[occupied[index]] = self.slots[occupied[index]], None
+        return item
+
+    def items(self) -> list:
+        return [item for item in self.slots if item is not None]
+
+
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.integers(0, 99)),
+        st.tuples(st.just("take"), st.integers(-2, 9)),
+        st.tuples(st.just("items")),
+    ),
+    max_size=40,
+)
 
 
 class TestBasics:
@@ -96,3 +130,24 @@ class TestObliviousness:
             lst.insert(i)
             counts.append(lst.touch_count - before)
         assert len(set(counts)) == 1
+
+
+class TestAgainstPlainSlots:
+    @given(capacity=st.integers(1, 8), ops=operations)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_plain_list_model(self, capacity, ops):
+        """Same items, length, fullness and errors as the plain model after
+        every operation, and ``capacity`` touches per operation."""
+        lst, model = ObliviousList(capacity), PlainSlots(capacity)
+        for name, *args in ops:
+            outcomes = []
+            for target in (lst, model):
+                try:
+                    outcomes.append(("ok", getattr(target, name)(*args)))
+                except (OverflowError, IndexError) as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1]
+            assert len(lst) == len(model.items())
+            assert lst.full == (None not in model.slots)
+        assert lst.touch_count == capacity * len(ops)
+        assert lst.items() == model.items()

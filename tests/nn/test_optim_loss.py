@@ -76,7 +76,44 @@ class TestSGD:
         assert p.data[0] == pytest.approx(1.0 - 0.1 * 0.5)
 
 
+def adam_expression(data, grad, m, v, step, lr=1e-3, betas=(0.9, 0.999), eps=1e-7, weight_decay=0.0):
+    """One Adam step as the textbook float32 expression, on copies."""
+    m, v = m.copy(), v.copy()
+    if weight_decay:
+        grad = grad + weight_decay * data
+    m *= betas[0]
+    m += (1.0 - betas[0]) * grad
+    v *= betas[1]
+    v += (1.0 - betas[1]) * grad * grad
+    m_hat = m / (1.0 - betas[0] ** step)
+    v_hat = v / (1.0 - betas[1] ** step)
+    return data - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
 class TestAdam:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_step_equals_the_expression_bit_for_bit(self, weight_decay, stacked):
+        """20 steps on a plain parameter, or on an ``(M, D)`` block viewed
+        out of a larger cohort store, equal the expression's arrays."""
+        rng = rng_from_seed(3)
+        if stacked:
+            store = rng.standard_normal((6, 35)).astype(np.float32)
+            param = Parameter(store[1:5])
+        else:
+            param = Parameter(rng.standard_normal((3, 8)).astype(np.float32))
+        data = param.data.copy()
+        m, v = np.zeros_like(data), np.zeros_like(data)
+        opt = Adam([param], lr=0.01, weight_decay=weight_decay)
+        for step in range(1, 21):
+            param.grad = rng.standard_normal(data.shape).astype(np.float32)
+            data, m, v = adam_expression(data, param.grad, m, v, step, lr=0.01, weight_decay=weight_decay)
+            opt.step()
+            assert param.data.tobytes() == data.tobytes()
+            assert opt._m[0].tobytes() == m.tobytes() and opt._v[0].tobytes() == v.tobytes()
+        if stacked:
+            assert np.shares_memory(param.data, store)
+
     def test_converges_on_quadratic(self):
         p = quadratic_param()
         assert step_quadratic(Adam([p], lr=0.3), p, 120) < 1e-2

@@ -5,8 +5,11 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from repro.nn import Linear, Sequential, ReLU
+from repro.nn import Linear, Sequential, ReLU, serialization
 from repro.nn.serialization import (
+    FrameError,
+    flat_from_bytes,
+    flat_to_bytes,
     flatten,
     schema_of,
     state_from_bytes,
@@ -125,3 +128,60 @@ class TestRawWireFormat:
         blob = state_to_bytes(model.state_dict()) + b"\x00\x00"
         with pytest.raises(ValueError, match="trailing"):
             state_from_bytes(blob)
+
+
+class TestSchemaPrefix:
+    """Each schema builds its RW01 prefix once; a known header skips the JSON parse."""
+
+    def test_prefix_is_what_state_to_bytes_writes(self, model):
+        state = model.state_dict()
+        schema = schema_of(state)
+        blob = state_to_bytes(state)
+        assert blob[: len(schema.prefix)] == schema.prefix
+        assert len(blob) == len(schema.prefix) + 4 * schema.total_size
+        assert flat_to_bytes(schema, schema.pack(state)) == blob
+
+    def test_known_header_returns_the_interned_schema(self, model, monkeypatch):
+        state = model.state_dict()
+        blob = state_to_bytes(state)
+
+        def must_not_parse(blob):
+            raise AssertionError("a known header was parsed as JSON")
+
+        monkeypatch.setattr(serialization, "_parse_raw_header", must_not_parse)
+        schema, vector = flat_from_bytes(blob)
+        assert schema is schema_of(state)
+        np.testing.assert_array_equal(vector, flatten(state))
+
+    def test_header_changed_in_one_byte_takes_the_json_path(self, model):
+        state = model.state_dict()
+        schema = schema_of(state)
+        blob = state_to_bytes(state)
+        renamed = blob.replace(b'"layer0.bias"', b'"layer0.biax"', 1)
+        assert len(renamed) == len(blob) and renamed != blob
+        parsed, vector = flat_from_bytes(renamed)
+        assert parsed is not schema
+        assert parsed.names == ("layer0.weight", "layer0.biax", "layer2.weight", "layer2.bias")
+        assert parsed.shapes == schema.shapes
+        assert parsed.prefix == renamed[: len(parsed.prefix)]
+        np.testing.assert_array_equal(vector, flatten(state))
+        broken = bytearray(blob)
+        broken[8] ^= 0xFF  # the header's opening brace
+        with pytest.raises(FrameError, match="not the expected JSON"):
+            flat_from_bytes(bytes(broken))
+
+    def test_other_json_spelling_parses_to_the_interned_schema(self, model):
+        state = model.state_dict()
+        schema = schema_of(state)
+        header = schema.prefix[8:].replace(b'","', b'", "')
+        blob = b"RW01" + len(header).to_bytes(4, "big") + header + state_to_bytes(state)[len(schema.prefix) :]
+        parsed, vector = flat_from_bytes(blob)
+        assert parsed is schema
+        np.testing.assert_array_equal(vector, flatten(state))
+
+    def test_truncated_payload_still_raises(self, model):
+        blob = state_to_bytes(model.state_dict())
+        with pytest.raises(FrameError, match="truncated"):
+            flat_from_bytes(blob[:-1])
+        with pytest.raises(FrameError, match="trailing"):
+            flat_from_bytes(blob + b"\x00")

@@ -6,7 +6,9 @@ staleness discounts, deltas, the robust rules, the §4.2 mix, ∇Sim scoring
 and DP-FedAvg clipping.  ``tests/federated/test_flat.py`` holds each flat
 path to its oracle bit for bit (∇Sim scoring to float32 precision).  They
 share the production validation and small helpers, so an oracle differs
-from its production path only in the data layout it computes on.
+from its production path only in the data layout it computes on — and the
+Krum oracles score row by row (:func:`krum_scores_reference`), where
+production sorts blocks of rows.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from repro.federated.aggregation import (
     _check_krum_cohort,
     _check_multi_krum_select,
     _gram_sq_distances,
-    _krum_scores,
     _multi_krum_selection,
 )
 from repro.federated.scenario import staleness_weight
@@ -178,6 +179,17 @@ def pairwise_sq_distances_reference(updates: list[ModelUpdate]) -> np.ndarray:
     return _gram_sq_distances(blocks)
 
 
+def krum_scores_reference(d2: np.ndarray, num_attackers: int) -> np.ndarray:
+    """Per-row implementation of :func:`~repro.federated.aggregation._krum_scores`."""
+    count = d2.shape[0]
+    closest = count - num_attackers - 2
+    scores = np.empty(count, dtype=np.float64)
+    for i in range(count):
+        others = np.sort(np.delete(d2[i], i))
+        scores[i] = others[:closest].sum()
+    return scores
+
+
 def krum_reference(
     updates: list[ModelUpdate], num_attackers: int = 0, return_index: bool = False
 ):
@@ -185,7 +197,7 @@ def krum_reference(
     if not updates:
         raise ValueError("cannot aggregate an empty update list")
     _check_krum_cohort(len(updates), num_attackers)
-    scores = _krum_scores(pairwise_sq_distances_reference(updates), num_attackers)
+    scores = krum_scores_reference(pairwise_sq_distances_reference(updates), num_attackers)
     index = int(np.argmin(scores))
     state: "OrderedDict[str, np.ndarray]" = OrderedDict(
         (name, np.asarray(value, dtype=np.float32).copy())
@@ -207,7 +219,7 @@ def multi_krum_reference(
     if select is None:
         select = len(updates) - num_attackers - 2
     _check_multi_krum_select(len(updates), select)
-    scores = _krum_scores(pairwise_sq_distances_reference(updates), num_attackers)
+    scores = krum_scores_reference(pairwise_sq_distances_reference(updates), num_attackers)
     selected = _multi_krum_selection(scores, select)
     state = aggregate_states_reference([updates[i].state for i in selected])
     return (state, selected) if return_selected else state

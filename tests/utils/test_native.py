@@ -1,7 +1,8 @@
-"""The native helper: OpenSSL ``mod_exp`` against ``pow``, the seeding
-kernel against numpy's ``SeedSequence`` and ``default_rng``, the warm-cache
-load and the first load under concurrency."""
+"""The native helper: OpenSSL ``mod_exp`` and the per-key RSA ops against
+``pow``, the seeding kernel against numpy's ``SeedSequence`` and
+``default_rng``, the warm-cache load and the first load under concurrency."""
 
+import functools
 import hashlib
 import json
 import os
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.mixnn.crypto import decrypt, encrypt, generate_keypair
 from repro.utils import native
 from repro.utils.rng import rng_from_seed, seeded_uniform
 
@@ -56,6 +58,70 @@ class TestModExp:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             native.mod_exp(3, -1, 7)
+
+
+@functools.lru_cache(maxsize=None)
+def rsa_keypair(bits: int):
+    """One generated key pair per modulus size, shared by the RSA tests."""
+    return generate_keypair(bits)
+
+
+def native_public(kp, m: int) -> int:
+    return native.rsa_public(m, kp.n, kp.public.e)
+
+
+def native_private(kp, c: int) -> int:
+    return native.rsa_private(c, kp.n, kp.public.e, kp.p, kp.q, *kp._crt)
+
+
+@pytest.mark.oracles
+@needs_native
+class TestRsa:
+    """The per-key RSA handle held to ``pow``: the public op under ``e`` and
+    the CRT private op under ``d``."""
+
+    @pytest.mark.parametrize("bits", [512, 1024, 2048])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_random_values_match_pow(self, bits, data):
+        kp = rsa_keypair(bits)
+        value = data.draw(st.integers(0, kp.n - 1), label="value")
+        assert native_public(kp, value) == pow(value, kp.public.e, kp.n)
+        assert native_private(kp, value) == pow(value, kp.d, kp.n)
+
+    @pytest.mark.parametrize("bits", [512, 1024, 2048])
+    def test_edge_values_match_pow(self, bits):
+        kp = rsa_keypair(bits)
+        size = kp.public.modulus_bytes
+        # A KEM field three bytes longer than the modulus, as a tampered
+        # envelope's length prefix can declare.
+        long_field = int.from_bytes(hashlib.shake_256(b"long kem field").digest(size + 3), "big")
+        for value in (0, 1, kp.n - 1, kp.n, kp.n + 1, 3 * kp.n + 7, long_field):
+            assert native_public(kp, value) == pow(value, kp.public.e, kp.n)
+            assert native_private(kp, value) == pow(value, kp.d, kp.n)
+
+    def test_two_keys_alive_at_once(self):
+        first, second = generate_keypair(512), generate_keypair(512)
+        for value in (2, 3, 12345, first.n - 2):
+            for kp in (first, second, first):
+                assert native_public(kp, value) == pow(value, kp.public.e, kp.n)
+                assert native_private(kp, value) == pow(value, kp.d, kp.n)
+
+    def test_keypair_round_trips_through_pickle_and_decrypts(self):
+        kp = rsa_keypair(1024)
+        restored = pickle.loads(pickle.dumps(kp))
+        assert restored == kp and restored._crt == kp._crt
+        assert decrypt(restored, encrypt(kp.public, b"after a checkpoint")) == b"after a checkpoint"
+        assert decrypt(kp, encrypt(restored.public, b"and back")) == b"and back"
+
+    def test_not_a_key_rejected(self):
+        kp = rsa_keypair(512)
+        with pytest.raises(ValueError, match="not an RSA key"):
+            native.rsa_public(5, kp.n + 1, kp.public.e)
+        with pytest.raises(ValueError, match="not an RSA key"):
+            native.rsa_public(5, kp.n, kp.n + 1)
+        with pytest.raises(ValueError, match="not an RSA key"):
+            native.rsa_private(5, kp.n, kp.public.e, kp.p + 1, kp.q, *kp._crt)
 
 
 class TestLoad:
