@@ -215,7 +215,7 @@ def sharded_round_throughput() -> dict:
         cells = {}
         baseline_modeled = None
         for num_shards in SHARDED_SHARD_COUNTS:
-            engine = ShardedRoundEngine(population, schema, num_shards, seed=0)
+            engine = ShardedRoundEngine(population, schema, num_shards)
             try:
                 engine.train_round(client_ids, broadcast, round_index=0)  # warm-up
                 engine.train_round(client_ids, broadcast, round_index=1)

@@ -16,43 +16,39 @@ import abc
 
 import numpy as np
 
+from ..federated.adversary import AdversaryInjector
+from ..federated.faults import FaultInjector
 from ..federated.update import ModelUpdate
 
 __all__ = ["Defense", "NoDefense"]
 
 
 class Defense(abc.ABC):
-    """Transforms a round's updates on their way to the server."""
+    """Transforms a round's updates on their way to the server.
+
+    A defense holds the run's fault and adversary planes: zero-rate ones
+    until the simulation hands over its own through :meth:`attach_planes`,
+    when it is built and again when it restores a checkpoint.
+    """
 
     #: identifier used in reports ("classical-fl", "noisy-gradient", "mixnn")
     name: str = "defense"
 
-    #: fault plane hooks; ``None`` until :meth:`attach_fault_plane` is called.
-    _fault_injector = None
-    _fault_ledger = None
+    def __init__(self) -> None:
+        self._faults = FaultInjector()
+        self._adversary = AdversaryInjector()
 
-    #: adversary plane hooks; ``None`` until :meth:`attach_adversary_plane`.
-    _adversary_injector = None
-    _adversary_ledger = None
+    def attach_planes(self, faults: FaultInjector, adversary: AdversaryInjector) -> None:
+        """Wire the simulation's fault and adversary planes into this defense.
 
-    def attach_fault_plane(self, injector, ledger) -> None:
-        """Wire the simulation's fault injector/ledger into this defense.
-
-        The base implementation just stores the hooks; defenses with internal
-        infrastructure (the MixNN proxy chain) also propagate them downstream.
+        The base implementation just stores them; defenses with internal
+        infrastructure (the MixNN proxy chain) also hand the fault plane
+        downstream and inject adversary behaviour *below* the update layer
+        (the MixNN defense replays attacker ciphertexts against the proxy's
+        replay guard).
         """
-        self._fault_injector = injector
-        self._fault_ledger = ledger
-
-    def attach_adversary_plane(self, injector, ledger) -> None:
-        """Wire the simulation's Byzantine adversary plane into this defense.
-
-        Defenses that own transport infrastructure use the hooks to inject
-        adversary behaviour *below* the update layer (e.g. the MixNN defense
-        replays attacker ciphertexts against the proxy's replay guard).
-        """
-        self._adversary_injector = injector
-        self._adversary_ledger = ledger
+        self._faults = faults
+        self._adversary = adversary
 
     @abc.abstractmethod
     def process_round(

@@ -29,6 +29,7 @@ class ClipAndNoiseDefense(Defense):
     name = "dp-clip-noise"
 
     def __init__(self, clip_norm: float = 1.0, noise_multiplier: float = 0.1) -> None:
+        super().__init__()
         if clip_norm <= 0:
             raise ValueError(f"clip_norm must be positive, got {clip_norm}")
         if noise_multiplier < 0:

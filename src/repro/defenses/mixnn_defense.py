@@ -29,7 +29,8 @@ class MixNNDefense(Defense):
     evaluation assumes.  A small explicit ``k`` enables the streaming mode;
     note that a small window *leaks arrival locality* (mixed layers come from
     temporally nearby participants), which the k-sweep ablation benchmark
-    quantifies.
+    quantifies.  Participants attest the proxy enclave before their first
+    upload and again after every proxy failover.
     """
 
     name = "mixnn"
@@ -41,8 +42,8 @@ class MixNNDefense(Defense):
         granularity: str = "layer",
         rng: np.random.Generator | None = None,
         enclave: SGXEnclaveSim | None = None,
-        verify_attestation: bool = True,
     ) -> None:
+        super().__init__()
         self.proxy = proxy
         self._k = k
         # Only a proxy this defense builds itself (full-round mode) may track
@@ -51,14 +52,12 @@ class MixNNDefense(Defense):
         self._granularity = granularity
         self._rng = rng or np.random.default_rng()
         self._enclave = enclave
-        self.verify_attestation = verify_attestation
         self._attested = False
 
-    def attach_fault_plane(self, injector, ledger) -> None:
-        super().attach_fault_plane(injector, ledger)
+    def attach_planes(self, faults, adversary) -> None:
+        super().attach_planes(faults, adversary)
         if self.proxy is not None:
-            self.proxy.fault_injector = injector
-            self.proxy.fault_ledger = ledger
+            self.proxy.faults = faults
 
     def _ensure_proxy(self, round_size: int) -> MixNNProxy:
         if self.proxy is None:
@@ -67,9 +66,8 @@ class MixNNDefense(Defense):
                 k=self._k if self._k is not None else round_size,
                 rng=self._rng,
                 granularity=self._granularity,
+                faults=self._faults,
             )
-            self.proxy.fault_injector = self._fault_injector
-            self.proxy.fault_ledger = self._fault_ledger
         elif self._adaptive_k and round_size >= 1 and self.proxy.k != round_size:
             # Full-round buffering must track the cohort that actually shows
             # up: under churn/stragglers/async the arriving subset varies per
@@ -81,23 +79,19 @@ class MixNNDefense(Defense):
     def _attest(self, round_index: int = 0) -> None:
         """Participant-side check before the first upload (§2.5).
 
-        With the fault plane attached, injected attestation failures retry
-        (each failed handshake still costs an enclave quote) until the draw
-        clears or the attempt cap is hit; a real verification mismatch still
-        raises :class:`EnclaveError`.
+        Injected attestation failures retry (each failed handshake still
+        costs an enclave quote) until the draw clears or the attempt cap is
+        hit; a real verification mismatch still raises :class:`EnclaveError`.
         """
-        injector = self._fault_injector
-        if injector is not None and injector.config.attestation_failure_rate > 0:
-            failures = injector.retry(
-                "attestation", 0, round_index, self._fault_ledger,
-                lambda attempt: injector.attestation_fault(round_index, attempt),
-            )
-            # One quote per failed handshake, added one at a time: a single
-            # product would round the simulated clock differently.
-            for _ in range(failures):
-                self.proxy.enclave.clock_seconds += (
-                    self.proxy.enclave.cost_model.attestation_seconds
-                )
+        faults = self._faults
+        failures = faults.retry(
+            "attestation", 0, round_index,
+            lambda attempt: faults.attestation_fault(round_index, attempt),
+        )
+        # One quote per failed handshake, added one at a time: a single
+        # product would round the simulated clock differently.
+        for _ in range(failures):
+            self.proxy.enclave.clock_seconds += self.proxy.enclave.cost_model.attestation_seconds
         nonce = secrets.token_bytes(16)
         quote = self.proxy.enclave.quote(nonce)
         if not self.proxy.enclave.verify_quote(quote, self.proxy.enclave.code_identity):
@@ -111,35 +105,27 @@ class MixNNDefense(Defense):
         broadcast_state: dict | None = None,
     ) -> list[ModelUpdate]:
         proxy = self._ensure_proxy(len(updates))
-        injector = self._fault_injector
         # The freshest update carries the true round: under quorum closure the
         # batch leads with stale carry-forwards, so updates[0] would key the
         # fault draws to the previous round.
         round_index = max((u.round_index for u in updates), default=0)
-        if self.verify_attestation and not self._attested:
+        if not self._attested:
             self._attest(round_index)
         # Network arrival order at the proxy is arbitrary.
         order = rng.permutation(len(updates))
         ordered = [updates[i] for i in order]
         messages = [proxy.encrypt_for_proxy(u) for u in ordered]
-        adversary = self._adversary_injector
-        if adversary is not None and adversary.config.replay_rate > 0:
-            # A replaying attacker re-sends its own ciphertext verbatim; the
-            # proxy's nonce guard rejects the duplicate and counts it, so the
-            # ledger records the rejection at injection time (by construction).
-            replays = []
-            for update, message in zip(ordered, messages):
-                if adversary.should_replay(update.sender_id, round_index):
-                    replays.append(message)
-                    self._adversary_ledger.record(
-                        "replay", update.sender_id, round_index, "rejected"
-                    )
-            messages = messages + replays
-        if (
-            injector is not None
-            and injector.config.proxy_crash_rate > 0
-            and injector.proxy_crash(round_index)
-        ):
+        # A replaying attacker re-sends its own ciphertext verbatim; the
+        # proxy's nonce guard rejects the duplicate and counts it, so the
+        # ledger records the rejection at injection time (by construction).
+        adversary = self._adversary
+        replays = []
+        for update, message in zip(ordered, messages):
+            if adversary.should_replay(update.sender_id, round_index):
+                replays.append(message)
+                adversary.ledger.record("replay", update.sender_id, round_index, "rejected")
+        messages = messages + replays
+        if self._faults.proxy_crash(round_index):
             return self._process_round_with_crash(ordered, messages, round_index)
         return proxy.process_round(messages, round_hint=round_index)
 
@@ -160,12 +146,12 @@ class MixNNDefense(Defense):
         default full-round mode nothing emits before the flush, so every
         buffered sender is intact and the round's aggregate is preserved.
         """
-        proxy, injector, ledger = self.proxy, self._fault_injector, self._fault_ledger
-        crash_at = injector.crash_point(round_index, len(messages))
+        proxy, faults, ledger = self.proxy, self._faults, self._faults.ledger
+        crash_at = faults.crash_point(round_index, len(messages))
         emitted = proxy.stream(messages[:crash_at], round_hint=round_index)
         intact, partial = proxy.crash()
         delay = (
-            injector.backoff("proxy-crash", 0, round_index, 0)
+            faults.backoff("proxy-crash", 0, round_index, 0)
             + proxy.enclave.cost_model.attestation_seconds
         )
         ledger.record("proxy-crash", 0, round_index, 0, "failed-over", delay_seconds=delay)
@@ -183,14 +169,12 @@ class MixNNDefense(Defense):
             k=len(survivors) if self._adaptive_k and survivors else proxy.k,
             rng=self._rng,
             granularity=proxy.granularity,
+            faults=faults,
         )
-        failover.fault_injector = injector
-        failover.fault_ledger = ledger
         self.proxy = failover
         # New enclave => new keys: participants must re-attest and re-encrypt.
         self._attested = False
-        if self.verify_attestation:
-            self._attest(round_index)
+        self._attest(round_index)
         ledger.note_retransmissions(len(survivors))
         emitted.extend(
             failover.process_round(

@@ -32,6 +32,7 @@ class GaussianNoiseDefense(Defense):
     name = "noisy-gradient"
 
     def __init__(self, sigma: float = 0.05) -> None:
+        super().__init__()
         if sigma < 0:
             raise ValueError(f"sigma must be non-negative, got {sigma}")
         self.sigma = sigma

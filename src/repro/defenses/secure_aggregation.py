@@ -46,6 +46,7 @@ class SecureAggregationDefense(Defense):
     name = "secure-aggregation"
 
     def __init__(self, mask_scale: float = 5.0) -> None:
+        super().__init__()
         if mask_scale <= 0:
             raise ValueError(f"mask_scale must be positive, got {mask_scale}")
         self.mask_scale = mask_scale

@@ -15,8 +15,9 @@ Design rules, identical to the fault plane:
   sequential RNG — so attacker schedules are bit-identical across runs,
   execution orders, and ``parallelism`` settings;
 * a fraction of ``0.0`` (and no explicit attacker ids) skips the hash draw
-  entirely, which keeps the zero-adversary configuration bit-identical to
-  the adversary-free pipeline;
+  entirely: every run arms one plane, and its default
+  :class:`AdversaryConfig` draws nothing and records nothing, so it is the
+  plane's one "off";
 * every *injected* attack instance lands in the :class:`AdversaryLedger`
   with a resolution — ``merged``, ``filtered``, or ``rejected`` — so the
   accounting invariant ``injected == merged + filtered + rejected`` holds by
@@ -67,8 +68,9 @@ class AdversaryConfig:
     Attackers are chosen either by ``fraction`` (independent per-``(client,
     round)`` hash draws, like the fault rates) or by explicit
     ``attacker_ids`` (a fixed malicious coalition) — exactly one of the two.
-    The default config (zero fraction, no ids, zero replay rate) is
-    behaviour-identical (bit for bit) to running without an adversary plane.
+    The default config (zero fraction, no ids, zero replay rate) is the
+    silent plane every run arms unless told otherwise: it draws no hash and
+    poisons nothing.
     """
 
     #: P(a participant is Byzantine) per (client, round) hash draw
@@ -124,27 +126,21 @@ class AdversaryConfig:
         if not 0.0 <= self.replay_rate < 1.0:
             raise ValueError(f"replay_rate must be in [0, 1), got {self.replay_rate}")
 
-    @property
-    def any_adversaries(self) -> bool:
-        """Whether this config can ever activate an attacker."""
-        return (
-            self.fraction > 0.0
-            or bool(self.attacker_ids)
-            or self.replay_rate > 0.0
-        )
-
 
 class AdversaryInjector:
-    """Deterministic attacker activation and poisoning, keyed like the faults.
+    """One run's adversary plane: attacker activation, poisoning, the ledger.
 
     Every decision hashes ``(seed, "adv", kind, client, round)`` into its own
     one-shot RNG; a zero fraction (and empty coalition) returns without
     drawing, so the all-zero config leaves the RNG universe untouched.
+    :attr:`ledger` is the run's :class:`AdversaryLedger`: poison registers
+    there at injection and replays are recorded there at the proxy.
     """
 
-    def __init__(self, seed: int, config: AdversaryConfig) -> None:
+    def __init__(self, seed: int = 0, config: AdversaryConfig = AdversaryConfig()) -> None:
         self.seed = int(seed)
         self.config = config
+        self.ledger = AdversaryLedger()
         self._attacker_set = (
             frozenset(config.attacker_ids) if config.attacker_ids is not None else None
         )
@@ -187,20 +183,14 @@ class AdversaryInjector:
             self._backdoor_coords[total_size] = coords
         return coords
 
-    def poison_round(
-        self,
-        updates: list,
-        broadcast_state: dict,
-        round_index: int,
-        ledger: "AdversaryLedger | None" = None,
-    ) -> list[int]:
+    def poison_round(self, updates: list, broadcast_state: dict, round_index: int) -> list[int]:
         """Poison the active attackers' updates in place; return their ids.
 
         Runs on the flat plane: each attacker's update is materialized as a
-        flat vector and mutated in place (its state dict views follow).  The
-        honest updates are never touched, and a config that can never
-        activate an attacker returns before reading anything — the
-        zero-adversary bit-identity guarantee.
+        flat vector and mutated in place (its state dict views follow), and
+        registered pending in :attr:`ledger`.  The honest updates are never
+        touched, and a config that can never activate an attacker returns
+        before reading anything, so the silent plane changes no bit.
         """
         config = self.config
         if not (config.fraction > 0.0 or self._attacker_set):
@@ -231,8 +221,7 @@ class AdversaryInjector:
             self._apply_attack(row, reference, alie_target, update.sender_id, round_index)
             update.metadata["poisoned"] = config.kind
             update.metadata["poison_round"] = round_index
-            if ledger is not None:
-                ledger.register(config.kind, update.sender_id, round_index)
+            self.ledger.register(config.kind, update.sender_id, round_index)
         return [updates[i].sender_id for i in attacker_slots]
 
     def _apply_attack(

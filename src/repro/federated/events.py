@@ -15,7 +15,8 @@ and the three round-closure schemes become three *flush policies* over the
 same event stream:
 
 ==================  =====================================================
-``sync``            flush when every dispatched client has arrived
+``sync``            flush when every dispatched client has arrived, or
+                    once the fault plane's quorum has (the quorum policy)
 ``sync`` + deadline flush at ``T`` if anyone is still outstanding
 ``buffered-async``  flush on the K-th buffered arrival (deadline optional)
 ==================  =====================================================
@@ -67,7 +68,6 @@ __all__ = [
     "BufferFlush",
     "VirtualClockScheduler",
     "FlushPolicy",
-    "SyncFlushPolicy",
     "QuorumFlushPolicy",
     "BufferedFlushPolicy",
 ]
@@ -250,32 +250,19 @@ class FlushPolicy:
 
 
 @dataclass(frozen=True)
-class SyncFlushPolicy(FlushPolicy):
-    """Flush when every dispatched client has arrived (``outstanding == 0``).
+class QuorumFlushPolicy(FlushPolicy):
+    """Every sync round's flush: all reachable arrivals, or a quorum.
 
+    Flushes when every dispatched client has arrived (``outstanding == 0``)
+    or once ``quorum_count`` updates have been merged, whichever comes
+    first; past the quorum the server stops waiting for a faulty tail and
+    carries whatever is still in transit forward as stale.
     ``expected_absent`` counts dispatched clients that will *never* arrive
     this round (sync-mode stragglers beyond the deadline): while any exist
-    the all-arrived condition is unreachable and the round can only close at
-    its :class:`RoundDeadline`.
-    """
-
-    expected_absent: int = 0
-
-    def should_flush(self, buffered: int, outstanding: int) -> bool:
-        return outstanding <= 0 and self.expected_absent == 0
-
-
-@dataclass(frozen=True)
-class QuorumFlushPolicy(FlushPolicy):
-    """Sync with graceful degradation: close once a quorum has merged.
-
-    Identical to :class:`SyncFlushPolicy` (flush when every reachable
-    dispatch arrived), *plus* an early exit once ``quorum_count`` updates
-    have been merged — the server stops waiting for a faulty tail and carries
-    whatever is still in transit forward as stale.  With ``quorum_count``
-    equal to the full surviving cohort the early exit can only fire at the
-    same instant the all-arrived condition does, which keeps the zero-fault
-    path bit-identical.
+    the all-arrived condition is unreachable.  At the default
+    ``quorum_fraction=1.0`` the quorum is the whole surviving cohort, so a
+    round with nothing carried into it closes only when everyone reachable
+    has arrived, or at its :class:`RoundDeadline`.
     """
 
     quorum_count: int

@@ -15,8 +15,9 @@ Design rules, identical to the churn/latency models:
   ``stable_seed(seed, "fault", kind, entity, round, attempt)`` — never a
   shared sequential RNG — so fault schedules are bit-identical across runs,
   execution orders, and ``parallelism`` settings;
-* a rate of ``0.0`` skips the hash draw entirely, which keeps the zero-fault
-  configuration bit-identical to the fault-free event path;
+* a rate of ``0.0`` skips the hash draw entirely: every run arms one plane,
+  and its default all-zero :class:`FaultConfig` draws nothing and records
+  nothing, so it is the plane's one "off";
 * every *injected* fault instance lands in the :class:`FaultLedger` with a
   resolution — ``retried``, ``failed-over``, or ``discarded`` — so the
   accounting invariant ``injected == retried + failed_over + discarded``
@@ -74,8 +75,8 @@ class FaultConfig:
     """Fault rates and recovery-policy knobs for one simulation.
 
     All rates are independent per-draw probabilities in ``[0, 1)``; the
-    default of ``0.0`` everywhere is behaviour-identical (bit for bit) to
-    running without a fault plane at all.
+    default of ``0.0`` everywhere is the zero-rate plane every run arms
+    unless told otherwise, which draws no hash and records no fault.
     """
 
     #: P(a surviving client dies mid-training) per (client, round)
@@ -144,38 +145,25 @@ class FaultConfig:
         if self.hop_timeout is not None and self.hop_timeout <= 0:
             raise ValueError(f"hop_timeout must be > 0 (or None), got {self.hop_timeout}")
 
-    @property
-    def any_faults(self) -> bool:
-        """Whether any injection rate is non-zero."""
-        return any(
-            getattr(self, name) > 0.0
-            for name in (
-                "client_crash_rate",
-                "frame_corruption_rate",
-                "enclave_failure_rate",
-                "attestation_failure_rate",
-                "proxy_crash_rate",
-                "merge_failure_rate",
-                "shard_crash_rate",
-            )
-        )
-
     def quorum_count(self, cohort: int) -> int:
         """Merged updates needed to close a round over ``cohort`` survivors."""
         return max(1, math.ceil(self.quorum_fraction * cohort))
 
 
 class FaultInjector:
-    """Deterministic fault draws, keyed like the churn/latency models.
+    """One run's fault plane: deterministic fault draws and their ledger.
 
     Every decision hashes ``(seed, "fault", kind, entity, round, attempt)``
     into its own one-shot RNG; a zero rate returns without drawing, so the
-    all-zero config leaves the RNG universe untouched.
+    all-zero config leaves the RNG universe untouched.  :attr:`ledger` is
+    the run's :class:`FaultLedger`: every component handed this plane
+    records its injected faults there.
     """
 
-    def __init__(self, seed: int, config: FaultConfig) -> None:
+    def __init__(self, seed: int = 0, config: FaultConfig = FaultConfig()) -> None:
         self.seed = int(seed)
         self.config = config
+        self.ledger = FaultLedger()
 
     def _draw(self, rate: float, *key) -> bool:
         if rate <= 0.0:
@@ -268,18 +256,17 @@ class FaultInjector:
         kind: str,
         entity: int,
         round_index: int,
-        ledger: "FaultLedger",
         failed: Callable[[int], bool],
         exhausted: str = "retried",
     ) -> int:
         """Retry an in-line operation with backoff; return how often it failed.
 
         Draws ``failed(attempt)`` for attempts ``0, 1, …`` until one succeeds
-        or all ``max_attempts`` draws fail.  Each failure lands in ``ledger``
-        with its :meth:`backoff` delay, resolved ``"retried"``, except the
-        last failure of a spent budget, resolved ``exhausted``.  The caller
-        applies its own per-failure side effects (a charge, a clock tick, a
-        failover) for the returned count.
+        or all ``max_attempts`` draws fail.  Each failure lands in
+        :attr:`ledger` with its :meth:`backoff` delay, resolved
+        ``"retried"``, except the last failure of a spent budget, resolved
+        ``exhausted``.  The caller applies its own per-failure side effects
+        (a charge, a clock tick, a failover) for the returned count.
         """
         max_attempts = self.config.max_attempts
         for attempt in range(max_attempts):
@@ -287,7 +274,7 @@ class FaultInjector:
                 return attempt
             delay = self.backoff(kind, entity, round_index, attempt)
             resolution = exhausted if attempt + 1 == max_attempts else "retried"
-            ledger.record(kind, entity, round_index, attempt, resolution, delay_seconds=delay)
+            self.ledger.record(kind, entity, round_index, attempt, resolution, delay_seconds=delay)
         return max_attempts
 
     def retry_latency(self, base_latency: float, client_id: int, round_index: int, attempt: int) -> float:

@@ -283,16 +283,22 @@ class ScenarioConfig:
     #: buffer persistently smaller than the arrival rate would accumulate
     #: full model states without limit.  ``None`` = keep everything forever.
     max_staleness: int | None = 10
-    #: fault-injection rates and recovery policy; ``None`` (and likewise a
-    #: :class:`~repro.federated.faults.FaultConfig` with all-zero rates) is
-    #: bit-identical to the fault-free event path.
-    faults: FaultConfig | None = None
-    #: Byzantine adversary plane; ``None`` (and likewise an
-    #: :class:`~repro.federated.adversary.AdversaryConfig` with zero fraction
-    #: and no explicit attackers) is bit-identical to the adversary-free path.
-    adversary: AdversaryConfig | None = None
+    #: fault-injection rates and recovery policy (the quorum of every sync
+    #: round included).  The all-zero default is the fault plane's only
+    #: "off": it injects nothing and draws no hash.
+    faults: FaultConfig = FaultConfig()
+    #: Byzantine adversary plane.  The default (zero fraction, no explicit
+    #: attackers, zero replay rate) is its only "off": it poisons nothing and
+    #: draws no hash.
+    adversary: AdversaryConfig = AdversaryConfig()
 
     def __post_init__(self) -> None:
+        for name, plane in (("faults", FaultConfig), ("adversary", AdversaryConfig)):
+            if not isinstance(getattr(self, name), plane):
+                raise TypeError(
+                    f"{name} must be a {plane.__name__}, got {getattr(self, name)!r}; "
+                    f"the zero-rate {plane.__name__}() default is the plane's off switch"
+                )
         if self.aggregation not in AGGREGATION_MODES:
             raise ValueError(
                 f"unknown aggregation mode {self.aggregation!r}; choose from {AGGREGATION_MODES}"

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..nn import Module
 from .aggregation import AggregationPolicy, AggregationReport
+from .faults import FaultInjector
 from .integrity import RoundTranscript, state_digest, update_digest
 # ``aggregate_updates`` stays bound here: perfbench's harness test reads
 # ``server.aggregate_updates`` to check that its tracer restores the binding.
@@ -54,8 +55,7 @@ class AggregationServer:
         sample_weighted: bool = False,
         broadcast_hook: Callable[[int, dict], dict] | None = None,
         staleness_alpha: float | None = None,
-        fault_injector=None,
-        fault_ledger=None,
+        faults: FaultInjector | None = None,
         policy: AggregationPolicy = AggregationPolicy(),
         transcript: RoundTranscript | None = None,
     ) -> None:
@@ -67,9 +67,9 @@ class AggregationServer:
         self.broadcast_hook = broadcast_hook
         self.observers: list[ServerObserver] = []
         self.round_index = 0
-        #: fault plane hooks — injected merge failures retry with backoff
-        self._fault_injector = fault_injector
-        self._fault_ledger = fault_ledger
+        #: the fault plane (zero-rate unless given): injected merge failures
+        #: retry with backoff and land in its ledger
+        self._faults = faults or FaultInjector()
         #: the aggregation rule every merge applies (default: the mean)
         self.policy = policy
         #: hash-chained audit log of every merge (always on — pure SHA-256
@@ -121,14 +121,13 @@ class AggregationServer:
             )
         for observer in self.observers:
             observer.on_round(self.round_index, self._last_broadcast, updates)
-        injector = self._fault_injector
-        if injector is not None and injector.config.merge_failure_rate > 0:
-            # A crashed/delayed merge is retried against the same buffered
-            # updates; the delay lands on the round's recovery time budget.
-            injector.retry(
-                "merge", -1, self.round_index, self._fault_ledger,
-                lambda attempt: injector.merge_fault(self.round_index, attempt),
-            )
+        # A crashed/delayed merge is retried against the same buffered
+        # updates; the delay lands on the round's recovery time budget.
+        faults = self._faults
+        faults.retry(
+            "merge", -1, self.round_index,
+            lambda attempt: faults.merge_fault(self.round_index, attempt),
+        )
         rule = self.policy.rule
         new_state, kept, dropped = self.policy.aggregate(
             updates,

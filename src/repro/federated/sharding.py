@@ -61,6 +61,7 @@ from ..nn.serialization import StateSchema, _intern_schema, schema_of
 from ..utils.rng import stable_seed  # noqa: F401  (re-exported draw key space)
 from .client import ClientPopulation, train_rows_into
 from .cohort import CohortTrainer
+from .faults import FaultInjector
 from .integrity import TranscriptError, _entry_hash, _walk_chain, update_digest
 from .update import ModelUpdate
 
@@ -529,12 +530,8 @@ class ShardedRoundEngine:
         schema: StateSchema,
         num_shards: int,
         backend: str = "inline",
-        seed: int = 0,
-        fault_injector=None,
-        fault_ledger=None,
+        faults: FaultInjector | None = None,
         dataset=None,
-        model_fn=None,
-        local_config=None,
         capacity: int | None = None,
         cohort_batching: bool = False,
     ) -> None:
@@ -544,21 +541,19 @@ class ShardedRoundEngine:
             raise ShardingError(
                 f"unknown shard backend {backend!r}; choose from {SHARD_BACKENDS}"
             )
-        if backend == "process" and (dataset is None or model_fn is None or local_config is None):
+        if backend == "process" and dataset is None:
             raise ShardingError(
-                "the process backend needs (dataset, model_fn, local_config) to "
-                "rebuild client populations inside its spawn workers"
+                "the process backend needs the population's dataset to rebuild "
+                "client populations inside its spawn workers"
             )
         self.population = population
         self.schema = schema
         self.num_shards = int(num_shards)
         self.backend = backend
-        self.seed = int(seed)
-        self._fault_injector = fault_injector
-        self._fault_ledger = fault_ledger
+        #: the fault plane (zero-rate unless given): shard crashes draw here
+        #: and land in its ledger
+        self._faults = faults or FaultInjector()
         self._dataset = dataset
-        self._model_fn = model_fn
-        self._local_config = local_config
         self._capacity_hint = int(capacity) if capacity else 0
         self.cohort_batching = bool(cohort_batching)
         #: hierarchical transcript of the data plane (one chain per shard)
@@ -617,10 +612,12 @@ class ShardedRoundEngine:
             mp_context=get_context("spawn"),  # explicit: deterministic across platforms
             initializer=_worker_init,
             initargs=(
+                # The workers rebuild the root's population from its own parts,
+                # so their rows are the inline path's by construction.
                 self._dataset,
-                self._model_fn,
-                self._local_config,
-                self.seed,
+                self.population.model_fn,
+                self.population.local_config,
+                self.population.seed,
                 self.schema.names,
                 self.schema.shapes,
                 rows_segment.name,
@@ -647,17 +644,15 @@ class ShardedRoundEngine:
         computes the identical pure-function rows, results are bit-identical
         under any crash schedule.
         """
-        injector = self._fault_injector
+        faults = self._faults
         executors = ["worker"] * plan.num_shards
-        if injector is None or injector.config.shard_crash_rate <= 0.0:
-            return executors
         for shard in range(plan.num_shards):
-            failures = injector.retry(
-                "shard-crash", shard, round_index, self._fault_ledger,
-                lambda attempt: injector.shard_crash(shard, round_index, attempt),
+            failures = faults.retry(
+                "shard-crash", shard, round_index,
+                lambda attempt: faults.shard_crash(shard, round_index, attempt),
                 exhausted="failed-over",
             )
-            if failures == injector.config.max_attempts:
+            if failures == faults.config.max_attempts:
                 executors[shard] = "failover-root"
         return executors
 

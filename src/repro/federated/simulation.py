@@ -75,7 +75,6 @@ from .events import (
     FlushPolicy,
     QuorumFlushPolicy,
     RoundDeadline,
-    SyncFlushPolicy,
     TransmissionFailure,
     VirtualClockScheduler,
 )
@@ -246,7 +245,8 @@ class RoundRecord:
     num_fault_discarded: int = 0
     #: total simulated seconds spent on recovery (backoffs, failover setup)
     recovery_seconds: float = 0.0
-    #: quorum size the sync flush policy would settle for (0 = no fault plane)
+    #: merged updates the sync round's quorum policy settles for (every
+    #: sync round; 0 in buffered-async rounds)
     quorum_target: int = 0
     #: individual non-zero recovery delays, for percentile summaries
     recovery_latencies: list[float] = field(default_factory=list)
@@ -274,11 +274,12 @@ class SimulationResult:
     #: raw updates per round as received by the server (Figure 9 input)
     received_updates: list[list[ModelUpdate]]
     attack: object | None = None
-    #: the run's :class:`~repro.federated.faults.FaultLedger` (empty without
-    #: a fault plane) — every injected fault and its resolution
+    #: the run's :class:`~repro.federated.faults.FaultLedger`, its fault
+    #: plane's — every injected fault and its resolution (empty at zero rates)
     fault_ledger: FaultLedger | None = None
-    #: the run's :class:`~repro.federated.adversary.AdversaryLedger` (empty
-    #: without an adversary plane) — every injected attack and its resolution
+    #: the run's :class:`~repro.federated.adversary.AdversaryLedger`, its
+    #: adversary plane's — every injected attack and its resolution (empty
+    #: when no attacker is configured)
     adversary_ledger: AdversaryLedger | None = None
     #: the server's hash-chained round transcript (always present)
     transcript: object | None = None
@@ -400,21 +401,12 @@ class FederatedSimulation:
         if attack is not None and getattr(attack, "mode", None) == "active":
             broadcast_hook = attack.craft_broadcast
         scenario = config.scenario
-        # Fault plane: one injector (pure hash draws, stateless) and one
-        # append-only ledger per run.  Without a FaultConfig the injector is
-        # None and every fault hook below is a no-op.
-        faults = scenario.faults
-        self.fault_ledger = FaultLedger()
-        self._fault_injector = FaultInjector(config.seed, faults) if faults is not None else None
-        # Byzantine adversary plane: same shape as the fault plane — one
-        # deterministic injector, one append-only ledger.  Without an
-        # AdversaryConfig both are inert and every hook below is a no-op.
-        self.adversary_ledger = AdversaryLedger()
-        self._adversary_injector = (
-            AdversaryInjector(config.seed, scenario.adversary)
-            if scenario.adversary is not None
-            else None
-        )
+        # The fault and Byzantine adversary planes: one deterministic
+        # injector each (pure hash draws), owning the run's append-only
+        # ledger.  Every run arms both; at zero rates they draw nothing and
+        # record nothing.
+        self._faults = FaultInjector(config.seed, scenario.faults)
+        self._adversary = AdversaryInjector(config.seed, scenario.adversary)
         # Sharded training plane: one root-side engine per run, owning the
         # shard plan, the (lazy) spawn pool + shared-memory plane, and the
         # hierarchical transcript.  num_shards=0 trains in process.
@@ -425,12 +417,8 @@ class FederatedSimulation:
                 schema=schema_of(initial_model.state_dict()),
                 num_shards=config.num_shards,
                 backend=config.shard_backend,
-                seed=config.seed,
-                fault_injector=self._fault_injector,
-                fault_ledger=self.fault_ledger,
+                faults=self._faults,
                 dataset=dataset,
-                model_fn=model_fn,
-                local_config=config.local,
                 capacity=config.clients_per_round or len(self.population),
                 cohort_batching=config.cohort_batching,
             )
@@ -446,24 +434,28 @@ class FederatedSimulation:
             initial_model.state_dict(),
             sample_weighted=config.sample_weighted,
             broadcast_hook=broadcast_hook,
-            # Quorum rounds carry unmerged payloads forward as stale, so a
-            # fault plane needs the staleness discount even in sync mode
-            # (aggregation is unchanged until something stale actually lands).
-            staleness_alpha=(
-                scenario.staleness_alpha if scenario.is_async or faults is not None else None
-            ),
-            fault_injector=self._fault_injector,
-            fault_ledger=self.fault_ledger,
+            # Quorum rounds carry unmerged payloads forward as stale, so sync
+            # rounds take the staleness discount too (aggregation is the
+            # plain mean until something stale actually lands).
+            staleness_alpha=scenario.staleness_alpha,
+            faults=self._faults,
             policy=config.aggregation_policy(),
         )
-        if self._fault_injector is not None:
-            self.defense.attach_fault_plane(self._fault_injector, self.fault_ledger)
-        if self._adversary_injector is not None:
-            self.defense.attach_adversary_plane(self._adversary_injector, self.adversary_ledger)
+        self.defense.attach_planes(self._faults, self._adversary)
         if attack is not None:
             if getattr(attack, "truth", None) is None:
                 attack.truth = {c.client_id: c.attribute for c in dataset.clients()}
             self.server.add_observer(attack)
+
+    @property
+    def fault_ledger(self) -> FaultLedger:
+        """The run's fault ledger (the fault plane's)."""
+        return self._faults.ledger
+
+    @property
+    def adversary_ledger(self) -> AdversaryLedger:
+        """The run's adversary ledger (the adversary plane's)."""
+        return self._adversary.ledger
 
     # ------------------------------------------------------------------
     # Round loop
@@ -550,33 +542,34 @@ class FederatedSimulation:
     ) -> None:
         """Schedule one transmission attempt of a trained update.
 
-        Every update leaves through here.  With a fault plane the attempt
-        first draws its transport faults, and a faulted attempt schedules a
-        :class:`TransmissionFailure` instead of its arrival; without one, no
-        draw runs.  Attempt 0 travels the transit latency drawn at dispatch
-        and carries it as its arrival's ``latency``, so a zero-rate fault
-        plane schedules exactly the events of a run without one.  A retry
-        (``attempt >= 1``) redraws its transit latency; its arrival's
-        ``latency`` spans the *full* dispatch→arrival interval including
-        every backoff, so merged-latency metrics tell the truth.
+        Every update leaves through here.  The attempt first checks its
+        transport faults, and a faulted attempt schedules a
+        :class:`TransmissionFailure` instead of its arrival; at a zero frame
+        corruption rate no draw runs, so a zero-rate plane costs no call per
+        update.  Attempt 0 travels the transit latency drawn at dispatch and
+        carries it as its arrival's ``latency``.  A retry (``attempt >= 1``)
+        redraws its transit latency; its arrival's ``latency`` spans the
+        *full* dispatch→arrival interval including every backoff, so
+        merged-latency metrics tell the truth.
         """
-        injector = self._fault_injector
+        faults = self._faults
+        config = faults.config
         client_id = update.sender_id
         transit = update.metadata["latency"]
         if attempt:
-            transit = injector.retry_latency(transit, client_id, origin_round, attempt)
+            transit = faults.retry_latency(transit, client_id, origin_round, attempt)
         failure = None
-        if injector is not None:
-            hop_timeout = injector.config.hop_timeout
-            if hop_timeout is not None and transit > hop_timeout:
-                # The per-hop ack timer expires before the frame lands: the
-                # sender learns at dispatch + timeout, not after the full transit.
-                failure = ("timeout", dispatch_time + hop_timeout)
-            elif injector.frame_fault(client_id, origin_round, attempt):
-                # Corruption is detected by the receiver at the would-be arrival
-                # instant (RW01 framing surfaces it as a typed error, never a
-                # silent mis-parse) and NACKed back.
-                failure = ("frame", dispatch_time + transit)
+        if config.hop_timeout is not None and transit > config.hop_timeout:
+            # The per-hop ack timer expires before the frame lands: the
+            # sender learns at dispatch + timeout, not after the full transit.
+            failure = ("timeout", dispatch_time + config.hop_timeout)
+        elif config.frame_corruption_rate > 0 and faults.frame_fault(
+            client_id, origin_round, attempt
+        ):
+            # Corruption is detected by the receiver at the would-be arrival
+            # instant (RW01 framing surfaces it as a typed error, never a
+            # silent mis-parse) and NACKed back.
+            failure = ("frame", dispatch_time + transit)
         if failure is not None:
             kind, failure_time = failure
             self._scheduler.schedule(
@@ -661,7 +654,7 @@ class FederatedSimulation:
                     ):
                         scheduler.schedule(BufferFlush(time=event.time, round_index=round_index))
                 else:
-                    delay = self._fault_injector.backoff(
+                    delay = self._faults.backoff(
                         event.kind, event.client_id, event.origin_round, event.attempt
                     )
                     ledger.record(
@@ -713,21 +706,16 @@ class FederatedSimulation:
         availability = scenario.availability or AlwaysAvailable()
         surviving_ids = availability.filter_available(seed, selected_ids, round_index)
         num_dropped = len(selected_ids) - len(surviving_ids)
-        injector = self._fault_injector
-        num_crashed = 0
-        if injector is not None and scenario.faults.client_crash_rate > 0:
-            # Mid-training crashes: the device died after dispatch, so its
-            # work (and its update) is simply gone this round — a discarded
-            # fault, not churn (the server selected and broadcast to it).
-            crashed_ids = injector.crashed_clients(surviving_ids, round_index)
-            if crashed_ids:
-                crashed_set = set(crashed_ids)
-                surviving_ids = [cid for cid in surviving_ids if cid not in crashed_set]
-                for client_id in crashed_ids:
-                    self.fault_ledger.record(
-                        "client-crash", client_id, round_index, 0, "discarded"
-                    )
-                num_crashed = len(crashed_ids)
+        # Mid-training crashes: the device died after dispatch, so its work
+        # (and its update) is simply gone this round — a discarded fault, not
+        # churn (the server selected and broadcast to it).
+        crashed_ids = self._faults.crashed_clients(surviving_ids, round_index)
+        if crashed_ids:
+            crashed_set = set(crashed_ids)
+            surviving_ids = [cid for cid in surviving_ids if cid not in crashed_set]
+            for client_id in crashed_ids:
+                self.fault_ledger.record("client-crash", client_id, round_index, 0, "discarded")
+        num_crashed = len(crashed_ids)
         latencies: dict[int, float] = {}
         if scenario.latency is not None:
             latencies = {
@@ -771,20 +759,16 @@ class FederatedSimulation:
             to_train_ids = arriver_ids
             # The server knows dispatch failures (churn) immediately but not
             # who will straggle: while stragglers are outstanding the
-            # all-arrived condition is unreachable and only the deadline
-            # timer closes the round.
-            if injector is not None:
-                # Graceful degradation: with a fault plane the server settles
-                # for a quorum of the post-crash cohort instead of waiting
-                # out a faulty tail.  quorum_fraction=1.0 only fires at the
-                # same instant all-arrived would — the fault-free semantics.
-                policy: FlushPolicy = QuorumFlushPolicy(
-                    quorum_count=scenario.faults.quorum_count(len(surviving_ids)),
-                    expected_absent=stats.num_stragglers,
-                )
-                stats.quorum_target = policy.quorum_count
-            else:
-                policy = SyncFlushPolicy(expected_absent=stats.num_stragglers)
+            # all-arrived condition is unreachable and only the quorum or the
+            # deadline timer closes the round.  Graceful degradation: the
+            # server settles for a quorum of the post-crash cohort instead of
+            # waiting out a faulty tail; quorum_fraction=1.0 only fires at
+            # the instant all-arrived does.
+            policy: FlushPolicy = QuorumFlushPolicy(
+                quorum_count=scenario.faults.quorum_count(len(surviving_ids)),
+                expected_absent=stats.num_stragglers,
+            )
+            stats.quorum_target = policy.quorum_count
         else:
             to_train_ids = surviving_ids
             policy = BufferedFlushPolicy(
@@ -798,15 +782,11 @@ class FederatedSimulation:
         # function of (client, round), so the event engine only decides when
         # results arrive, never what they are.
         trained = self._train_cohort(to_train_ids, broadcast_state, round_index)
-        if self._adversary_injector is not None:
-            # Poison after training, before transport: a Byzantine participant
-            # trains honestly enough to know the benign distribution (ALIE),
-            # then reports poison.  In-place on the flat plane, keyed purely by
-            # (seed, client, round) — order- and parallelism-independent.
-            attacked = self._adversary_injector.poison_round(
-                trained, broadcast_state, round_index, self.adversary_ledger
-            )
-            stats.num_poisoned = len(attacked)
+        # Poison after training, before transport: a Byzantine participant
+        # trains honestly enough to know the benign distribution (ALIE), then
+        # reports poison.  In-place on the flat plane, keyed purely by (seed,
+        # client, round) — order- and parallelism-independent.
+        stats.num_poisoned = len(self._adversary.poison_round(trained, broadcast_state, round_index))
         # Payloads still in transit from earlier rounds (arrivals and those
         # pending a retry) resolve in this round's replay too.
         in_flight = scheduler.in_flight_count()
@@ -889,7 +869,7 @@ class FederatedSimulation:
         record.num_aggregated = len(received)
         report = self.server.last_aggregation_report
         record.num_filtered = len(report.dropped)
-        if self._adversary_injector is not None:
+        if self.adversary_ledger.pending:
             # Resolve pending poison by who actually contributed to the merge:
             # kept slots' contributors (incl. chimera layer sources) carried
             # the poison into the model; dropped-only contributors were
@@ -967,10 +947,9 @@ class FederatedSimulation:
             # The spawn pool and its /dev/shm segments must not outlive the
             # run, however it ends; the engine respawns lazily if reused.
             self.close()
-        if self._adversary_injector is not None:
-            # Poison still in flight when the run ends never reached the
-            # model: sweep it as filtered so the ledger always balances.
-            self.adversary_ledger.resolve_stranded("filtered")
+        # Poison still in flight when the run ends never reached the model:
+        # sweep it as filtered so the ledger always balances.
+        self.adversary_ledger.resolve_stranded("filtered")
         return SimulationResult(
             rounds=list(self._records),
             final_state=self.server.global_state,
@@ -1054,24 +1033,22 @@ class FederatedSimulation:
         self._scheduler = state["scheduler"]
         self._received_log = list(state["received_log"])
         self.defense = state["defense"]
-        # Load the saved fault history into the live ledger instead of
-        # swapping the object: the server and the shard engine write to it.
-        saved_ledger = state["ledger"]
-        self.fault_ledger.entries[:] = saved_ledger.entries
-        self.fault_ledger.retransmissions = saved_ledger.retransmissions
-        self.adversary_ledger = state.get("adversary_ledger") or AdversaryLedger()
+        # Load the saved histories into the live ledgers instead of swapping
+        # the objects: every component holding a plane writes to them.
+        saved_faults, saved_adversary = state["ledger"], state["adversary_ledger"]
+        self.fault_ledger.entries[:] = saved_faults.entries
+        self.fault_ledger.retransmissions = saved_faults.retransmissions
+        self.adversary_ledger.entries[:] = saved_adversary.entries
+        self.adversary_ledger.pending = dict(saved_adversary.pending)
         transcript = state.get("transcript")
         if transcript is not None:
             self.server.transcript = transcript
         shard_state = state.get("shard_state")
         if self._shard_engine is not None and shard_state is not None:
             self._shard_engine.restore_checkpoint_state(shard_state)
-        # Re-wire the unpickled defense, which carries copies of the hooks,
-        # to this simulation's live planes.
-        if self._fault_injector is not None:
-            self.defense.attach_fault_plane(self._fault_injector, self.fault_ledger)
-        if self._adversary_injector is not None:
-            self.defense.attach_adversary_plane(self._adversary_injector, self.adversary_ledger)
+        # Re-wire the unpickled defense, which carries copies of the planes,
+        # to this simulation's live ones.
+        self.defense.attach_planes(self._faults, self._adversary)
 
     def save_checkpoint(self, path) -> None:
         """Write :meth:`checkpoint` bytes to ``path``."""

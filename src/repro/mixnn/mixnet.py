@@ -124,21 +124,20 @@ class MixCascade:
         return current
 
     def send_batch_with_failover(
-        self,
-        payloads: list[bytes],
-        injector,
-        round_index: int = 0,
-        ledger=None,
+        self, payloads: list[bytes], faults, round_index: int = 0
     ) -> list[bytes]:
         """Push raw payloads through the cascade, re-routing around crashes.
 
         Unlike :meth:`send_batch`, this takes *plaintext* payloads and wraps
         them itself, because a node crash changes the route: the surviving
         cascade has different keys, so every message must be re-onioned from
-        scratch.  Per attempt, each hop draws a deterministic crash from
-        ``injector`` (keyed ``(node index, round, attempt)``); a crashed node
-        is removed from the route (its buffered batch is lost with it) and the
-        whole batch retransmits over the shrunken cascade.  Raises
+        scratch.  Per attempt, each hop draws a deterministic crash from the
+        fault plane ``faults`` (a
+        :class:`~repro.federated.faults.FaultInjector`, keyed ``(node index,
+        round, attempt)``); a crashed node is removed from the route (its
+        buffered batch is lost with it), the crash is recorded failed-over in
+        ``faults.ledger`` with its retransmissions, and the whole batch
+        retransmits over the shrunken cascade.  Raises
         :class:`RuntimeError` if every node has crashed.
         """
         surviving = list(self.nodes)
@@ -152,21 +151,16 @@ class MixCascade:
             route_keys = [node.public_key for node in surviving]
             crashed = None
             for hop, node in enumerate(surviving):
-                if injector.mix_node_crash(hop, round_index, attempt):
+                if faults.mix_node_crash(hop, round_index, attempt):
                     crashed = hop
                     break
             if crashed is not None:
-                if ledger is not None:
-                    delay = injector.backoff("mixnode-crash", crashed, round_index, attempt)
-                    ledger.record(
-                        "mixnode-crash",
-                        crashed,
-                        round_index,
-                        attempt,
-                        "failed-over",
-                        delay_seconds=delay,
-                    )
-                    ledger.note_retransmissions(len(payloads))
+                delay = faults.backoff("mixnode-crash", crashed, round_index, attempt)
+                faults.ledger.record(
+                    "mixnode-crash", crashed, round_index, attempt, "failed-over",
+                    delay_seconds=delay,
+                )
+                faults.ledger.note_retransmissions(len(payloads))
                 surviving.pop(crashed)
                 attempt += 1
                 continue

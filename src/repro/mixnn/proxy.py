@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..federated.faults import FaultInjector
 from ..federated.update import ModelUpdate
 from ..nn.serialization import FrameError, schema_of
 from .enclave import SGXEnclaveSim, UpdateDecryptError
@@ -79,6 +80,7 @@ class MixNNProxy:
         k: int = 4,
         rng: np.random.Generator | None = None,
         granularity: str = "layer",
+        faults: FaultInjector | None = None,
     ) -> None:
         if k < 1:
             raise ValueError(f"list capacity k must be >= 1, got {k}")
@@ -107,9 +109,9 @@ class MixNNProxy:
         # a crash/restart loses it, which is why failover retransmissions to
         # a restarted proxy are accepted rather than mistaken for replays.
         self._seen_nonces: set = set()
-        #: fault plane hooks (attached by the defense; ``None`` = fault-free)
-        self.fault_injector = None
-        self.fault_ledger = None
+        #: the fault plane (the defense hands over the simulation's; zero-rate
+        #: unless given): injected enclave faults draw here
+        self.faults = faults or FaultInjector()
 
     # ------------------------------------------------------------------
     # Participant-facing helpers
@@ -327,28 +329,29 @@ class MixNNProxy:
         A poisoned ciphertext is skipped (``stats.decrypt_failures``) instead
         of killing the batch, and so is a message :meth:`receive` would refuse
         (``stats.rejected``, or ``stats.replays_rejected`` for a replay), so the
-        later messages are still ingested and their plaintexts freed.  With
-        the fault plane attached, injected enclave faults retry with backoff
+        later messages are still ingested and their plaintexts freed.
+        Injected enclave faults from :attr:`faults` retry with backoff
         (:meth:`~repro.federated.faults.FaultInjector.retry`), each retry
-        charging another decrypt.  ``round_hint`` keys those fault draws.
+        charging another decrypt; at a zero enclave failure rate no message
+        draws.  ``round_hint`` keys those fault draws.
         """
         results = self.enclave.decrypt_many(
             [message.ciphertext for message in messages],
             ids=[message.transport_id for message in messages],
             on_error="collect",
         )
-        injector = self.fault_injector
+        faults = self.faults
         emitted: list[ModelUpdate] = []
         for message, result in zip(messages, results):
             if isinstance(result, UpdateDecryptError):
                 self.stats.decrypt_failures += 1
                 continue
-            if injector is not None and injector.config.enclave_failure_rate > 0:
+            if faults.config.enclave_failure_rate > 0:
                 round_index = round_hint if round_hint is not None else self._round_index
                 sender = message.transport_id
-                failures = injector.retry(
-                    "enclave", sender, round_index, self.fault_ledger,
-                    lambda attempt: injector.enclave_fault(sender, round_index, attempt),
+                failures = faults.retry(
+                    "enclave", sender, round_index,
+                    lambda attempt: faults.enclave_fault(sender, round_index, attempt),
                 )
                 # Each retry re-runs the in-enclave decrypt.
                 for _ in range(failures):

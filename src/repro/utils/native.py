@@ -40,9 +40,11 @@ import functools
 import hashlib
 import importlib.util
 import os
+import shutil
 import sys
 import tempfile
 import threading
+import warnings
 
 import numpy as np
 
@@ -376,7 +378,11 @@ def _build() -> "tuple | None":
             extra_compile_args=["-O2", "-Wno-deprecated-declarations"],
         )
         build_dir = tempfile.mkdtemp(prefix="repro-native-build-")
-        ffi.compile(tmpdir=build_dir)
+        try:
+            ffi.compile(tmpdir=build_dir)
+        except BaseException:
+            shutil.rmtree(build_dir, ignore_errors=True)
+            raise
         try:
             os.rename(build_dir, cache)
             target = cache
@@ -395,7 +401,10 @@ def load():
 
     Thread-safe: the first call builds (or imports) the helper under a lock,
     and every caller sees either nothing yet or the finished pair — ``_ffi``
-    is published before ``_lib``, and the attempt is marked done last.
+    is published before ``_lib``, and the attempt is marked done last.  A
+    build that raises emits one ``RuntimeWarning`` naming the error before
+    the pure-Python fallback takes over; ``REPRO_NO_NATIVE=1`` falls back
+    silently.
     """
     global _lib, _ffi, _load_attempted
     if _load_attempted:
@@ -406,8 +415,13 @@ def load():
             if not os.environ.get("REPRO_NO_NATIVE"):
                 try:
                     built = _build()
-                except Exception:
-                    built = None
+                except Exception as exc:
+                    warnings.warn(
+                        f"the native helper failed to build ({type(exc).__name__}: {exc}); "
+                        "falling back to the pure-Python paths",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
             if built is not None:
                 _ffi = built[1]
                 _lib = built[0]

@@ -19,11 +19,13 @@ from repro.federated import (
     FederatedSimulation,
     FixedLatency,
     LocalTrainingConfig,
+    LogNormalLatency,
     ModelUpdate,
     RandomDropout,
     ScenarioConfig,
     SimulationConfig,
     TranscriptError,
+    state_digest,
     update_contributors,
     update_digest,
 )
@@ -108,6 +110,12 @@ class TestAdversaryConfigValidation:
         with pytest.raises(ValueError, match="attack kind"):
             AdversaryConfig(kind="teleport")
 
+    def test_scenario_rejects_a_missing_adversary_plane(self):
+        # the silent AdversaryConfig() is the plane's one "off"
+        assert ScenarioConfig().adversary == AdversaryConfig()
+        with pytest.raises(TypeError, match=r"zero-rate AdversaryConfig\(\) default"):
+            ScenarioConfig(adversary=None)
+
     @pytest.mark.parametrize(
         "name, value",
         [
@@ -122,12 +130,6 @@ class TestAdversaryConfigValidation:
     def test_parameter_bounds(self, name, value):
         with pytest.raises(ValueError, match=name):
             AdversaryConfig(**{name: value})
-
-    def test_any_adversaries(self):
-        assert not AdversaryConfig().any_adversaries
-        assert AdversaryConfig(fraction=0.1).any_adversaries
-        assert AdversaryConfig(attacker_ids=(3,)).any_adversaries
-        assert AdversaryConfig(replay_rate=0.1).any_adversaries
 
     def test_taxonomy_is_closed(self):
         assert set(ATTACK_KINDS) <= set(ADVERSARY_KINDS)
@@ -197,9 +199,8 @@ class TestPoisonSemantics:
         injector = AdversaryInjector(
             0, AdversaryConfig(attacker_ids=attacker_ids, kind=kind, **kwargs)
         )
-        ledger = AdversaryLedger()
-        attacked = injector.poison_round(updates, broadcast, 0, ledger)
-        return injector, broadcast, updates, honest, attacked, ledger
+        attacked = injector.poison_round(updates, broadcast, 0)
+        return injector, broadcast, updates, honest, attacked, injector.ledger
 
     def test_sign_flip_reverses_the_delta(self):
         injector, broadcast, updates, honest, attacked, _ = self.attack("sign-flip", scale=2.0)
@@ -256,10 +257,9 @@ class TestPoisonSemantics:
         broadcast = toy_broadcast(rng)
         updates = toy_updates(broadcast, rng, 4)
         honest = [u.flat().copy() for u in updates]
-        injector = AdversaryInjector(0, AdversaryConfig())
-        ledger = AdversaryLedger()
-        assert injector.poison_round(updates, broadcast, 0, ledger) == []
-        assert not ledger.entries and not ledger.pending
+        injector = AdversaryInjector()
+        assert injector.poison_round(updates, broadcast, 0) == []
+        assert not injector.ledger.entries and not injector.ledger.pending
         for update, row in zip(updates, honest):
             np.testing.assert_array_equal(update.flat(), row)
 
@@ -322,23 +322,22 @@ class TestAdversaryLedger:
 
 
 class TestZeroAdversaryBitIdentity:
-    """An armed-but-all-zero adversary plane must not perturb a single bit."""
+    """The silent adversary plane every run arms must not perturb a single bit."""
 
-    def test_zero_config_matches_no_adversary_plane(self, tiny_motionsense):
-        base = ScenarioConfig(availability=RandomDropout(0.2), latency=FixedLatency(1.0))
-        armed = ScenarioConfig(
-            availability=RandomDropout(0.2),
-            latency=FixedLatency(1.0),
-            adversary=AdversaryConfig(),
-        )
-        plain = make_sim(tiny_motionsense, base).run()
-        adversarial = make_sim(tiny_motionsense, armed).run()
-        assert plain.accuracy_curve() == adversarial.accuracy_curve()
-        for name, value in plain.final_state.items():
-            np.testing.assert_array_equal(value, adversarial.final_state[name])
-        assert adversarial.adversary_ledger.injected == 0
-        # identical pipelines hash to identical transcripts
-        assert plain.transcript.head == adversarial.transcript.head
+    #: final-weights SHA-256 and transcript head of the adversary-free
+    #: pipeline on this run; the default scenario's silent plane must
+    #: reproduce both
+    ADVERSARY_FREE = (
+        "24c3dbcd09fe8e60243ff35f030c5d722804366fd1e75b1958b724b97c1bb912",
+        "b1ceb92bb598ee99f4eee53310bc1a12e33036307dbe004717321fecd77af41a",
+    )
+
+    def test_silent_plane_reproduces_the_adversary_free_digests(self, tiny_motionsense):
+        scenario = ScenarioConfig(availability=RandomDropout(0.2), latency=FixedLatency(1.0))
+        assert scenario.adversary == AdversaryConfig()
+        result = make_sim(tiny_motionsense, scenario).run()
+        assert (state_digest(result.final_state), result.transcript.head) == self.ADVERSARY_FREE
+        assert result.adversary_ledger.injected == 0
 
     @pytest.mark.parametrize("rule", ["mean", "krum"])
     def test_adversarial_run_identical_across_parallelism(self, tiny_motionsense, rule):
@@ -447,6 +446,38 @@ class TestCheckpointResumeWithAdversary:
             np.testing.assert_array_equal(value, result.final_state[name])
         assert result.adversary_ledger.entries == straight.adversary_ledger.entries
         assert result.transcript.head == straight.transcript.head
+
+    def test_resume_with_poison_in_flight_is_bit_identical(self, tiny_motionsense):
+        """Buffered-async poison still in transit at the checkpoint resolves
+        after the resume exactly as in the uninterrupted run: merged,
+        filtered, or swept as stranded at the end."""
+        scenario = ScenarioConfig(
+            latency=LogNormalLatency(median=1.0, sigma=1.0),
+            aggregation="buffered-async",
+            buffer_size=2,
+            adversary=AdversaryConfig(fraction=0.3, kind="sign-flip"),
+        )
+        straight = make_sim(tiny_motionsense, scenario, rounds=3)
+        straight_result = straight.run()
+
+        first = make_sim(tiny_motionsense, scenario, rounds=3)
+        first._records.append(first.run_round())
+        assert first.adversary_ledger.pending  # poison in flight at the checkpoint
+        blob = first.checkpoint()
+
+        resumed = make_sim(tiny_motionsense, scenario, rounds=3)
+        resumed.restore_checkpoint(blob)
+        result = resumed.run()
+
+        ledger = result.adversary_ledger
+        ledger.validate()
+        assert ledger is resumed.adversary_ledger
+        assert ledger.entries == straight_result.adversary_ledger.entries
+        assert ledger.filtered > 0  # the end-of-run sweep resolved stranded poison
+        assert result.rounds == straight_result.rounds
+        for name, value in straight_result.final_state.items():
+            np.testing.assert_array_equal(value, result.final_state[name])
+        assert result.transcript.head == straight_result.transcript.head
 
 
 class TestRoundTranscript:

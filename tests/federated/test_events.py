@@ -21,8 +21,8 @@ from repro.federated.events import (
     BufferedFlushPolicy,
     BufferFlush,
     ClientUpdateArrival,
+    QuorumFlushPolicy,
     RoundDeadline,
-    SyncFlushPolicy,
     TransmissionFailure,
     VirtualClockScheduler,
 )
@@ -257,12 +257,15 @@ class TestQueueOrder:
 
 class TestFlushPolicies:
     def test_sync_waits_for_all(self):
-        policy = SyncFlushPolicy()
+        # the default quorum: the whole cohort of four
+        policy = QuorumFlushPolicy(quorum_count=4)
         assert not policy.should_flush(buffered=3, outstanding=1)
         assert policy.should_flush(buffered=4, outstanding=0)
 
     def test_sync_with_absent_stragglers_never_flushes_early(self):
-        policy = SyncFlushPolicy(expected_absent=2)
+        # six survivors, two of them stragglers past the deadline: only the
+        # deadline closes the round
+        policy = QuorumFlushPolicy(quorum_count=6, expected_absent=2)
         assert not policy.should_flush(buffered=4, outstanding=0)
 
     def test_buffered_flushes_on_kth(self):

@@ -13,6 +13,7 @@ import pytest
 from repro.defenses import MixNNDefense
 from repro.experiments.models import paper_cnn
 from repro.federated import (
+    AdversaryConfig,
     FaultConfig,
     FaultInjector,
     FaultLedger,
@@ -23,7 +24,10 @@ from repro.federated import (
     RandomDropout,
     ScenarioConfig,
     SimulationConfig,
+    state_digest,
 )
+from repro.federated import adversary as adversary_plane
+from repro.federated import faults as fault_plane
 from repro.federated.faults import FAULT_KINDS, POST_FLUSH_KINDS, RESOLUTIONS
 from repro.utils.rng import rng_from_seed, stable_seed
 
@@ -98,9 +102,11 @@ class TestFaultConfigValidation:
         with pytest.raises(ValueError, match="hop_timeout"):
             FaultConfig(hop_timeout=0.0)
 
-    def test_any_faults(self):
-        assert not FaultConfig().any_faults
-        assert FaultConfig(frame_corruption_rate=0.1).any_faults
+    def test_scenario_rejects_a_missing_fault_plane(self):
+        # the zero-rate FaultConfig() is the plane's one "off"
+        assert ScenarioConfig().faults == FaultConfig()
+        with pytest.raises(TypeError, match=r"zero-rate FaultConfig\(\) default"):
+            ScenarioConfig(faults=None)
 
 
 class TestFaultInjectorDeterminism:
@@ -174,10 +180,11 @@ class TestRetry:
     """``FaultInjector.retry``: the one in-line retry-with-backoff loop."""
 
     def test_fails_k_times_then_succeeds(self):
-        injector, ledger = FaultInjector(0, FaultConfig(max_attempts=4)), FaultLedger()
+        injector = FaultInjector(0, FaultConfig(max_attempts=4))
+        ledger = injector.ledger
         for k in range(4):
             ledger.entries.clear()
-            assert injector.retry("merge", -1, 2, ledger, lambda attempt: attempt < k) == k
+            assert injector.retry("merge", -1, 2, lambda attempt: attempt < k) == k
             assert [(e.attempt, e.resolution) for e in ledger.entries] == [
                 (attempt, "retried") for attempt in range(k)
             ]
@@ -187,21 +194,20 @@ class TestRetry:
 
     @pytest.mark.parametrize("exhausted", ["retried", "failed-over"])
     def test_a_spent_budget_resolves_the_last_failure_as_exhausted(self, exhausted):
-        injector, ledger = FaultInjector(0, FaultConfig(max_attempts=3)), FaultLedger()
-        failures = injector.retry(
-            "shard-crash", 1, 0, ledger, lambda attempt: True, exhausted=exhausted
-        )
+        injector = FaultInjector(0, FaultConfig(max_attempts=3))
+        failures = injector.retry("shard-crash", 1, 0, lambda attempt: True, exhausted=exhausted)
         assert failures == 3
+        ledger = injector.ledger
         assert [e.resolution for e in ledger.entries] == ["retried", "retried", exhausted]
         assert [(e.kind, e.entity, e.round_index) for e in ledger.entries] == [
             ("shard-crash", 1, 0)
         ] * 3
 
     def test_a_clean_first_attempt_records_nothing(self):
-        injector, ledger = FaultInjector(0, FaultConfig()), FaultLedger()
+        injector = FaultInjector()
         injector.backoff = lambda *key: pytest.fail("backoff drawn without a failure")
-        assert injector.retry("enclave", 5, 0, ledger, lambda attempt: False) == 0
-        assert ledger.entries == []
+        assert injector.retry("enclave", 5, 0, lambda attempt: False) == 0
+        assert injector.ledger.entries == []
 
 
 class TestFaultLedger:
@@ -243,54 +249,47 @@ class TestFaultLedger:
 
 
 class TestZeroFaultBitIdentity:
-    """An armed-but-all-zero fault plane must not perturb a single bit."""
+    """The zero-rate fault plane every run arms must not perturb a single bit."""
 
-    @pytest.mark.parametrize("availability", [None, RandomDropout(0.2)], ids=["all", "dropout"])
-    def test_zero_rates_match_no_fault_plane(self, tiny_motionsense, availability):
-        """Every round record and the final weights match a run without a
-        fault plane."""
+    #: final-weights SHA-256 and transcript head of the fault-free pipeline
+    #: on each run below (seed 3, four rounds); the default scenario's
+    #: zero-rate plane must reproduce both
+    FAULT_FREE = {
+        "sync": (
+            "4222079bf60ceb70b07dc749561c27b1b7b52229d302953ba3b15bc7b6c75315",
+            "106d6fb8887263ca937da13c9e217c540d328ecd59ffd5878009d5cc843aaa78",
+        ),
+        "sync-dropout": (
+            "e5b71c9abb7fe4235a8d3560194f39c4df070adced391b61a85a04b684ce611c",
+            "8f6b99e0ee0d8dfd6d2f8958de5167b492722c4b81f32d272153fe1ac6f55ebf",
+        ),
+        "buffered-async": (
+            "612a0dd4f1f2b1af0c78249874ce932f68322e890dce450c2ca8c3da144beffa",
+            "745ca2cee9f1f283265de42b4f62e1cccac7a64d57443582291cc9d0fe3c1c80",
+        ),
+    }
+    SCENARIOS = {
+        "sync": lambda: ScenarioConfig(latency=LogNormalLatency(median=1.0, sigma=0.5)),
+        "sync-dropout": lambda: ScenarioConfig(
+            availability=RandomDropout(0.2), latency=LogNormalLatency(median=1.0, sigma=0.5)
+        ),
+        "buffered-async": lambda: ScenarioConfig(
+            latency=LogNormalLatency(median=1.0, sigma=1.0),
+            aggregation="buffered-async",
+            buffer_size=2,
+        ),
+    }
 
-        def run(faults):
-            scenario = ScenarioConfig(
-                availability=availability,
-                latency=LogNormalLatency(median=1.0, sigma=0.5),
-                faults=faults,
-            )
-            return make_sim(tiny_motionsense, scenario, rounds=4, seed=3).run()
-
-        plain = run(None)
-        armed = run(FaultConfig())
-        assert armed.fault_ledger.injected == 0
-        assert len(armed.rounds) == len(plain.rounds) == 4
-        for r_plain, r_armed in zip(plain.rounds, armed.rounds):
-            # An armed plane records the quorum it would settle for (the
-            # whole surviving cohort); without one the field reads 0.
-            assert r_armed.quorum_target == r_armed.num_selected - r_armed.num_dropped
-            assert dataclasses.replace(r_armed, quorum_target=0) == r_plain
-        for name, value in plain.final_state.items():
-            np.testing.assert_array_equal(value, armed.final_state[name])
-
-    def test_zero_rates_match_no_fault_plane_buffered_async(self, tiny_motionsense):
-        """A buffered-async run leaves payloads in transit at every flush;
-        with or without an armed plane its records agree field by field,
-        payloads carried forward included."""
-
-        def run(faults):
-            scenario = ScenarioConfig(
-                latency=LogNormalLatency(median=1.0, sigma=1.0),
-                aggregation="buffered-async",
-                buffer_size=2,
-                faults=faults,
-            )
-            return make_sim(tiny_motionsense, scenario, rounds=4, seed=3).run()
-
-        plain = run(None)
-        armed = run(FaultConfig())
-        assert armed.fault_ledger.injected == 0
-        assert any(r.num_carried_forward > 0 for r in plain.rounds)
-        assert armed.rounds == plain.rounds
-        for name, value in plain.final_state.items():
-            np.testing.assert_array_equal(value, armed.final_state[name])
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_zero_plane_reproduces_the_fault_free_digests(self, tiny_motionsense, name):
+        scenario = self.SCENARIOS[name]()
+        assert scenario.faults == FaultConfig()
+        result = make_sim(tiny_motionsense, scenario, rounds=4, seed=3).run()
+        assert (state_digest(result.final_state), result.transcript.head) == self.FAULT_FREE[name]
+        assert result.fault_ledger.injected == 0
+        if scenario.is_async:
+            # payloads stay in transit at every flush, carried forward as stale
+            assert all(r.num_carried_forward > 0 for r in result.rounds)
 
     def test_faulted_run_identical_across_parallelism(self, tiny_motionsense):
         def run(parallelism):
@@ -305,6 +304,65 @@ class TestZeroFaultBitIdentity:
         assert [e for e in serial.fault_ledger.entries] == [
             e for e in threaded.fault_ledger.entries
         ]
+
+
+class TestZeroPlanesDrawNothing:
+    """A default-scenario run arms both planes at zero rates: neither draws a
+    hash nor records anything, and every sync round closes by the quorum
+    policy at the whole surviving cohort."""
+
+    CASES = {
+        "default-mixnn": dict(scenario=ScenarioConfig(), mixnn=True),
+        "dropout-latency": dict(
+            scenario=ScenarioConfig(
+                availability=RandomDropout(0.2), latency=LogNormalLatency(median=1.0, sigma=0.5)
+            ),
+        ),
+        "buffered-async-mixnn": dict(
+            scenario=ScenarioConfig(
+                latency=LogNormalLatency(median=1.0, sigma=1.0),
+                aggregation="buffered-async",
+                buffer_size=2,
+            ),
+            mixnn=True,
+        ),
+        "sharded": dict(scenario=ScenarioConfig(), num_shards=2),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_zero_planes_draw_nothing(self, tiny_motionsense, monkeypatch, name):
+        case = self.CASES[name]
+        draws = []
+        for module in (fault_plane, adversary_plane):
+            for draw in ("seeded_uniform", "rng_from_seed"):
+                original = getattr(module, draw)
+
+                def counted(*args, _original=original, _key=(module.__name__, draw)):
+                    draws.append(_key)
+                    return _original(*args)
+
+                monkeypatch.setattr(module, draw, counted)
+        defense = (
+            MixNNDefense(rng=rng_from_seed(stable_seed(0, "mixnn-proxy")))
+            if case.get("mixnn")
+            else None
+        )
+        scenario = case["scenario"]
+        assert (scenario.faults, scenario.adversary) == (FaultConfig(), AdversaryConfig())
+        result = FederatedSimulation(
+            tiny_motionsense,
+            model_fn_for_dataset(tiny_motionsense),
+            dataclasses.replace(make_config(scenario, rounds=3), num_shards=case.get("num_shards", 0)),
+            defense=defense,
+        ).run()
+        assert draws == []
+        assert result.fault_ledger.entries == [] and result.fault_ledger.retransmissions == 0
+        assert result.adversary_ledger.entries == [] and not result.adversary_ledger.pending
+        for record in result.rounds:
+            if scenario.is_async:
+                assert record.quorum_target == 0
+            else:
+                assert record.quorum_target == record.num_selected - record.num_dropped
 
 
 class TestFaultedRounds:

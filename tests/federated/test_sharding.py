@@ -323,8 +323,10 @@ class TestEngineLifecycle:
             ShardedRoundEngine(population, schema, 2, backend="threads")
 
     def test_process_backend_needs_picklable_parts(self, engine_setup):
+        # the workers take model_fn, local config and seed from the
+        # population; only the dataset travels separately
         population, schema, _, _ = engine_setup
-        with pytest.raises(ShardingError, match="process backend"):
+        with pytest.raises(ShardingError, match="process backend needs the population's dataset"):
             ShardedRoundEngine(population, schema, 2, backend="process")
 
     def test_close_is_idempotent_and_engine_stays_usable(self, engine_setup):
@@ -484,8 +486,6 @@ class TestProcessBackend:
             2,
             backend="process",
             dataset=tiny_motionsense,
-            model_fn=model_fn,
-            local_config=local,
         )
         engine.train_round(population.client_ids(range(4)), broadcast, 0)
         assert set(glob.glob("/dev/shm/psm_*")) - before  # plane is live
@@ -493,3 +493,24 @@ class TestProcessBackend:
             engine.train_round([], broadcast, 1)  # empty cohort mid-flight
         leaked = set(glob.glob("/dev/shm/psm_*")) - before
         assert not leaked, f"raising round leaked segments: {leaked}"
+
+    def test_workers_train_the_population_seed(self, tiny_motionsense):
+        """Spawn workers rebuild the root's population from its own seed,
+        model factory and local config, so a population seeded 3 trains the
+        inline engine's rows byte for byte."""
+        from repro.federated.client import ClientPopulation
+
+        local = LocalTrainingConfig(local_epochs=1, batch_size=32)
+        model_fn = model_fn_for(tiny_motionsense)
+        population = ClientPopulation.for_dataset(tiny_motionsense, model_fn, local, seed=3)
+        broadcast = model_fn(rng_from_seed(3)).state_dict()
+        schema = schema_of(broadcast)
+        ids = population.client_ids(range(4))
+        inline = ShardedRoundEngine(population, schema, 2).train_round(ids, broadcast, 0)
+        with ShardedRoundEngine(
+            population, schema, 2, backend="process", dataset=tiny_motionsense
+        ) as engine:
+            spawned = engine.train_round(ids, broadcast, 0)
+        assert [u.sender_id for u in spawned] == [u.sender_id for u in inline] == list(ids)
+        for left, right in zip(inline, spawned):
+            assert left.flat_vector.tobytes() == right.flat_vector.tobytes()

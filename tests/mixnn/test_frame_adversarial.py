@@ -251,10 +251,11 @@ class TestProxyCrash:
 
 
 class ScriptedInjector:
-    """Duck-typed injector whose crash schedule is written by the test."""
+    """Duck-typed fault plane whose crash schedule is written by the test."""
 
     def __init__(self, crashes):
         self.crashes = set(crashes)  # {(hop, attempt), ...}
+        self.ledger = FaultLedger()
 
     def mix_node_crash(self, hop, round_index, attempt):
         return (hop, attempt) in self.crashes
@@ -270,15 +271,15 @@ class TestCascadeFailover:
         injector = FaultInjector(0, FaultConfig())
         delivered = cascade.send_batch_with_failover(payloads, injector)
         assert sorted(delivered) == sorted(payloads)
+        assert injector.ledger.entries == []
 
     def test_crashed_node_is_routed_around(self):
         cascade = MixCascade(num_mixes=3, batch_size=2, rng=rng_from_seed(0))
         payloads = [b"alpha", b"bravo"]
-        ledger = FaultLedger()
-        delivered = cascade.send_batch_with_failover(
-            payloads, ScriptedInjector({(1, 0)}), round_index=2, ledger=ledger
-        )
+        faults = ScriptedInjector({(1, 0)})
+        delivered = cascade.send_batch_with_failover(payloads, faults, round_index=2)
         assert sorted(delivered) == sorted(payloads)
+        ledger = faults.ledger
         assert ledger.failed_over == 1
         assert ledger.entries[0].kind == "mixnode-crash"
         assert ledger.entries[0].round_index == 2
@@ -287,6 +288,8 @@ class TestCascadeFailover:
 
     def test_every_node_crashing_is_fatal(self):
         cascade = MixCascade(num_mixes=2, batch_size=2, rng=rng_from_seed(0))
-        injector = ScriptedInjector({(0, 0), (0, 1), (1, 0), (1, 1)})
+        faults = ScriptedInjector({(0, 0), (0, 1), (1, 0), (1, 1)})
         with pytest.raises(RuntimeError, match="no surviving"):
-            cascade.send_batch_with_failover([b"x"], injector)
+            cascade.send_batch_with_failover([b"x"], faults)
+        # both crashes failed over before the route ran out
+        assert faults.ledger.failed_over == 2

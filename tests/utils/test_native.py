@@ -1,6 +1,7 @@
 """The native helper: OpenSSL ``mod_exp`` and the per-key RSA ops against
 ``pow``, the seeding kernel against numpy's ``SeedSequence`` and
-``default_rng``, the warm-cache load and the first load under concurrency."""
+``default_rng``, the warm-cache load, the first load under concurrency, and
+a failed build's warning and cleanup."""
 
 import functools
 import hashlib
@@ -9,6 +10,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import replace
@@ -170,6 +172,27 @@ class TestLoad:
         assert all(result is sentinel[0] for result in results)
         assert native._ffi is sentinel[1]
         assert len(calls) == 1
+
+    def test_failed_build_warns_and_cleans_up(self, monkeypatch, tmp_path):
+        """A helper that does not compile says so once, falls back, and
+        leaves no build directory in the temp dir."""
+        pytest.importorskip("cffi")
+        temp = tmp_path / "tmp"
+        temp.mkdir()
+        monkeypatch.setenv("TMPDIR", str(temp))
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+        monkeypatch.setattr(native, "_SOURCE", native._SOURCE + "\nthis is not C;\n")
+        monkeypatch.setattr(native, "_lib", None)
+        monkeypatch.setattr(native, "_ffi", None)
+        monkeypatch.setattr(native, "_load_attempted", False)
+        with pytest.warns(RuntimeWarning) as caught:
+            assert native.load() is None
+        failures = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(failures) == 1
+        assert "native helper failed to build" in str(failures[0].message)
+        assert list(temp.iterdir()) == []
 
 
 #: one-word seeds: the whole range numpy hashes as a single entropy word
