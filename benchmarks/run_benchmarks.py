@@ -255,10 +255,9 @@ def cohort_train_seconds() -> list[dict]:
     """Serial vs cohort-batched local training for one round's cohort.
 
     The ``cohort`` study of :data:`repro.experiments.extensions.STUDIES` at
-    16/64/256 clients: the serial
-    :func:`~repro.federated.client.train_rows_into` loop against
-    :class:`~repro.federated.cohort.CohortTrainer`'s one stacked pass on a
-    linear probe, one local epoch, batch size 8.  ``speedup`` at the
+    16/64/256 clients: :class:`~repro.federated.cohort.CohortTrainer`
+    client by client (each model a view of its own row) against its one
+    stacked pass on a linear probe, one local epoch, batch size 8.  ``speedup`` at the
     256-client row is the acceptance number (≥ 5×).  Raises when the two
     paths' rows differ, so diverged code is never benchmarked.
     """

@@ -50,7 +50,7 @@ from ..federated import (
     ScenarioConfig,
     SimulationConfig,
 )
-from ..federated.client import ClientPopulation, train_rows_into
+from ..federated.client import ClientPopulation
 from ..federated.cohort import CohortTrainer
 from ..metrics.latency import summarize_round_timing
 from ..metrics.robustness import attack_success_rate, filter_precision, filter_recall
@@ -652,12 +652,12 @@ def _shard_crashes(run) -> list[str]:
 def _cohort_run(cell: Cell, k) -> SimpleNamespace:
     """Time one round's local training serial against stacked.
 
-    A synthetic linear-probe population trains the same seeded workload once
-    through the serial :func:`~repro.federated.client.train_rows_into` loop
-    and once through :class:`~repro.federated.cohort.CohortTrainer`'s
-    stacked pass, best of ``_COHORT_REPEATS`` each after a shared warm-up.
-    Both land their refined rows for the columns to compare: for this
-    architecture they must be byte-equal.
+    A synthetic linear-probe population trains the same seeded workload
+    twice through :class:`~repro.federated.cohort.CohortTrainer`: client by
+    client, each model a view of its own row, and as one stacked pass
+    (``cohort_batching=True``), best of ``_COHORT_REPEATS`` each after a
+    shared warm-up.  Both land their refined rows for the columns to
+    compare: for this architecture they must be byte-equal.
     """
     def best_of(fn) -> float:
         best = float("inf")
@@ -678,11 +678,12 @@ def _cohort_run(cell: Cell, k) -> SimpleNamespace:
     pairs = list(enumerate(population.client_ids(range(size))))
     serial_rows = np.empty((size, schema.total_size), dtype=np.float32)
     batched_rows = np.empty_like(serial_rows)
-    trainer = CohortTrainer(population, schema)
-    train_rows_into(population, pairs, broadcast, 0, schema, serial_rows)  # warm-up
-    trainer.train_rows(pairs, broadcast, 0, batched_rows)
-    serial = best_of(lambda: train_rows_into(population, pairs, broadcast, 1, schema, serial_rows))
-    batched = best_of(lambda: trainer.train_rows(pairs, broadcast, 1, batched_rows))
+    serial_trainer = CohortTrainer(population, schema)
+    batched_trainer = CohortTrainer(population, schema, cohort_batching=True)
+    serial_trainer.train_rows(pairs, broadcast, 0, serial_rows)  # warm-up
+    batched_trainer.train_rows(pairs, broadcast, 0, batched_rows)
+    serial = best_of(lambda: serial_trainer.train_rows(pairs, broadcast, 1, serial_rows))
+    batched = best_of(lambda: batched_trainer.train_rows(pairs, broadcast, 1, batched_rows))
     return SimpleNamespace(
         result=None,
         wall_seconds=time.perf_counter() - start,

@@ -114,7 +114,7 @@ class ModelFactory:
     Same call signature as the closure factories it replaces (an RNG in, a
     fresh model out), but representable as plain data — so a factory can
     cross a process boundary.  The sharded data plane pickles it into its
-    spawn workers, where each worker rebuilds identical model replicas.
+    spawn workers, where each worker rebuilds an identical model template.
     """
 
     architecture: str

@@ -2,15 +2,16 @@
 
 Each round, a client receives the broadcast model state, refines it locally
 on its private data (step ❷ of Figure 2 — Adam, a configured number of local
-epochs and batch size, per §6.1.4), and returns a :class:`ModelUpdate` with
-the refined parameters.
+epochs and batch size, per §6.1.4), and returns a
+:class:`~repro.federated.update.ModelUpdate` with the refined parameters.
 
-:func:`local_sgd` is the one local-training loop.  A client trains alone
-through :func:`train_locally`, which runs the loop on its own model; the
-cohort-batched plane (:mod:`repro.federated.cohort`) runs the same loop on a
-model stacked over a leading client axis.  ∇Sim's reference models
-(:mod:`repro.attacks.background`) train through :func:`train_locally` too,
-with the participants' own recipe.
+:func:`local_sgd` is the one local-training loop.  The round's trainer
+(:class:`~repro.federated.cohort.CohortTrainer`) runs it on a model whose
+parameters view the client's own row of the round's weight plane, or a
+stack of equal-size clients' rows.  :func:`train_locally` runs it on a
+model that owns its weights: ∇Sim's reference models
+(:mod:`repro.attacks.background`) train through it with the participants'
+own recipe.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import numpy as np
 from ..data.base import ArrayDataset, ClientDataset
 from ..nn import Adam, GradTape, Module, Tensor, no_grad
 from ..nn import functional as F
-from ..utils.rng import rng_from_seed, stable_seed
-from .update import ModelUpdate
 
 __all__ = [
     "LocalTrainingConfig",
@@ -33,7 +32,6 @@ __all__ = [
     "epoch_batches",
     "local_sgd",
     "train_locally",
-    "train_rows_into",
     "evaluate_accuracy",
 ]
 
@@ -114,35 +112,6 @@ def train_locally(
     return float(local_sgd(model, dataset.features, dataset.labels, config, [rng]))
 
 
-def train_rows_into(
-    population: "ClientPopulation",
-    slot_client_pairs,
-    broadcast_state: dict,
-    round_index: int,
-    schema,
-    rows: np.ndarray,
-) -> list[tuple[int, int, float]]:
-    """Train a cohort slice and pack each refined state into its row slot.
-
-    The workhorse of the sharded data plane, shared verbatim by the inline
-    backend and the spawn workers so both execute identical float operations:
-    each ``(slot, client_id)`` pair trains through the population's ordinary
-    :meth:`FederatedClient.local_update` (whose RNG is a pure function of
-    ``(seed, client_id, round)``) and its parameters land in ``rows[slot]``
-    in schema order — the same bytes a serial round's update would carry.
-
-    Returns per-slot ``(client_id, num_samples, final_loss)`` bookkeeping in
-    input order.
-    """
-    out: list[tuple[int, int, float]] = []
-    for slot, client_id in slot_client_pairs:
-        client = population.get(client_id)
-        update = client.local_update(broadcast_state, round_index)
-        schema.write_into(rows[slot], update.state)
-        out.append((client_id, update.num_samples, update.metadata["final_loss"]))
-    return out
-
-
 def evaluate_accuracy(model: Module, dataset: ArrayDataset, batch_size: int = 256) -> float:
     """Top-1 classification accuracy of ``model`` on ``dataset``."""
     if len(dataset) == 0:
@@ -159,56 +128,20 @@ def evaluate_accuracy(model: Module, dataset: ArrayDataset, batch_size: int = 25
 
 
 class FederatedClient:
-    """One participant: local data + a model replica + training config.
+    """One materialized participant: its data shard and its id.
 
-    The model replica is built lazily on first use: with per-round client
-    subsampling, participants that are never selected never pay for weight
-    initialization.  Each client owns its replica and derives its training
-    RNG from ``(seed, client_id, round_index)`` alone, so ``local_update``
-    calls for *different* clients are thread-safe and order-independent —
-    the property the simulation's parallel round engine relies on.
+    A client holds no model: the round's trainer
+    (:class:`~repro.federated.cohort.CohortTrainer`) trains it as a view of
+    its own row of the round's weight plane, with a training RNG derived
+    from ``(seed, client_id, round_index)`` alone.
     """
 
-    def __init__(
-        self,
-        data: ClientDataset,
-        model_fn: Callable[[np.random.Generator], Module],
-        config: LocalTrainingConfig,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, data: ClientDataset) -> None:
         self.data = data
-        self.config = config
-        self.seed = seed
-        self._model_fn = model_fn
-        self._model: Module | None = None
-
-    @property
-    def model(self) -> Module:
-        """The client's model replica, constructed on first access.
-
-        Initial weights are immediately overwritten by the first broadcast;
-        a fixed-seed build keeps construction deterministic regardless.
-        """
-        if self._model is None:
-            self._model = self._model_fn(rng_from_seed(self.seed))
-        return self._model
 
     @property
     def client_id(self) -> int:
         return self.data.client_id
-
-    def local_update(self, broadcast_state: dict, round_index: int) -> ModelUpdate:
-        """Refine the broadcast model on local data; return the new state."""
-        self.model.load_state_dict(broadcast_state)
-        rng = rng_from_seed(stable_seed(self.seed, self.client_id, round_index))
-        loss = train_locally(self.model, self.data.train, self.config, rng)
-        return ModelUpdate(
-            sender_id=self.client_id,
-            round_index=round_index,
-            state=self.model.state_dict(),
-            num_samples=len(self.data.train),
-            metadata={"final_loss": loss},
-        )
 
 
 class ClientPopulation:
@@ -216,27 +149,19 @@ class ClientPopulation:
     demand and release after their round.
 
     A population stores one *descriptor* per client — its id and a way to
-    build its data shard — and constructs the heavyweight
-    :class:`FederatedClient` (model replica + dataset view) only when a round
-    actually selects the client.  Every stochastic decision about a client
-    (selection, churn, latency, faults, poison, the training RNG itself) is a
-    pure function of ``(seed, client_id, round)``, so an unmaterialized
-    client costs zero RNG work and a client materialized in round 7 trains
-    bit-identically to one that has lived since round 0: the broadcast state
-    overwrites the replica's weights and the optimizer is built per call.
-
-    Retention modes:
-
-    * ``retain=True`` (eager datasets) — materialized clients persist for
-      the run, so replicas are reused across rounds: the legacy behavior,
-      taken automatically for datasets that pre-build their client list.
-    * ``retain=False`` (lazy populations) — :meth:`release` drops the
-      replica and the shard once the round is done, bounding peak memory by
-      the materialized cohort instead of the population size.
+    build its data shard — and constructs the :class:`FederatedClient` only
+    when a round actually selects the client.  Every stochastic decision
+    about a client (selection, churn, latency, faults, poison, the training
+    RNG itself) is a pure function of ``(seed, client_id, round)``, so an
+    unmaterialized client costs zero RNG work and a client materialized in
+    round 7 trains bit-identically to one materialized in round 0.
+    :meth:`release` drops the round's cohort once its updates are merged,
+    eager and lazy datasets alike, so peak memory is bounded by the
+    materialized cohort instead of the population size.
 
     ``data_fn(client_id)`` must return the client's
-    :class:`~repro.data.base.ClientDataset`; for lazy populations it is
-    re-invoked on every materialization and must be deterministic.
+    :class:`~repro.data.base.ClientDataset`; it is re-invoked on every
+    materialization and must be deterministic.
     """
 
     def __init__(
@@ -246,7 +171,6 @@ class ClientPopulation:
         model_fn: Callable[[np.random.Generator], Module],
         config: LocalTrainingConfig,
         seed: int = 0,
-        retain: bool = True,
         client_ids=None,
     ) -> None:
         if size < 1:
@@ -255,7 +179,6 @@ class ClientPopulation:
         self._model_fn = model_fn
         self._config = config
         self._seed = seed
-        self._retain = retain
         # range() keeps the id table O(1) memory for the common contiguous
         # case (lazy populations require client_id == index).
         self._ids = client_ids if client_ids is not None else range(size)
@@ -274,8 +197,7 @@ class ClientPopulation:
         if len(by_id) != len(datasets):
             raise ValueError("client ids must be unique within a population")
         return cls(
-            len(datasets), by_id.__getitem__, model_fn, config,
-            seed=seed, retain=True, client_ids=ids,
+            len(datasets), by_id.__getitem__, model_fn, config, seed=seed, client_ids=ids
         )
 
     @classmethod
@@ -284,20 +206,14 @@ class ClientPopulation:
         dataset is a lazy population (``lazy_population`` attribute), eager
         over ``dataset.clients()`` otherwise."""
         if getattr(dataset, "lazy_population", False):
-            return cls(
-                dataset.num_clients, dataset.client_data, model_fn, config,
-                seed=seed, retain=False,
-            )
+            return cls(dataset.num_clients, dataset.client_data, model_fn, config, seed=seed)
         return cls.from_client_data(dataset.clients(), model_fn, config, seed=seed)
 
     def __len__(self) -> int:
         return len(self._ids)
 
     def __repr__(self) -> str:
-        return (
-            f"ClientPopulation(size={len(self._ids)}, materialized={len(self._cache)}, "
-            f"retain={self._retain})"
-        )
+        return f"ClientPopulation(size={len(self._ids)}, materialized={len(self._cache)})"
 
     @property
     def materialized(self) -> int:
@@ -328,26 +244,13 @@ class ClientPopulation:
         """The client, materializing (and caching) it if needed."""
         client = self._cache.get(client_id)
         if client is None:
-            client = FederatedClient(
-                self._data_fn(client_id), self._model_fn, self._config, seed=self._seed
-            )
+            client = FederatedClient(self._data_fn(client_id))
             self._cache[client_id] = client
             if len(self._cache) > self.peak_materialized:
                 self.peak_materialized = len(self._cache)
         return client
 
-    def materialize(self, client_ids) -> list[FederatedClient]:
-        """Materialize a cohort, in the given (deterministic) order."""
-        return [self.get(client_id) for client_id in client_ids]
-
-    def release(self, client_ids=None) -> None:
-        """Drop materialized clients (all of them when ``client_ids`` is
-        ``None``).  A no-op for retaining populations, where replica reuse
-        across rounds is the point."""
-        if self._retain:
-            return
-        if client_ids is None:
-            self._cache.clear()
-        else:
-            for client_id in client_ids:
-                self._cache.pop(client_id, None)
+    def release(self, client_ids) -> None:
+        """Drop the given clients' shards (the round is done with them)."""
+        for client_id in client_ids:
+            self._cache.pop(client_id, None)

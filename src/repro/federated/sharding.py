@@ -57,10 +57,9 @@ from multiprocessing import get_context, shared_memory
 
 import numpy as np
 
-from ..nn.serialization import StateSchema, _intern_schema, schema_of
-from ..utils.rng import stable_seed  # noqa: F401  (re-exported draw key space)
-from .client import ClientPopulation, train_rows_into
-from .cohort import CohortTrainer
+from ..nn.serialization import StateSchema, _intern_schema
+from .client import ClientPopulation
+from .cohort import CohortTrainer, row_updates
 from .faults import FaultInjector
 from .integrity import TranscriptError, _entry_hash, _walk_chain, update_digest
 from .update import ModelUpdate
@@ -360,33 +359,29 @@ class ShardedTranscript:
 # Worker side (runs in the spawn pool; also reused verbatim inline)
 # ----------------------------------------------------------------------
 class ShardWorker:
-    """One leaf aggregator's runtime: a population replica plus plane views.
+    """One leaf aggregator's runtime: a trainer plus plane views.
 
     In the ``process`` backend each pool worker holds one instance (rebuilt
     from pickled constructor inputs at spawn); the ``inline`` backend drives
     the same :meth:`run` against parent-process arrays, so both backends
-    execute identical float operations.
+    execute identical float operations.  Either way the slice trains through
+    a :class:`~repro.federated.cohort.CohortTrainer`, client by client or
+    stacked as its ``cohort_batching`` says.
     """
 
     def __init__(
         self,
-        population: ClientPopulation,
-        schema: StateSchema,
+        trainer: CohortTrainer,
         rows: np.ndarray,
         broadcast: np.ndarray | None,
         release_after_round: bool = False,
-        cohort_batching: bool = False,
     ) -> None:
-        self.population = population
-        self.schema = schema
+        self.trainer = trainer
         #: the shared ``(capacity, D)`` row plane this worker writes in place
         self.rows = rows
         #: the shared broadcast vector (``None`` inline: state passed directly)
         self.broadcast = broadcast
         self._release = release_after_round
-        #: cohort-batched trainer: the shard's slice trains as one stacked
-        #: pass instead of client-by-client (same row/meta contract)
-        self._trainer = CohortTrainer(population, schema) if cohort_batching else None
 
     def run(
         self,
@@ -402,27 +397,15 @@ class ShardWorker:
         slot order and ``partial`` is the float64 slot-order witness sum.
         """
         if broadcast_state is None:
-            broadcast_state = self.schema.views(self.broadcast)
+            broadcast_state = self.trainer.schema.views(self.broadcast)
         start = time.perf_counter()
-        if self._trainer is not None:
-            metas = self._trainer.train_rows(
-                slot_client_pairs, broadcast_state, round_index, self.rows
-            )
-        else:
-            metas = train_rows_into(
-                self.population,
-                slot_client_pairs,
-                broadcast_state,
-                round_index,
-                self.schema,
-                self.rows,
-            )
+        metas = self.trainer.train_rows(slot_client_pairs, broadcast_state, round_index, self.rows)
         trained = time.perf_counter()
         slots = [slot for slot, _ in slot_client_pairs]
         partial = shard_partial_sum(self.rows[slots[0] : slots[-1] + 1])
         reduced = time.perf_counter()
         if self._release:
-            self.population.release([client_id for _, client_id in slot_client_pairs])
+            self.trainer.population.release([client_id for _, client_id in slot_client_pairs])
         return shard_index, metas, partial, trained - start, reduced - trained
 
 
@@ -467,10 +450,8 @@ def _worker_init(
     rows = np.ndarray((capacity, schema.total_size), dtype=np.float32, buffer=rows_segment.buf)
     broadcast = np.ndarray((schema.total_size,), dtype=np.float32, buffer=broadcast_segment.buf)
     population = ClientPopulation.for_dataset(dataset, model_fn, local_config, seed=seed)
-    worker = ShardWorker(
-        population, schema, rows, broadcast,
-        release_after_round=True, cohort_batching=cohort_batching,
-    )
+    trainer = CohortTrainer(population, schema, cohort_batching=cohort_batching)
+    worker = ShardWorker(trainer, rows, broadcast, release_after_round=True)
     # keep the segments alive for the worker's lifetime
     worker._segments = [rows_segment, broadcast_segment]
     _WORKER = worker
@@ -555,7 +536,10 @@ class ShardedRoundEngine:
         self._faults = faults or FaultInjector()
         self._dataset = dataset
         self._capacity_hint = int(capacity) if capacity else 0
-        self.cohort_batching = bool(cohort_batching)
+        #: the root's trainer, for the inline backend and every slice failed
+        #: over to the root; built here, so a template the row plane cannot
+        #: view is refused before any client trains
+        self._trainer = CohortTrainer(population, schema, cohort_batching=cohort_batching)
         #: hierarchical transcript of the data plane (one chain per shard)
         self.transcript = ShardedTranscript()
         #: per-phase wall-clock of the last round, for the benchmarks
@@ -623,7 +607,7 @@ class ShardedRoundEngine:
                 rows_segment.name,
                 capacity,
                 broadcast_segment.name,
-                self.cohort_batching,
+                self._trainer.cohort_batching,
             ),
         )
         rows = np.ndarray((capacity, total), dtype=np.float32, buffer=rows_segment.buf)
@@ -708,16 +692,11 @@ class ShardedRoundEngine:
             for future in futures:
                 shard, metas, partial, train_s, reduce_s = future.result()
                 results[shard] = (metas, partial, train_s, reduce_s)
-        inline_worker = None
+        inline_worker = ShardWorker(self._trainer, shared_rows, None)
         for shard in range(plan.num_shards):
             if shard in results:
                 continue
             # inline backend, or a failed-over slice the root adopts
-            if inline_worker is None:
-                inline_worker = ShardWorker(
-                    self.population, self.schema, shared_rows, None,
-                    cohort_batching=self.cohort_batching,
-                )
             _, metas, partial, train_s, reduce_s = inline_worker.run(
                 shard, pairs_of[shard], round_index, broadcast_state=broadcast_state
             )
@@ -747,22 +726,8 @@ class ShardedRoundEngine:
             )
         self.transcript.append_round(round_index, plan, entries)
 
-        updates: list[ModelUpdate] = []
-        for shard in range(plan.num_shards):
-            for slot, (client_id, num_samples, final_loss) in zip(
-                plan.slots(shard), results[shard][0]
-            ):
-                row = matrix[slot]
-                updates.append(
-                    ModelUpdate(
-                        sender_id=client_id,
-                        round_index=round_index,
-                        state=self.schema.views(row),
-                        num_samples=num_samples,
-                        metadata={"final_loss": final_loss},
-                        flat_vector=row,
-                    )
-                )
+        metas = [meta for shard in range(plan.num_shards) for meta in results[shard][0]]
+        updates = row_updates(self.schema, matrix, metas, round_index)
         merge_end = time.perf_counter()
         self.last_timings = {
             "per_shard_train_seconds": [

@@ -49,9 +49,7 @@ training always runs to completion before its arrival events are scheduled
 
 from __future__ import annotations
 
-import os
 import pickle
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -66,7 +64,7 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from ..defenses.base import Defense
 from ..nn import Module
 from ..utils.rng import rng_from_seed, stable_seed
-from .client import ClientPopulation, FederatedClient, LocalTrainingConfig
+from .client import ClientPopulation, LocalTrainingConfig
 from .cohort import CohortTrainer
 from .events import (
     BufferedFlushPolicy,
@@ -94,12 +92,14 @@ __all__ = ["SimulationConfig", "RoundRecord", "SimulationResult", "FederatedSimu
 class SimulationConfig:
     """Experiment-level knobs (paper §6.1.4 per-dataset values).
 
-    ``parallelism`` controls how many clients train concurrently each round
-    (a thread pool; the numpy/BLAS kernels release the GIL).  Every client
-    derives its training RNG from ``stable_seed(seed, client_id, round)``
-    independently of execution order, so results are bit-identical across
-    parallelism settings — and ``parallelism=1`` takes the exact sequential
-    code path.  ``None`` sizes the pool to the machine.
+    ``parallelism`` is the number of threads that run the in-process
+    trainer's groups each round (one client each, or one stack of
+    equal-size clients with ``cohort_batching``; the numpy/BLAS kernels
+    release the GIL).  Every client derives its training RNG from
+    ``stable_seed(seed, client_id, round)`` independently of execution
+    order, so results are bit-identical across parallelism settings — and
+    ``parallelism=1`` trains the groups in order on the calling thread.
+    ``None`` sizes the pool to the machine.
 
     ``scenario`` sets the round loop's churn/straggler/async regime (see
     :class:`~repro.federated.scenario.ScenarioConfig`); ``None`` means
@@ -141,10 +141,11 @@ class SimulationConfig:
     #: stack each round's equal-size clients over a leading axis and train
     #: them in one pass of the local loop (see :mod:`repro.federated.cohort`)
     #: instead of one client at a time.  ``False`` (the default) trains
-    #: client by client through the same loop.  Per-client results are
-    #: bit-identical to serial for Linear/conv/locally connected/pooling/
-    #: elementwise architectures; composes with ``num_shards`` (each shard
-    #: stacks its slice).
+    #: client by client through the same loop, each client's model a view
+    #: of its own output row.  Per-client results are bit-identical either
+    #: way for Linear/conv/locally connected/pooling/elementwise
+    #: architectures; composes with ``num_shards`` (each shard stacks its
+    #: slice).
     cohort_batching: bool = False
 
     def __post_init__(self) -> None:
@@ -389,14 +390,14 @@ class FederatedSimulation:
         # otherwise rebuild a scratch model from model_fn every round.
         self._eval_model: Module | None = None
 
-        # The client plane: descriptors for everyone, FederatedClient
-        # replicas only for the rounds that select them.  Eager datasets
-        # retain materialized clients for the run (replica reuse, the legacy
-        # behavior); lazy populations release them after each round.
+        # The client plane: descriptors for everyone, a materialized
+        # FederatedClient (its data shard) only for the round that selects
+        # it, released once the round's updates are merged.
         self.population = ClientPopulation.for_dataset(
             dataset, model_fn, config.local, seed=config.seed
         )
         initial_model = model_fn(rng_from_seed(config.seed))
+        schema = schema_of(initial_model.state_dict())
         broadcast_hook = None
         if attack is not None and getattr(attack, "mode", None) == "active":
             broadcast_hook = attack.craft_broadcast
@@ -407,14 +408,18 @@ class FederatedSimulation:
         # record nothing.
         self._faults = FaultInjector(config.seed, scenario.faults)
         self._adversary = AdversaryInjector(config.seed, scenario.adversary)
-        # Sharded training plane: one root-side engine per run, owning the
-        # shard plan, the (lazy) spawn pool + shared-memory plane, and the
-        # hierarchical transcript.  num_shards=0 trains in process.
+        # The training plane, built before any client trains so that a
+        # template the row plane cannot view is refused up front.
+        # num_shards=0 trains in process through one trainer per run; with
+        # shards a root-side engine owns the shard plan, the (lazy) spawn
+        # pool + shared-memory plane, the hierarchical transcript and the
+        # trainers of its slices.
         self._shard_engine: ShardedRoundEngine | None = None
+        self._trainer: CohortTrainer | None = None
         if config.num_shards >= 1:
             self._shard_engine = ShardedRoundEngine(
                 population=self.population,
-                schema=schema_of(initial_model.state_dict()),
+                schema=schema,
                 num_shards=config.num_shards,
                 backend=config.shard_backend,
                 faults=self._faults,
@@ -422,13 +427,12 @@ class FederatedSimulation:
                 capacity=config.clients_per_round or len(self.population),
                 cohort_batching=config.cohort_batching,
             )
-        # Cohort-batched training plane (non-sharded path): one trainer per
-        # run, validating the architecture up front.  With shards the engine
-        # above owns the (per-shard) trainers instead.
-        self._cohort_trainer: CohortTrainer | None = None
-        if config.cohort_batching and self._shard_engine is None:
-            self._cohort_trainer = CohortTrainer(
-                self.population, schema_of(initial_model.state_dict())
+        else:
+            self._trainer = CohortTrainer(
+                self.population,
+                schema,
+                cohort_batching=config.cohort_batching,
+                parallelism=config.parallelism,
             )
         self.server = AggregationServer(
             initial_model.state_dict(),
@@ -479,36 +483,14 @@ class FederatedSimulation:
     ) -> list[ModelUpdate]:
         """Train a round's cohort, by id, through the configured data plane.
 
-        With ``num_shards=0`` this trains in process (cohort-batched, or
-        materialize + thread-pool training); with shards the cohort routes
-        through the :class:`~repro.federated.sharding.ShardedRoundEngine`,
-        bit-identical rows either way.  The caller releases the cohort.
+        With ``num_shards=0`` the run's :class:`CohortTrainer` trains it in
+        process; with shards the cohort routes through the
+        :class:`~repro.federated.sharding.ShardedRoundEngine`, bit-identical
+        rows either way.  The caller releases the cohort.
         """
         if self._shard_engine is not None:
             return self._shard_engine.train_round(client_ids, broadcast_state, round_index)
-        if self._cohort_trainer is not None:
-            return self._cohort_trainer.train_updates(client_ids, broadcast_state, round_index)
-        participants = self.population.materialize(client_ids)
-        return self._train_clients(participants, broadcast_state, round_index)
-
-    def _train_clients(
-        self, participants: list[FederatedClient], broadcast_state: dict, round_index: int
-    ) -> list[ModelUpdate]:
-        """Run local training for all selected clients, possibly in parallel.
-
-        The update list is always in ``participants`` order, and each client's
-        RNG is derived from its id and the round alone, so the result does not
-        depend on the parallelism setting.
-        """
-        workers = self.config.parallelism
-        if workers is None:
-            workers = min(len(participants), os.cpu_count() or 1)
-        if workers <= 1 or len(participants) <= 1:
-            return [client.local_update(broadcast_state, round_index) for client in participants]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(lambda c: c.local_update(broadcast_state, round_index), participants)
-            )
+        return self._trainer.train_updates(client_ids, broadcast_state, round_index)
 
     @staticmethod
     def _mean_local_loss(updates: list[ModelUpdate]) -> float:
@@ -775,9 +757,9 @@ class FederatedSimulation:
                 buffer_size=scenario.effective_buffer_size(len(to_train_ids))
             )
 
-        # Only the post-funnel cohort is ever materialized: replica + shard
-        # construction is deferred to the data plane, and for a lazy
-        # population it is released again once the round's updates are merged.
+        # Only the post-funnel cohort is ever materialized: the data plane
+        # builds each trained client's shard, and the population releases
+        # it again once the round's updates are merged.
         # Training runs *before* replaying virtual time: each update is a pure
         # function of (client, round), so the event engine only decides when
         # results arrive, never what they are.
@@ -803,9 +785,9 @@ class FederatedSimulation:
         merged, flush_time, discarded, lost = self._replay_until_flush(
             round_index, policy, expected=len(trained) + in_flight
         )
-        # The cohort's updates are merged (or in transit as events): a lazy
-        # population drops the replicas and shards here, so peak memory
-        # tracks the materialized cohort, never the population.
+        # The cohort's updates are merged (or in transit as events): the
+        # population drops their shards here, so peak memory tracks the
+        # materialized cohort, never the population.
         self.population.release(to_train_ids)
         stats.num_discarded = discarded
         stats.num_carried_forward = scheduler.in_flight_count()

@@ -105,13 +105,7 @@ def summarize_round_timing(records) -> RoundTimingSummary:
     total = float(durations.sum())
     merged = float(sum(r.num_aggregated for r in records))
     timed = [r.idle_fraction for r in records if r.simulated_duration > 0.0]
-    # getattr with defaults: pre-fault-plane records (or mocks) summarize as
-    # fault-free rather than erroring.
-    recovery = [
-        float(delay)
-        for r in records
-        for delay in getattr(r, "recovery_latencies", [])
-    ]
+    recovery = [float(delay) for r in records for delay in r.recovery_latencies]
     return RoundTimingSummary(
         rounds=len(records),
         total_seconds=total,
@@ -119,11 +113,9 @@ def summarize_round_timing(records) -> RoundTimingSummary:
         p95_round_seconds=float(np.percentile(durations, 95)),
         effective_throughput=merged / total if total > 0.0 else 0.0,
         mean_idle_fraction=float(np.mean(timed)) if timed else 0.0,
-        total_faults=int(sum(getattr(r, "num_faults", 0) for r in records)),
-        total_retries=int(sum(getattr(r, "num_retries", 0) for r in records)),
-        total_recovery_seconds=float(
-            sum(getattr(r, "recovery_seconds", 0.0) for r in records)
-        ),
+        total_faults=int(sum(r.num_faults for r in records)),
+        total_retries=int(sum(r.num_retries for r in records)),
+        total_recovery_seconds=float(sum(r.recovery_seconds for r in records)),
         recovery_p50_seconds=float(np.percentile(recovery, 50)) if recovery else 0.0,
         recovery_p99_seconds=float(np.percentile(recovery, 99)) if recovery else 0.0,
     )

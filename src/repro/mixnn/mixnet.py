@@ -31,6 +31,20 @@ def onion_encrypt(payload: bytes, route_keys: list) -> bytes:
     return blob
 
 
+def _relay(nodes: list["MixNode"], messages: list[bytes]) -> list[bytes]:
+    """Pass messages through ``nodes`` in route order, flushing each node
+    after its batch (a timed flush in a real system), so no message is
+    withheld across calls."""
+    current = list(messages)
+    for node in nodes:
+        emitted: list[bytes] = []
+        for blob in current:
+            emitted.extend(node.receive(blob))
+        emitted.extend(node.flush())
+        current = emitted
+    return current
+
+
 class MixNode:
     """One mix: strips an onion layer, batches, shuffles, forwards."""
 
@@ -109,19 +123,8 @@ class MixCascade:
         return onion_encrypt(payload, self.route_keys)
 
     def send_batch(self, messages: list[bytes]) -> list[bytes]:
-        """Push onion-encrypted messages through the cascade; deliver plaintexts.
-
-        Every node is flushed at the end (a timed flush in a real system), so
-        no message is withheld across calls.
-        """
-        current = list(messages)
-        for node in self.nodes:
-            emitted: list[bytes] = []
-            for blob in current:
-                emitted.extend(node.receive(blob))
-            emitted.extend(node.flush())
-            current = emitted
-        return current
+        """Push onion-encrypted messages through the cascade; deliver plaintexts."""
+        return _relay(self.nodes, messages)
 
     def send_batch_with_failover(
         self, payloads: list[bytes], faults, round_index: int = 0
@@ -164,14 +167,7 @@ class MixCascade:
                 surviving.pop(crashed)
                 attempt += 1
                 continue
-            current = [onion_encrypt(payload, route_keys) for payload in payloads]
-            for node in surviving:
-                emitted: list[bytes] = []
-                for blob in current:
-                    emitted.extend(node.receive(blob))
-                emitted.extend(node.flush())
-                current = emitted
-            return current
+            return _relay(surviving, [onion_encrypt(payload, route_keys) for payload in payloads])
 
     @property
     def dropped(self) -> int:

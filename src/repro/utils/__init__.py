@@ -1,6 +1,5 @@
-"""Shared utilities: deterministic RNG management and lightweight logging."""
+"""Shared utilities: deterministic RNG management."""
 
-from .logging import get_logger
 from .rng import SeedSequence, child_rng, rng_from_seed
 
-__all__ = ["rng_from_seed", "child_rng", "SeedSequence", "get_logger"]
+__all__ = ["rng_from_seed", "child_rng", "SeedSequence"]

@@ -5,8 +5,10 @@ import pytest
 
 from repro.attacks.gradsim import GradSimAttack
 from repro.experiments.models import paper_cnn
-from repro.federated.client import FederatedClient, LocalTrainingConfig
+from repro.federated.client import ClientPopulation, LocalTrainingConfig
+from repro.federated.cohort import CohortTrainer
 from repro.federated.update import ModelUpdate
+from repro.nn.serialization import schema_of
 from repro.utils.rng import rng_from_seed
 
 from ..oracles.algebra import cosine_similarity
@@ -42,14 +44,18 @@ def attack_setup(tiny_motionsense):
     return tiny_motionsense, model_fn, config
 
 
+def train_clients(clients, model_fn, config, broadcast, round_index, seed=0):
+    """The participants' local updates, through the round's trainer."""
+    population = ClientPopulation.from_client_data(clients, model_fn, config, seed=seed)
+    trainer = CohortTrainer(population, schema_of(broadcast))
+    return trainer.train_updates([c.client_id for c in clients], broadcast, round_index)
+
+
 def run_one_round(dataset, model_fn, config, attack, num_clients=8):
     broadcast = model_fn(rng_from_seed(0)).state_dict()
     if attack.mode == "active":
         broadcast = attack.craft_broadcast(0, broadcast)
-    updates = []
-    for data in dataset.clients()[:num_clients]:
-        client = FederatedClient(data, model_fn, config)
-        updates.append(client.local_update(broadcast, 0))
+    updates = train_clients(dataset.clients()[:num_clients], model_fn, config, broadcast, 0)
     attack.on_round(0, broadcast, updates)
     return updates
 
@@ -124,10 +130,10 @@ class TestGradSimAttack:
         for round_index in range(2):
             broadcast = model_fn(rng_from_seed(round_index)).state_dict()
             broadcast = attack.craft_broadcast(round_index, broadcast)
-            updates = []
-            for data in dataset.clients()[:12]:
-                client = FederatedClient(data, model_fn, strong_config, seed=round_index)
-                updates.append(client.local_update(broadcast, round_index))
+            updates = train_clients(
+                dataset.clients()[:12], model_fn, strong_config, broadcast, round_index,
+                seed=round_index,
+            )
             attack.on_round(round_index, broadcast, updates)
         truth = {c.client_id: c.attribute for c in dataset.clients()[:12]}
         assert attack.accuracy(truth) > 0.55

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from repro.data.base import ArrayDataset
 from repro.federated.client import (
-    FederatedClient,
+    ClientPopulation,
     LocalTrainingConfig,
     epoch_batches,
     evaluate_accuracy,
     train_locally,
 )
+from repro.federated.cohort import CohortTrainer
 from repro.federated.aggregation import (
     AGGREGATION_RULES,
     AggregationPolicy,
@@ -23,6 +24,7 @@ from repro.federated.server import AggregationServer
 from repro.federated.update import ModelUpdate, aggregate_updates
 from repro.experiments.models import paper_cnn
 from repro.nn import Linear, Sequential, ReLU
+from repro.nn.serialization import schema_of
 from repro.utils.rng import rng_from_seed
 
 from ..conftest import make_updates
@@ -156,13 +158,22 @@ class TestEvaluateAccuracy:
         assert evaluate_accuracy(model, data, batch_size=7) == evaluate_accuracy(model, data, batch_size=50)
 
 
+def train_one_client(client_data, model_fn, broadcast, round_index):
+    """One participant's local update, through the round's trainer."""
+    population = ClientPopulation.from_client_data(
+        [client_data], model_fn, LocalTrainingConfig(local_epochs=1, batch_size=32)
+    )
+    trainer = CohortTrainer(population, schema_of(broadcast))
+    (update,) = trainer.train_updates([client_data.client_id], broadcast, round_index)
+    return update
+
+
 class TestFederatedClient:
     def test_local_update_carries_identity(self, tiny_motionsense):
         client_data = tiny_motionsense.clients()[3]
         model_fn = lambda rng: paper_cnn(tiny_motionsense.input_shape, 6, rng)
-        client = FederatedClient(client_data, model_fn, LocalTrainingConfig(local_epochs=1, batch_size=32))
         broadcast = model_fn(rng_from_seed(0)).state_dict()
-        update = client.local_update(broadcast, round_index=2)
+        update = train_one_client(client_data, model_fn, broadcast, round_index=2)
         assert update.sender_id == client_data.client_id
         assert update.round_index == 2
         assert update.num_samples == len(client_data.train)
@@ -171,9 +182,8 @@ class TestFederatedClient:
     def test_update_differs_from_broadcast(self, tiny_motionsense):
         client_data = tiny_motionsense.clients()[0]
         model_fn = lambda rng: paper_cnn(tiny_motionsense.input_shape, 6, rng)
-        client = FederatedClient(client_data, model_fn, LocalTrainingConfig(local_epochs=1, batch_size=32))
         broadcast = model_fn(rng_from_seed(0)).state_dict()
-        update = client.local_update(broadcast, round_index=0)
+        update = train_one_client(client_data, model_fn, broadcast, round_index=0)
         moved = any(
             not np.allclose(update.state[name], broadcast[name]) for name in broadcast
         )
@@ -185,8 +195,7 @@ class TestFederatedClient:
         broadcast = model_fn(rng_from_seed(0)).state_dict()
 
         def one_run():
-            client = FederatedClient(client_data, model_fn, LocalTrainingConfig(local_epochs=1, batch_size=32))
-            return client.local_update(broadcast, round_index=0).flat()
+            return train_one_client(client_data, model_fn, broadcast, round_index=0).flat()
 
         np.testing.assert_array_equal(one_run(), one_run())
 

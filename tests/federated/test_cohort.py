@@ -1,28 +1,35 @@
-"""Stacked training: the same local loop on a model stacked over clients.
+"""The one trainer: every client trains as a view of its own row.
 
 Marked ``cohort``::
 
     PYTHONPATH=src python -m pytest -m cohort -q
 
-Serial and stacked training share the kernels of :mod:`repro.nn.functional`,
-the loop :func:`~repro.federated.client.local_sgd` and in-place ``Adam``;
-they differ only in whether equal-size clients are stacked over a leading
-axis of one ``(M, D)`` block.  The load-bearing properties:
+:class:`~repro.federated.cohort.CohortTrainer` trains every in-process
+cohort and every shard slice.  Client by client (``L = ()``, each model a
+view of its own output row) and stacked (``cohort_batching=True``, one
+``(M, D)`` block per training-set size) share the kernels of
+:mod:`repro.nn.functional`, the loop
+:func:`~repro.federated.client.local_sgd` and in-place ``Adam``.  The
+load-bearing properties:
 
 * **Bit-equality** — for Linear/Flatten/activation architectures (the
   ``linear_probe`` family and deeper MLPs), for ``Conv2d``/``MaxPool2d``
   ones (``paper_cnn``) and for ``LocallyConnected2d`` ones
-  (``deepface_like``), stacked training produces per-client rows and losses
-  byte-identical to the serial ``train_rows_into`` path, for any cohort
-  size, epoch count, batch size, or dataset-size mix.
-* **Aliasing** — the stacked model's parameters are views into the block
+  (``deepface_like``), both trainer modes produce per-client rows and
+  losses byte-identical to :func:`~repro.federated.client.train_locally` on
+  a fresh replica, for any cohort size, epoch count, batch size, or
+  dataset-size mix, and at any thread count.
+* **Aliasing** — the model's parameters are views into the row or block
   before, during and after training, and the template is never written.
 * **Wiring** — ``SimulationConfig(cohort_batching=True)`` is end-to-end
-  bit-identical (MLP) on the plain path and through the sharded plane, while
-  ``cohort_batching=False`` keeps the serial reference byte-for-byte across
-  parallelism settings.
+  bit-identical (MLP) on the plain path and through the sharded plane,
+  ``cohort_batching=False`` keeps the serial result byte-for-byte across
+  parallelism settings, every population releases its cohort after the
+  round, and a template the row plane cannot view is refused before any
+  client trains.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -45,11 +52,11 @@ from repro.federated.client import (
     ClientPopulation,
     evaluate_accuracy,
     local_sgd,
-    train_rows_into,
+    train_locally,
 )
 from repro.nn import Dropout, Flatten, Linear, Sequential, no_grad
 from repro.nn.serialization import schema_of
-from repro.utils.rng import rng_from_seed
+from repro.utils.rng import rng_from_seed, stable_seed
 
 pytestmark = pytest.mark.cohort
 
@@ -66,21 +73,41 @@ def _image_population(num_clients, sizes, shape=(1, 8, 8), classes=3, seed=0):
     return datasets
 
 
-def _train_both(datasets, model_fn, config, round_index=1, seed=0):
-    """Serial and cohort-batched rows + metas for the same cohort."""
-    pop_serial = ClientPopulation.from_client_data(datasets, model_fn, config, seed=seed)
-    pop_batch = ClientPopulation.from_client_data(datasets, model_fn, config, seed=seed)
+def _serial_reference(datasets, model_fn, config, broadcast, schema, round_index, seed):
+    """Rows + metas of ``train_locally`` on a fresh ``model_fn`` replica per client."""
+    rows = np.empty((len(datasets), schema.total_size), dtype=np.float32)
+    metas = []
+    for slot, data in enumerate(datasets):
+        model = model_fn(rng_from_seed(seed))
+        model.load_state_dict(broadcast)
+        rng = rng_from_seed(stable_seed(seed, data.client_id, round_index))
+        loss = train_locally(model, data.train, config, rng)
+        schema.write_into(rows[slot], model.state_dict())
+        metas.append((data.client_id, len(data.train), loss))
+    return rows, metas
+
+
+def _assert_trainers_match_reference(
+    datasets, model_fn, config, round_index=1, seed=0, parallelisms=(1,)
+):
+    """Both trainer modes, at every given thread count, byte-equal to the
+    serial reference: rows and ``(client_id, num_samples, final_loss)``."""
+    population = ClientPopulation.from_client_data(datasets, model_fn, config, seed=seed)
     broadcast = model_fn(rng_from_seed(seed)).state_dict()
     schema = schema_of(broadcast)
-    pairs = [(slot, data.client_id) for slot, data in enumerate(datasets)]
-    rows_serial = np.empty((len(pairs), schema.total_size), dtype=np.float32)
-    rows_batch = np.empty_like(rows_serial)
-    metas_serial = train_rows_into(
-        pop_serial, pairs, broadcast, round_index, schema, rows_serial
+    reference_rows, reference_metas = _serial_reference(
+        datasets, model_fn, config, broadcast, schema, round_index, seed
     )
-    trainer = CohortTrainer(pop_batch, schema)
-    metas_batch = trainer.train_rows(pairs, broadcast, round_index, rows_batch)
-    return rows_serial, metas_serial, rows_batch, metas_batch
+    pairs = [(slot, data.client_id) for slot, data in enumerate(datasets)]
+    for stacked in (False, True):
+        for parallelism in parallelisms:
+            trainer = CohortTrainer(
+                population, schema, cohort_batching=stacked, parallelism=parallelism
+            )
+            rows = np.empty_like(reference_rows)
+            metas = trainer.train_rows(pairs, broadcast, round_index, rows)
+            np.testing.assert_array_equal(rows, reference_rows)
+            assert metas == reference_metas
 
 
 class TestBatchedVsSerialProperty:
@@ -104,23 +131,13 @@ class TestBatchedVsSerialProperty:
             samples_per_client=samples,
             seed=3,
         )
-        model_fn = model_fn_for(dataset)
         config = LocalTrainingConfig(local_epochs=epochs, batch_size=batch)
-        pop_serial = ClientPopulation.for_dataset(dataset, model_fn, config, seed=0)
-        pop_batch = ClientPopulation.for_dataset(dataset, model_fn, config, seed=0)
-        broadcast = model_fn(rng_from_seed(0)).state_dict()
-        schema = schema_of(broadcast)
-        pairs = [(slot, slot) for slot in range(cohort)]
-        rows_serial = np.empty((cohort, schema.total_size), dtype=np.float32)
-        rows_batch = np.empty_like(rows_serial)
-        metas_serial = train_rows_into(
-            pop_serial, pairs, broadcast, round_index, schema, rows_serial
+        _assert_trainers_match_reference(
+            [dataset.client_data(cid) for cid in range(cohort)],
+            model_fn_for(dataset),
+            config,
+            round_index=round_index,
         )
-        metas_batch = CohortTrainer(pop_batch, schema).train_rows(
-            pairs, broadcast, round_index, rows_batch
-        )
-        np.testing.assert_array_equal(rows_serial, rows_batch)
-        assert metas_serial == metas_batch
 
     @given(
         hidden=st.integers(min_value=2, max_value=16),
@@ -131,7 +148,8 @@ class TestBatchedVsSerialProperty:
     @settings(max_examples=15, deadline=None)
     def test_mlp_mixed_sizes_bit_identical(self, hidden, epochs, batch, sizes):
         # Deeper MLP + heterogeneous dataset sizes: exercises the trainer's
-        # size-grouping while staying inside the bit-equality contract.
+        # size-grouping and its thread pool over the groups while staying
+        # inside the bit-equality contract.
         rng = np.random.default_rng(11)
         datasets = []
         for cid in range(5):
@@ -153,11 +171,7 @@ class TestBatchedVsSerialProperty:
             )
 
         config = LocalTrainingConfig(local_epochs=epochs, batch_size=batch)
-        rows_serial, metas_serial, rows_batch, metas_batch = _train_both(
-            datasets, model_fn, config
-        )
-        np.testing.assert_array_equal(rows_serial, rows_batch)
-        assert metas_serial == metas_batch
+        _assert_trainers_match_reference(datasets, model_fn, config, parallelisms=(1, 3))
 
     @given(
         cohort=st.integers(min_value=1, max_value=5),
@@ -169,11 +183,7 @@ class TestBatchedVsSerialProperty:
         datasets = _image_population(cohort, sizes=(6, 9))
         model_fn = ModelFactory("paper_cnn", (1, 8, 8), 3)
         config = LocalTrainingConfig(local_epochs=epochs, batch_size=batch)
-        rows_serial, metas_serial, rows_batch, metas_batch = _train_both(
-            datasets, model_fn, config
-        )
-        np.testing.assert_array_equal(rows_batch, rows_serial)
-        assert metas_batch == metas_serial
+        _assert_trainers_match_reference(datasets, model_fn, config)
 
     @given(
         cohort=st.integers(min_value=1, max_value=5),
@@ -185,11 +195,7 @@ class TestBatchedVsSerialProperty:
         datasets = _image_population(cohort, sizes=(6, 9), shape=(1, 8, 8))
         model_fn = ModelFactory("deepface_like", (1, 8, 8), 3)
         config = LocalTrainingConfig(local_epochs=epochs, batch_size=batch)
-        rows_serial, metas_serial, rows_batch, metas_batch = _train_both(
-            datasets, model_fn, config
-        )
-        np.testing.assert_array_equal(rows_batch, rows_serial)
-        assert metas_batch == metas_serial
+        _assert_trainers_match_reference(datasets, model_fn, config)
 
 
 def _make_sim(dataset, model_fn, seed=0, **overrides):
@@ -224,7 +230,7 @@ class TestSimulationWiring:
         ]
 
     def test_serial_reference_unchanged_across_parallelism(self, population_dataset):
-        # cohort_batching=False must keep the serial reference byte-for-byte,
+        # cohort_batching=False must keep the serial result byte-for-byte,
         # whatever the thread-pool width.
         model_fn = model_fn_for(population_dataset)
         parallel_1 = _make_sim(
@@ -346,3 +352,86 @@ class TestCohortModelConstruction:
         schema = schema_of(model_fn(rng_from_seed(0)).state_dict())
         with pytest.raises(CohortBatchingError):
             CohortTrainer(population, schema)
+
+    def test_row_view_is_an_ordinary_model(self):
+        # L = (): a single flat row gives the template's own shapes, and
+        # training writes straight into the row.
+        template = Sequential(Flatten(), Linear(4, 3, rng=np.random.default_rng(0)))
+        schema = schema_of(template.state_dict())
+        row = schema.pack(template.state_dict())
+        model = build_cohort_model(template, row, schema)
+        for param, original in zip(model.parameters(), template.parameters()):
+            assert param.shape == original.shape
+            assert np.shares_memory(param.data, row)
+        rng = np.random.default_rng(1)
+        features = rng.standard_normal((10, 4)).astype(np.float32)
+        labels = rng.integers(0, 3, 10)
+        config = LocalTrainingConfig(local_epochs=2, batch_size=4, learning_rate=0.05)
+        local_sgd(model, features, labels, config, [rng_from_seed(2)])
+        assert not np.array_equal(row, schema.pack(template.state_dict()))
+
+
+def _dropout_model(rng):
+    return Sequential(Flatten(), Linear(4, 2, rng=rng), Dropout(0.25))
+
+
+class TestOneTrainerPerRun:
+    def test_thread_pool_keeps_every_row(self):
+        # More threads than cores and a short switch interval: a lost or
+        # torn row write would break byte-equality with the in-order run.
+        dataset = SyntheticPopulation(
+            population_size=24, num_features=8, num_classes=3, samples_per_client=12, seed=4
+        )
+        model_fn = model_fn_for(dataset)
+        config = LocalTrainingConfig(local_epochs=2, batch_size=4)
+        population = ClientPopulation.for_dataset(dataset, model_fn, config, seed=4)
+        broadcast = model_fn(rng_from_seed(4)).state_dict()
+        schema = schema_of(broadcast)
+        pairs = list(enumerate(range(24)))
+        in_order = np.empty((24, schema.total_size), dtype=np.float32)
+        expected = CohortTrainer(population, schema).train_rows(pairs, broadcast, 3, in_order)
+        threaded = np.full_like(in_order, np.nan)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            metas = CohortTrainer(population, schema, parallelism=8).train_rows(
+                pairs, broadcast, 3, threaded
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(threaded, in_order)
+        assert metas == expected
+
+    @pytest.mark.parametrize("num_shards", [0, 2])
+    def test_eager_population_releases_its_cohort(self, tiny_motionsense, num_shards):
+        # No client keeps a model between rounds, so an eager dataset's
+        # population is bounded by the cohort like a lazy one's.
+        cohort = 4
+        assert cohort < len(tiny_motionsense.clients())
+        config = SimulationConfig(
+            rounds=3,
+            local=LocalTrainingConfig(local_epochs=1, batch_size=32),
+            clients_per_round=cohort,
+            track_per_client_accuracy=False,
+            num_shards=num_shards,
+        )
+        sim = FederatedSimulation(tiny_motionsense, model_fn_for(tiny_motionsense), config)
+        sim.run()
+        assert sim.population.peak_materialized <= cohort
+        assert sim.population.materialized == 0
+
+    @pytest.mark.parametrize("num_shards", [0, 2])
+    @pytest.mark.parametrize("cohort_batching", [False, True])
+    def test_dropout_template_refused_before_training(self, cohort_batching, num_shards):
+        dataset = SyntheticPopulation(
+            population_size=8, num_features=4, num_classes=2, samples_per_client=4, seed=0
+        )
+        config = SimulationConfig(
+            rounds=1,
+            local=LocalTrainingConfig(local_epochs=1, batch_size=2),
+            clients_per_round=4,
+            cohort_batching=cohort_batching,
+            num_shards=num_shards,
+        )
+        with pytest.raises(CohortBatchingError, match="Dropout"):
+            FederatedSimulation(dataset, _dropout_model, config)

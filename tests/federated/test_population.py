@@ -8,6 +8,7 @@ from repro.data import LazyFederatedDataset, SyntheticPopulation, shard_label_co
 from repro.experiments.models import linear_probe, model_fn_for
 from repro.federated import (
     ClientPopulation,
+    CohortTrainer,
     FederatedSimulation,
     LocalTrainingConfig,
     LogNormalLatency,
@@ -15,6 +16,7 @@ from repro.federated import (
     SimulationConfig,
 )
 from repro.nn import Linear, Tensor
+from repro.nn.serialization import schema_of
 from repro.utils.rng import rng_from_seed
 
 
@@ -42,7 +44,7 @@ class TestClientPopulation:
         )
         assert len(population) == 50
         assert population.materialized == 0
-        cohort = population.materialize([3, 7, 11])
+        cohort = [population.get(client_id) for client_id in (3, 7, 11)]
         assert [c.client_id for c in cohort] == [3, 7, 11]
         assert population.materialized == 3
         assert population.peak_materialized == 3
@@ -59,21 +61,12 @@ class TestClientPopulation:
             dataset, model_fn_for(dataset), local_config(), seed=2
         )
         broadcast = model_fn_for(dataset)(rng_from_seed(2)).state_dict()
-        first = population.get(9).local_update(broadcast, round_index=4)
+        trainer = CohortTrainer(population, schema_of(broadcast))
+        (first,) = trainer.train_updates([9], broadcast, round_index=4)
         population.release([9])
         assert population.materialized == 0
-        second = population.get(9).local_update(broadcast, round_index=4)
-        for name in first.state:
-            np.testing.assert_array_equal(first.state[name], second.state[name])
-
-    def test_eager_population_retains_and_reuses_replicas(self, tiny_motionsense):
-        population = ClientPopulation.for_dataset(
-            tiny_motionsense, model_fn_for(tiny_motionsense), local_config()
-        )
-        client = population.get(0)
-        population.release([0])  # no-op when retaining
-        assert population.get(0) is client
-        assert population.materialized >= 1
+        (second,) = trainer.train_updates([9], broadcast, round_index=4)
+        np.testing.assert_array_equal(first.flat(), second.flat())
 
     def test_eager_ids_come_from_the_dataset(self, tiny_motionsense):
         population = ClientPopulation.for_dataset(

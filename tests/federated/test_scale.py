@@ -50,8 +50,8 @@ def test_hundred_thousand_client_round_is_cohort_bounded():
 
     assert sim.population.peak_materialized <= cohort
     assert sim.population.materialized == 0
-    # One shard is ~(8+2) samples × 16 features × 4 B plus the replica; 10⁵
-    # of them would be hundreds of MB.  The cohort-bounded engine stays
+    # One shard is ~(8+2) samples × 16 features × 4 B plus its weight row;
+    # 10⁵ of them would be hundreds of MB.  The cohort-bounded engine stays
     # within tens of MB even counting models, updates, and the event queue.
     assert peak_bytes < 64 * 1024 * 1024
 

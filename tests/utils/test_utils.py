@@ -1,10 +1,8 @@
-"""RNG management and logging helpers."""
-
-import logging
+"""RNG management helpers."""
 
 import numpy as np
 
-from repro.utils import child_rng, get_logger, rng_from_seed
+from repro.utils import child_rng, rng_from_seed
 from repro.utils.rng import stable_seed
 
 
@@ -44,18 +42,3 @@ class TestRng:
         b = child_rng(1, "beta").standard_normal(3)
         assert not np.array_equal(a, b)
 
-
-class TestLogging:
-    def test_namespacing(self):
-        assert get_logger("proxy").name == "repro.proxy"
-        assert get_logger("repro.mixnn").name == "repro.mixnn"
-
-    def test_null_handler_attached(self):
-        logger = get_logger("handler-check")
-        assert any(isinstance(h, logging.NullHandler) for h in logger.handlers)
-
-    def test_idempotent(self):
-        a = get_logger("same")
-        b = get_logger("same")
-        assert a is b
-        assert len(a.handlers) == 1
