@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Record a perf snapshot so future PRs can track the trajectory.
 
-Runs the crypto/transport/mixing micro-benchmarks, the flat-parameter-plane
+Runs the crypto/transport/proxy micro-benchmarks, the flat-parameter-plane
 attack/aggregation micro-benchmarks, the round-throughput sweep (clients/sec
-at 16–1024 simulated clients, flat vs the dict-based oracle path, with a
-per-phase train/mix/reduce/merge breakdown), the sharded-round sweep
+at 16–1024 simulated clients through a full-round proxy, flat vs the
+dict-based oracle aggregation, with a per-phase train/mix/reduce/merge
+breakdown), the sharded-round sweep
 (hierarchical aggregation at 1/2/4/8 leaf shards over 64–1024 clients,
 modeled critical-path throughput), the cohort-batched-training comparison
 (serial vs one stacked forward/backward at 16/64/256-client cohorts), the
@@ -118,38 +119,52 @@ def gradsim_attack_reference(broadcast, references, updates):
     return score_updates_reference(updates, broadcast, reference_deltas(references, broadcast))
 
 
+def proxy_round(messages, keypair):
+    """Decrypt and mix pre-encrypted ``messages`` through a full-round MixNN
+    proxy (``k`` = cohort), as the defense runs a round; a fresh proxy per
+    call, since a proxy refuses a message it has already ingested."""
+    from repro.mixnn.enclave import SGXEnclaveSim
+    from repro.mixnn.proxy import MixNNProxy
+    from repro.utils.rng import rng_from_seed
+
+    proxy = MixNNProxy(enclave=SGXEnclaveSim(keypair=keypair), k=len(messages), rng=rng_from_seed(0))
+    return proxy.process_round(messages)
+
+
 def round_throughput(model, repeats: int) -> dict:
-    """Server-side round overhead (mix + aggregate), flat vs reference path.
+    """Server-side round overhead (proxy decrypt + mix, then aggregate), with
+    flat vs reference aggregation.
 
     Each cohort row also carries ``phase_seconds``, a wall-clock breakdown of
     where a flat round goes: ``train`` (synthetic update synthesis — the
-    benchmark's stand-in for local training), ``mix`` (layer-wise MixNN
-    shuffle), ``reduce`` (the flat-plane mean over the row matrix), and
-    ``merge`` (rebuilding the named state dict from the reduced vector), so
-    a throughput sag at large cohorts is attributable to a specific stage.
+    benchmark's stand-in for local training), ``mix`` (a full-round MixNN
+    proxy over the cohort's pre-encrypted updates), ``reduce`` (the
+    flat-plane mean over the row matrix), and ``merge`` (rebuilding the
+    named state dict from the reduced vector), so a throughput sag at large
+    cohorts is attributable to a specific stage.
     """
     from repro.federated.flat import flat_mean, flat_rows
     from repro.federated.update import aggregate_updates
-    from repro.mixnn.mixing import mix_updates
+    from repro.mixnn.crypto import process_keypair
+    from repro.mixnn.transport import pack_update
     from repro.nn.serialization import schema_of
-    from repro.utils.rng import rng_from_seed
-    from tests.oracles.algebra import aggregate_updates_reference, mix_updates_reference
+    from tests.oracles.algebra import aggregate_updates_reference
 
+    keypair = process_keypair()
     sweep = {}
     for cohort in THROUGHPUT_COHORTS:
         updates = _make_updates(model, cohort)
+        messages = [pack_update(update, keypair.public) for update in updates]
 
         def flat_round():
-            mixed = mix_updates(updates, rng_from_seed(0))
-            return aggregate_updates(mixed)
+            return aggregate_updates(proxy_round(messages, keypair))
 
         def reference_round():
-            mixed = mix_updates_reference(updates, rng_from_seed(0))
-            return aggregate_updates_reference(mixed)
+            return aggregate_updates_reference(proxy_round(messages, keypair))
 
         flat_seconds = _best_of(flat_round, repeats)
         reference_seconds = _best_of(reference_round, repeats)
-        mixed = mix_updates(updates, rng_from_seed(0))
+        mixed = proxy_round(messages, keypair)
         schema = schema_of(mixed[0].state)
         rows = flat_rows(mixed, schema)
         reduced = flat_mean(rows, schema)
@@ -161,9 +176,7 @@ def round_throughput(model, repeats: int) -> dict:
             "speedup": reference_seconds / flat_seconds,
             "phase_seconds": {
                 "train": _best_of(lambda c=cohort: _make_updates(model, c), repeats),
-                "mix": _best_of(
-                    lambda u=updates: mix_updates(u, rng_from_seed(0)), repeats
-                ),
+                "mix": _best_of(lambda m=messages: proxy_round(m, keypair), repeats),
                 "reduce": _best_of(lambda r=rows, s=schema: flat_mean(r, s), repeats),
                 "merge": _best_of(lambda v=reduced, s=schema: s.views(v), repeats),
             },
@@ -439,7 +452,6 @@ def collect(repeats: int) -> dict:
     from repro.experiments.system_perf import run_system_perf
     from repro.federated.update import aggregate_updates
     from repro.mixnn.crypto import decrypt, encrypt, process_keypair, selftest
-    from repro.mixnn.mixing import mix_updates
     from repro.mixnn.transport import pack_update, unpack_update
     from repro.utils import native
     from repro.utils.rng import rng_from_seed
@@ -454,6 +466,7 @@ def collect(repeats: int) -> dict:
     model = paper_cnn((3, 8, 8), 10, rng_from_seed(0))
     updates = _make_updates(model, 16)
     packed = pack_update(updates[0], keypair.public)
+    messages = [pack_update(update, keypair.public) for update in updates]
     broadcast, references, gradsim_updates = make_gradsim_workload(model)
 
     results = {
@@ -464,7 +477,7 @@ def collect(repeats: int) -> dict:
         "unpack_update_seconds": _best_of(
             lambda: unpack_update(decrypt(keypair, packed.ciphertext)), repeats
         ),
-        "mix_16_updates_seconds": _best_of(lambda: mix_updates(updates, rng_from_seed(0)), repeats),
+        "proxy_round_16_updates_seconds": _best_of(lambda: proxy_round(messages, keypair), repeats),
         "aggregate_16_updates_seconds": _best_of(lambda: aggregate_updates(updates), repeats),
         "aggregate_16_updates_reference_seconds": _best_of(
             lambda: aggregate_updates_reference(updates), repeats

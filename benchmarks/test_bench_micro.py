@@ -1,8 +1,9 @@
 """Micro-benchmarks of the hot primitives.
 
 Not tied to a paper figure — these quantify the substrate itself: hybrid
-encryption, the proxy's receive path, batch mixing, the flat-parameter-plane
-update algebra, conv forward/backward, and one federated client epoch.
+encryption, the proxy's receive path and full-round mix, the
+flat-parameter-plane update algebra, conv forward/backward, and one federated
+client epoch.
 """
 
 import hashlib
@@ -27,9 +28,9 @@ from repro.mixnn.crypto import (
     process_keypair,
 )
 from repro.mixnn.enclave import SGXEnclaveSim
-from repro.mixnn.mixing import mix_updates
 from repro.mixnn.proxy import MixNNProxy
-from repro.nn import CrossEntropyLoss, Tensor
+from repro.mixnn.transport import pack_update
+from repro.nn import CrossEntropyLoss, GradTape, Tensor
 from repro.utils import native
 from repro.utils.rng import rng_from_seed
 from tests.oracles.algebra import aggregate_updates_reference
@@ -39,6 +40,7 @@ from .run_benchmarks import (
     gradsim_attack_flat,
     gradsim_attack_reference,
     make_gradsim_workload,
+    proxy_round,
 )
 
 
@@ -221,10 +223,15 @@ class TestFlatPlaneSpeedupVsBaseline:
 
 
 class TestMixingMicro:
-    def test_batch_mix_16_updates(self, benchmark, model):
+    def test_full_round_mix_16_updates(self, benchmark, model, keypair):
+        """Decrypt and mix 16 ciphertexts through a full-round proxy (``k`` = 16)."""
         updates = make_updates(model, 16)
-        emitted = benchmark(lambda: mix_updates(updates, rng_from_seed(0)))
+        messages = [pack_update(u, keypair.public) for u in updates]
+        emitted = benchmark(lambda: proxy_round(messages, keypair))
         assert len(emitted) == 16
+        original, mixed = aggregate_updates(updates), aggregate_updates(emitted)
+        for name in original:
+            np.testing.assert_allclose(original[name], mixed[name], atol=1e-6)
 
     def test_aggregate_16_updates(self, benchmark, model):
         updates = make_updates(model, 16)
@@ -256,10 +263,10 @@ class TestNNMicro:
         loss_fn = CrossEntropyLoss()
 
         def step():
-            logits = model(Tensor(x))
-            loss = loss_fn(logits, labels)
+            with GradTape() as tape:
+                loss = loss_fn(model(Tensor(x)), labels)
             model.zero_grad()
-            loss.backward()
+            tape.backward(loss)
             return loss.item()
 
         value = benchmark(step)

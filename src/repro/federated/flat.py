@@ -5,10 +5,9 @@ state is one contiguous float32 vector under a
 :class:`~repro.nn.serialization.StateSchema`, and a round's ``N`` updates are
 one ``(N, D)`` matrix.  Aggregation is a single reduction over that matrix,
 robust rules are one ``np.median``/``np.sort``, deltas are one subtract,
-MixNN layer mixing is a per-unit column gather, and ∇Sim-style attacks score
-all participants against all classes with one matmul — instead of each layer
-looping over per-parameter ``OrderedDict``\\ s and re-copying every array per
-client.
+and ∇Sim-style attacks score all participants against all classes with one
+matmul — instead of each layer looping over per-parameter ``OrderedDict``\\ s
+and re-copying every array per client.
 
 The dict-of-arrays API stays available everywhere as zero-copy views into the
 flat buffers (``schema.views``).  The per-parameter implementations these
@@ -100,7 +99,8 @@ def row_norms(matrix: np.ndarray, schema: StateSchema) -> np.ndarray:
 def unit_columns(
     schema: StateSchema, units: list[tuple[str, ...]] | list[list[str]]
 ) -> list[slice | np.ndarray]:
-    """Column selector per mixing unit of the ``(N, D)`` batch matrix.
+    """Column selector per unit (a group of parameter names, e.g. a layer)
+    of the ``(N, D)`` batch matrix.
 
     A unit whose parameters are adjacent in the schema (the overwhelmingly
     common case — a layer's weight and bias) becomes a contiguous ``slice``;
@@ -190,7 +190,7 @@ class FlatUpdateBatch:
         Updates already materialized on the flat plane contribute their
         backing buffer via a straight row copy; dict-backed updates are
         flat-materialized in place (``ModelUpdate.ensure_flat``) so repeated
-        consumers of the same round — mixing, aggregation, attacks — share
+        consumers of the same round — aggregation, defenses, attacks — share
         the packing work.
         """
         if not updates:
@@ -308,33 +308,3 @@ class FlatUpdateBatch:
                 )
             deltas = self.matrix.astype(np.float64) - np.asarray(reference, dtype=np.float64)
         return row_norms(deltas, self.schema)
-
-    # ------------------------------------------------------------------
-    # Mixing (the §4.2 column gather)
-    # ------------------------------------------------------------------
-    @classmethod
-    def gather_mixed(
-        cls,
-        updates: list[ModelUpdate],
-        mixing_matrix: np.ndarray,
-        columns: list[slice | np.ndarray],
-        schema: StateSchema | None = None,
-    ) -> np.ndarray:
-        """Apply the paper's ``(M_ij)`` as per-unit column gathers.
-
-        Emitted row ``i`` takes unit ``j``'s columns from the update at slot
-        ``mixing_matrix[i, j]`` — exactly the semantics of the reference
-        per-parameter mix.  Gathers straight from each update's flat buffer
-        into the output rows (no intermediate batch matrix), so the copy
-        traffic equals the emitted payload.
-        """
-        if not updates:
-            raise ValueError("cannot mix an empty update batch")
-        schema = schema or schema_of(updates[0].state)
-        rows = flat_rows(updates, schema)
-        out = np.empty((len(updates), schema.total_size), dtype=np.float32)
-        for j, column in enumerate(columns):
-            unit_sources = mixing_matrix[:, j]
-            for i in range(len(updates)):
-                out[i, column] = rows[unit_sources[i]][column]
-        return out

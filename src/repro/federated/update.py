@@ -8,8 +8,8 @@ the paper mixes whole layers ``l_1 … l_n``).
 
 Flat parameter plane
 --------------------
-The round-critical algebra (aggregation, deltas, mixing, defenses, ∇Sim)
-runs on the **flat parameter plane**: a model state is one contiguous float32
+The round-critical algebra (aggregation, deltas, defenses, ∇Sim) runs on the
+**flat parameter plane**: a model state is one contiguous float32
 vector under a :class:`~repro.nn.serialization.StateSchema`, and a round's
 ``N`` updates are one ``(N, D)`` matrix (:mod:`repro.federated.flat`).  The
 dict-of-arrays API remains the public surface, as cheap zero-copy views into
@@ -122,7 +122,7 @@ class ModelUpdate:
         """Materialize this update on the flat plane and return the buffer.
 
         After this call ``state`` holds zero-copy views into ``flat_vector``,
-        so every flat-plane consumer (aggregation, mixing, defenses, attacks,
+        so every flat-plane consumer (aggregation, defenses, attacks,
         transport) shares the single allocation.
         """
         if self.flat_vector is None:

@@ -1,10 +1,10 @@
 """``repro.mixnn`` — the paper's core contribution.
 
-The layer-mixing machinery (:mod:`~repro.mixnn.mixing`), the streaming proxy
-(:mod:`~repro.mixnn.proxy`), the participant↔enclave wire format and hybrid
-encryption (:mod:`~repro.mixnn.transport`, :mod:`~repro.mixnn.crypto`), the
-SGX enclave simulator (:mod:`~repro.mixnn.enclave`), and the oblivious list
-storage (:mod:`~repro.mixnn.oram`).
+The streaming layer-mixing proxy (:mod:`~repro.mixnn.proxy`), the
+participant↔enclave wire format and hybrid encryption
+(:mod:`~repro.mixnn.transport`, :mod:`~repro.mixnn.crypto`), the SGX enclave
+simulator (:mod:`~repro.mixnn.enclave`), and the oblivious list storage
+(:mod:`~repro.mixnn.oram`).
 """
 
 from .crypto import CryptoError, KeyPair, PublicKey, decrypt, encrypt, generate_keypair
@@ -16,16 +16,12 @@ from .enclave import (
     EnclaveError,
     SGXEnclaveSim,
 )
-from .mixing import Granularity, is_valid_mixing_matrix, mix_updates, mixing_matrix
 from .mixnet import MixCascade, MixNode, onion_encrypt
 from .oram import ObliviousList
-from .proxy import MixNNProxy, ProxyStats
+from .proxy import Granularity, MixNNProxy, ProxyStats
 from .transport import EncryptedUpdate, pack_update, unpack_update, update_nbytes
 
 __all__ = [
-    "mixing_matrix",
-    "is_valid_mixing_matrix",
-    "mix_updates",
     "Granularity",
     "MixNNProxy",
     "ProxyStats",

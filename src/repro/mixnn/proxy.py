@@ -32,14 +32,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..federated.faults import FaultInjector
-from ..federated.update import ModelUpdate
+from ..federated.update import ModelUpdate, layer_groups
 from ..nn.serialization import FrameError, schema_of
 from .enclave import SGXEnclaveSim, UpdateDecryptError
-from .mixing import _mixing_units
 from .oram import ObliviousList
 from .transport import EncryptedUpdate, IntegrityError, envelope_nonce, pack_update, unpack_update
 
-__all__ = ["MixNNProxy", "ProxyStats", "ReplayError"]
+__all__ = ["MixNNProxy", "ProxyStats", "ReplayError", "Granularity"]
+
+#: Supported mixing granularities: whole models (no protection beyond the
+#: batch's unlinkability), whole layers (the paper's scheme), or single
+#: parameter tensors.
+Granularity = ("model", "layer", "parameter")
+
+
+def _mixing_units(names: tuple[str, ...], granularity: str) -> list[tuple[str, ...]]:
+    """Parameter-name groups moved together under the chosen granularity."""
+    if granularity == "model":
+        return [tuple(names)]
+    if granularity == "layer":
+        return [tuple(group) for group in layer_groups(names).values()]
+    return [(name,) for name in names]
 
 
 class ReplayError(Exception):
@@ -84,6 +97,8 @@ class MixNNProxy:
     ) -> None:
         if k < 1:
             raise ValueError(f"list capacity k must be >= 1, got {k}")
+        if granularity not in Granularity:
+            raise ValueError(f"unknown granularity {granularity!r}; choose from {Granularity}")
         self.enclave = enclave or SGXEnclaveSim()
         self.k = k
         self.rng = rng or np.random.default_rng()
@@ -135,7 +150,7 @@ class MixNNProxy:
             self._schema = state_schema.names
             self._state_schema = state_schema
             self._update_nbytes = 4 * state_schema.total_size
-            self._units = [tuple(u) for u in _mixing_units(update, self.granularity)]
+            self._units = _mixing_units(self._schema, self.granularity)
             position = {
                 name: (unit_index, member_index)
                 for unit_index, unit in enumerate(self._units)

@@ -147,6 +147,11 @@ def _column_operands(xd: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow:
     return weight_side, forward
 
 
+def _any_requires_grad(x: Tensor, weight: Tensor, bias: Tensor | None) -> bool:
+    """Whether a kernel over ``x``, ``weight`` and an optional ``bias`` records."""
+    return x.requires_grad or weight.requires_grad or (bias is not None and bias.requires_grad)
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -176,8 +181,7 @@ def conv2d(
     if pad:
         xd = np.zeros((*lead, n, c, hp, wp), dtype=np.float32)
         xd[..., pad : pad + h, pad : pad + w] = x.data
-    parents = (x, weight) + ((bias,) if bias is not None else ())
-    record = is_grad_enabled() and any(p.requires_grad for p in parents)
+    record = is_grad_enabled() and _any_requires_grad(x, weight, bias)
     # Drop each column block as soon as it is dead: at evaluation batch
     # sizes they are megabytes each.
     cols, cols_t = _column_operands(xd, kh, kw, stride, oh, ow)
@@ -214,7 +218,7 @@ def conv2d(
                     dx[..., i : i + stride * oh : stride, j : j + stride * ow : stride, :] += dcols[..., i, j]
             x._accumulate(np.moveaxis(dx[..., pad : pad + h, pad : pad + w, :], -1, -3))
 
-    return Tensor._record(out_data, parents, backward, "conv2d")
+    return Tensor._record(out_data, backward, "conv2d")
 
 
 def _pool_blocks(x: Tensor, kernel: int) -> np.ndarray:
@@ -259,7 +263,7 @@ def max_pool2d(x: Tensor, kernel: int) -> Tensor:
             np.multiply(share, mask, out=dx[..., i::kernel, j::kernel])
         x._accumulate(dx)
 
-    return Tensor._record(out_data, (x,), backward, "max_pool2d")
+    return Tensor._record(out_data, backward, "max_pool2d")
 
 
 def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
@@ -274,7 +278,7 @@ def avg_pool2d(x: Tensor, kernel: int) -> Tensor:
         g = np.broadcast_to(grad[..., :, None, :, None] / (kernel * kernel), blocks.shape)
         x._accumulate(g.reshape(x.shape))
 
-    return Tensor._record(out_data, (x,), backward, "avg_pool2d")
+    return Tensor._record(out_data, backward, "avg_pool2d")
 
 
 def _einsum_per_slice(subscripts: str, a: np.ndarray, b: np.ndarray, lead: tuple) -> np.ndarray:
@@ -322,8 +326,7 @@ def locally_connected2d(
     if bias is not None:
         out_data = out_data + bias.data[..., None, :, :, :]
 
-    parents = (x, weight) + ((bias,) if bias is not None else ())
-    if not (is_grad_enabled() and any(p.requires_grad for p in parents)):
+    if not (is_grad_enabled() and _any_requires_grad(x, weight, bias)):
         return Tensor._lean(out_data, "locally_connected2d")
 
     def backward(grad: np.ndarray) -> None:
@@ -337,7 +340,7 @@ def locally_connected2d(
             dx = col2im(dcols.reshape(flat_n, k, oh, ow), (flat_n, c, h, w), (kh, kw), stride)
             x._accumulate(dx.reshape(x.shape))
 
-    return Tensor._record(out_data, parents, backward, "locally_connected2d")
+    return Tensor._record(out_data, backward, "locally_connected2d")
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -352,8 +355,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         out_data = out_data + bias.data[..., None, :]
 
-    parents = (x, weight) + ((bias,) if bias is not None else ())
-    if not (is_grad_enabled() and any(p.requires_grad for p in parents)):
+    if not (is_grad_enabled() and _any_requires_grad(x, weight, bias)):
         return Tensor._lean(out_data, "linear")
 
     def backward(grad: np.ndarray) -> None:
@@ -367,7 +369,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         if x.requires_grad:
             x._accumulate(np.matmul(grad, weight.data))
 
-    return Tensor._record(out_data, parents, backward, "linear")
+    return Tensor._record(out_data, backward, "linear")
 
 
 # ----------------------------------------------------------------------

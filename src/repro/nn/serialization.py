@@ -20,14 +20,12 @@ and read without any intermediate archive encode.  Because the buffers are
 laid out back to back in schema order, the payload of a raw-framed blob *is*
 the flat vector — :func:`flat_from_bytes` reads it as one zero-copy float32
 view and :func:`flat_to_bytes` writes it from one, which lets transport,
-crypto, and aggregation share a single allocation.  :func:`state_from_bytes`
-also still reads the legacy ``.npz`` encoding (sniffed by magic), so blobs
-and files produced by earlier versions keep loading.
+crypto, and aggregation share a single allocation.  A blob in any other
+encoding raises :class:`FrameError`.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from collections import OrderedDict
 
@@ -62,8 +60,6 @@ class FrameError(ValueError):
 
 #: Magic prefix of the raw framed state encoding ("Raw Weights v1").
 _RAW_MAGIC = b"RW01"
-#: Magic prefix of a zip archive, i.e. the legacy ``.npz`` encoding.
-_ZIP_MAGIC = b"PK\x03\x04"
 
 
 class StateSchema:
@@ -263,16 +259,12 @@ def _parse_raw_header(blob: bytes) -> tuple[tuple[str, ...], tuple[tuple[int, ..
 def state_from_bytes(blob: bytes) -> "OrderedDict[str, np.ndarray]":
     """Inverse of :func:`state_to_bytes`, preserving key order.
 
-    Raw-framed blobs re-materialize as zero-copy float32 views onto ``blob``
-    (read-only; every consumer that mutates copies first).  Legacy ``.npz``
-    blobs are detected by magic and loaded through numpy.  Malformed frames
-    raise :class:`FrameError`.
+    Arrays re-materialize as zero-copy float32 views onto ``blob``
+    (read-only; every consumer that mutates copies first).  Malformed frames
+    and any encoding other than ``RW01`` raise :class:`FrameError`.
     """
-    if blob[:4] == _ZIP_MAGIC:
-        with np.load(io.BytesIO(blob)) as archive:
-            return OrderedDict((name, archive[name]) for name in archive.files)
     if blob[:4] != _RAW_MAGIC:
-        raise FrameError("unrecognized state encoding (neither raw-framed nor .npz)")
+        raise FrameError("unrecognized state encoding (not RW01-framed)")
     names, shapes, offset = _parse_raw_header(blob)
     sizes = [int(np.prod(shape)) if shape else 1 for shape in shapes]
     expected = offset + 4 * sum(sizes)
@@ -312,15 +304,11 @@ def flat_from_bytes(blob: bytes) -> tuple[StateSchema, np.ndarray]:
     Raw-framed blobs yield a single zero-copy read-only float32 view covering
     the whole payload (the per-parameter dict view is ``schema.views(vector)``
     when needed).  A header an interned schema already wrote is looked up by
-    its bytes; only an unknown one is parsed and validated as JSON.  Legacy
-    ``.npz`` blobs are loaded through numpy and packed.
+    its bytes; only an unknown one is parsed and validated as JSON.  Any
+    encoding other than ``RW01`` raises :class:`FrameError`.
     """
-    if blob[:4] == _ZIP_MAGIC:
-        state = state_from_bytes(blob)
-        schema = schema_of(state)
-        return schema, schema.pack(state)
     if blob[:4] != _RAW_MAGIC:
-        raise FrameError("unrecognized state encoding (neither raw-framed nor .npz)")
+        raise FrameError("unrecognized state encoding (not RW01-framed)")
     offset = 8 + int.from_bytes(blob[4:8], "big")
     schema = _PREFIX_CACHE.get(bytes(blob[:offset]))
     if schema is None:
@@ -343,7 +331,6 @@ def save_state(state: dict, path) -> None:
 
     Writes the raw framed ``RW01`` encoding (see :func:`state_to_bytes`), which
     only :func:`load_state`/:func:`state_from_bytes` read — not ``np.load``.
-    Files previously written in the ``.npz`` encoding still load fine.
     """
     with open(path, "wb") as handle:
         handle.write(state_to_bytes(state))

@@ -11,17 +11,16 @@ Design notes
 ------------
 * A :class:`Tensor` wraps a ``numpy.ndarray`` (``float32`` by default) plus an
   optional gradient buffer.
-* Each differentiable operation records a backward closure and its parent
-  tensors, accumulating gradients (summing over broadcast axes, like every
-  major framework).
-* :class:`GradTape` is how training backpropagates: ops append themselves to
-  a flat tape in execution order, and :meth:`GradTape.backward` walks the
-  tape once in reverse — no visited-set topological sort, and intermediate
+* Each differentiable operation records a backward closure that accumulates
+  its inputs' gradients (summing over broadcast axes, like every major
+  framework).
+* :class:`GradTape` is the one backward engine: ops append themselves to a
+  flat tape in execution order, and :meth:`GradTape.backward` walks the tape
+  once in reverse — no visited-set topological sort, and intermediate
   gradient buffers are dropped as soon as their closure has fired.  Reverse
   execution order is a valid topological order because every consumer of a
-  tensor is recorded after it.  Graph-mode :meth:`Tensor.backward` (a
-  topological sort over the recorded parents) stays as the reference the
-  tape is tested against.
+  tensor is recorded after it.  An op run outside a tape is on no tape, so
+  nothing backpropagates through it.
 * Gradient tracking can be suspended with the :func:`no_grad` context manager,
   used by evaluation loops and by the attack code when it only needs forward
   passes.  The grad flag and the active tape are **thread-local**: a
@@ -29,16 +28,16 @@ Design notes
   training step in flight on another, and each thread records on its own
   tape (the simulation's ``parallelism`` pool trains clients on threads).
 * When gradients are off (or no input requires them), ops skip the backward
-  closure and parent bookkeeping entirely and return a bare output tensor
-  through :meth:`Tensor._lean` — the hot path for evaluation and attack
-  forward passes.
+  closure entirely and return a bare output tensor through
+  :meth:`Tensor._lean` — the hot path for evaluation and attack forward
+  passes.
 """
 
 from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -88,11 +87,9 @@ class GradTape:
     """Lean autograd mode: a flat op tape walked once backward.
 
     Entering the tape makes every recorded op append its output tensor to
-    ``self.nodes`` (in execution order) on the current thread.  The graph
-    structure is still captured by the backward closures, so
-    :meth:`Tensor.backward` keeps working on tensors built under a tape;
-    :meth:`backward` here is the cheap path — a single reverse walk with
-    in-place gradient accumulation and eager intermediate-buffer release.
+    ``self.nodes`` (in execution order) on the current thread;
+    :meth:`backward` is a single reverse walk with in-place gradient
+    accumulation and eager intermediate-buffer release.
     """
 
     __slots__ = ("nodes", "_previous")
@@ -113,19 +110,25 @@ class GradTape:
     def backward(self, output: "Tensor", grad: np.ndarray | None = None) -> None:
         """Backpropagate from ``output`` through the recorded tape.
 
-        ``output`` must have been recorded on this tape.  Non-scalar outputs
-        need an explicit seed ``grad`` (e.g. ones over a per-client loss
-        vector).  Intermediate gradients are freed as soon as consumed; leaf
-        gradients (parameters) are left accumulated for the optimizer.
+        ``output`` must have been recorded on this tape (``RuntimeError``
+        otherwise: a forward pass run outside the ``with`` block would
+        backpropagate nothing).  Non-scalar outputs need an explicit seed
+        ``grad`` (e.g. ones over a per-client loss vector).  Intermediate
+        gradients are freed as soon as consumed; leaf gradients (parameters)
+        are left accumulated for the optimizer.
         """
         if not output.requires_grad:
             raise RuntimeError("backward() called on a tensor without grad tracking")
+        nodes = self.nodes
+        # A training step's loss is the last op recorded: one identity check.
+        if not any(node is output for node in reversed(nodes)):
+            raise RuntimeError("backward() output was not recorded on this tape")
         if grad is None:
             if output.data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar outputs")
             grad = np.ones_like(output.data)
         output._accumulate(np.asarray(grad, dtype=np.float32))
-        for node in reversed(self.nodes):
+        for node in reversed(nodes):
             node_grad = node.grad
             if node_grad is not None:
                 if node._backward is not None:
@@ -157,23 +160,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A numpy-backed tensor participating in reverse-mode autodiff."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "op")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "op")
 
-    def __init__(
-        self,
-        data,
-        requires_grad: bool = False,
-        parents: Sequence["Tensor"] = (),
-        backward: Callable[[np.ndarray], None] | None = None,
-        op: str = "leaf",
-    ) -> None:
+    def __init__(self, data, requires_grad: bool = False, op: str = "leaf") -> None:
         if isinstance(data, Tensor):
             data = data.data
         self.data = np.asarray(data, dtype=np.float32)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _STATE.grad_enabled
-        self._backward = backward
-        self._parents: tuple[Tensor, ...] = tuple(parents) if self.requires_grad else ()
+        self._backward: Callable[[np.ndarray], None] | None = None
         self.op = op
 
     # ------------------------------------------------------------------
@@ -232,68 +227,30 @@ class Tensor:
             # reallocation per accumulation.
             self.grad += grad
 
-    def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor through the recorded graph."""
-        if not self.requires_grad:
-            raise RuntimeError("backward() called on a tensor without grad tracking")
-        if grad is None:
-            if self.data.size != 1:
-                raise RuntimeError("grad must be provided for non-scalar outputs")
-            grad = np.ones_like(self.data)
-        self._accumulate(np.asarray(grad, dtype=np.float32))
-
-        # Iterative post-order DFS with an explicit parent iterator per
-        # frame: each node enters the stack exactly once (marked at
-        # discovery), so fan-out can no longer inflate the stack with
-        # duplicate entries — it stays O(live nodes), not O(edges).
-        ordered: list[Tensor] = []
-        visited: set[int] = {id(self)}
-        stack: list[tuple[Tensor, Iterable[Tensor]]] = [(self, iter(self._parents))]
-        while stack:
-            node, parents = stack[-1]
-            for parent in parents:
-                if parent.requires_grad and id(parent) not in visited:
-                    visited.add(id(parent))
-                    stack.append((parent, iter(parent._parents)))
-                    break
-            else:
-                ordered.append(node)
-                stack.pop()
-
-        for node in reversed(ordered):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-
     # ------------------------------------------------------------------
     # Operator construction helpers
     # ------------------------------------------------------------------
     @staticmethod
     def _lean(data, op: str) -> "Tensor":
-        """Bare output tensor: no grad, no parents, no closure retained."""
+        """Bare output tensor: no grad, no closure retained."""
         out = object.__new__(Tensor)
         out.data = np.asarray(data, dtype=np.float32)
         out.grad = None
         out.requires_grad = False
         out._backward = None
-        out._parents = ()
         out.op = op
         return out
 
     @staticmethod
-    def _record(
-        data,
-        parents: tuple["Tensor", ...],
-        backward: Callable[[np.ndarray], None],
-        op: str,
-    ) -> "Tensor":
-        """Build a grad-tracking output node; callers guarantee grad is
-        enabled and at least one parent requires it."""
+    def _record(data, backward: Callable[[np.ndarray], None], op: str) -> "Tensor":
+        """Build a grad-tracking output node and append it to the active
+        tape; callers guarantee grad is enabled and at least one input
+        requires it."""
         out = object.__new__(Tensor)
         out.data = np.asarray(data, dtype=np.float32)
         out.grad = None
         out.requires_grad = True
         out._backward = backward
-        out._parents = parents
         out.op = op
         tape = _STATE.tape
         if tape is not None:
@@ -315,7 +272,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(grad, other.shape))
 
-        return Tensor._record(out_data, (self, other), backward, "add")
+        return Tensor._record(out_data, backward, "add")
 
     __radd__ = __add__
 
@@ -327,7 +284,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(-grad)
 
-        return Tensor._record(-self.data, (self,), backward, "neg")
+        return Tensor._record(-self.data, backward, "neg")
 
     def __sub__(self, other) -> "Tensor":
         return self + (-as_tensor(other))
@@ -347,7 +304,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(grad * self.data, other.shape))
 
-        return Tensor._record(out_data, (self, other), backward, "mul")
+        return Tensor._record(out_data, backward, "mul")
 
     __rmul__ = __mul__
 
@@ -363,7 +320,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(-grad * self.data / (other.data**2), other.shape))
 
-        return Tensor._record(out_data, (self, other), backward, "div")
+        return Tensor._record(out_data, backward, "div")
 
     def __rtruediv__(self, other) -> "Tensor":
         return as_tensor(other) / self
@@ -379,7 +336,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * exponent * self.data ** (exponent - 1))
 
-        return Tensor._record(out_data, (self,), backward, "pow")
+        return Tensor._record(out_data, backward, "pow")
 
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
@@ -401,7 +358,7 @@ class Tensor:
                     g = np.swapaxes(self.data, -1, -2) @ grad
                     other._accumulate(_unbroadcast(g, other.shape))
 
-        return Tensor._record(out_data, (self, other), backward, "matmul")
+        return Tensor._record(out_data, backward, "matmul")
 
     # ------------------------------------------------------------------
     # Elementwise nonlinearities
@@ -415,7 +372,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * out_data)
 
-        return Tensor._record(out_data, (self,), backward, "exp")
+        return Tensor._record(out_data, backward, "exp")
 
     def log(self) -> "Tensor":
         out_data = np.log(self.data)
@@ -426,7 +383,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad / self.data)
 
-        return Tensor._record(out_data, (self,), backward, "log")
+        return Tensor._record(out_data, backward, "log")
 
     def sqrt(self) -> "Tensor":
         return self**0.5
@@ -440,7 +397,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * mask)
 
-        return Tensor._record(self.data * mask, (self,), backward, "relu")
+        return Tensor._record(self.data * mask, backward, "relu")
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
@@ -451,7 +408,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * (1.0 - out_data**2))
 
-        return Tensor._record(out_data, (self,), backward, "tanh")
+        return Tensor._record(out_data, backward, "tanh")
 
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-self.data))
@@ -462,7 +419,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * out_data * (1.0 - out_data))
 
-        return Tensor._record(out_data, (self,), backward, "sigmoid")
+        return Tensor._record(out_data, backward, "sigmoid")
 
     def clip(self, low: float, high: float) -> "Tensor":
         out_data = np.clip(self.data, low, high)
@@ -474,7 +431,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * mask)
 
-        return Tensor._record(out_data, (self,), backward, "clip")
+        return Tensor._record(out_data, backward, "clip")
 
     def abs(self) -> "Tensor":
         out_data = np.abs(self.data)
@@ -486,7 +443,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * sign)
 
-        return Tensor._record(out_data, (self,), backward, "abs")
+        return Tensor._record(out_data, backward, "abs")
 
     # ------------------------------------------------------------------
     # Reductions
@@ -507,7 +464,7 @@ class Tensor:
                     g = np.expand_dims(g, a)
             self._accumulate(np.broadcast_to(g, self.shape).copy())
 
-        return Tensor._record(out_data, (self,), backward, "sum")
+        return Tensor._record(out_data, backward, "sum")
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -537,7 +494,7 @@ class Tensor:
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
             self._accumulate(mask * g / counts)
 
-        return Tensor._record(out_data, (self,), backward, "max")
+        return Tensor._record(out_data, backward, "max")
 
     def var(self, axis=None, keepdims: bool = False) -> "Tensor":
         centered = self - self.mean(axis=axis, keepdims=True)
@@ -558,7 +515,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad.reshape(original))
 
-        return Tensor._record(out_data, (self,), backward, "reshape")
+        return Tensor._record(out_data, backward, "reshape")
 
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
@@ -574,7 +531,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad.transpose(inverse))
 
-        return Tensor._record(out_data, (self,), backward, "transpose")
+        return Tensor._record(out_data, backward, "transpose")
 
     @property
     def T(self) -> "Tensor":
@@ -591,7 +548,7 @@ class Tensor:
                 np.add.at(full, index, grad)
                 self._accumulate(full)
 
-        return Tensor._record(out_data, (self,), backward, "getitem")
+        return Tensor._record(out_data, backward, "getitem")
 
 
 def as_tensor(value) -> Tensor:
@@ -617,7 +574,7 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
                 slicer[axis] = slice(int(start), int(stop))
                 tensor._accumulate(grad[tuple(slicer)])
 
-    return Tensor._record(out_data, tuple(tensors), backward, "concatenate")
+    return Tensor._record(out_data, backward, "concatenate")
 
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -633,4 +590,4 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
             if tensor.requires_grad:
                 tensor._accumulate(np.squeeze(piece, axis=axis))
 
-    return Tensor._record(out_data, tuple(tensors), backward, "stack")
+    return Tensor._record(out_data, backward, "stack")

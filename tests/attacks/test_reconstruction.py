@@ -11,8 +11,9 @@ from repro.attacks.reconstruction import (
     pairwise_distances,
 )
 from repro.federated.update import ModelUpdate
-from repro.mixnn.mixing import mix_updates
 from repro.utils.rng import rng_from_seed
+
+from ..conftest import mix_round
 
 
 def updates_at(points: list[float]) -> list[ModelUpdate]:
@@ -69,7 +70,7 @@ class TestRelinkAttack:
                 for k, v in base.items()
             )
             updates.append(ModelUpdate(sender_id=sender, round_index=0, state=state))
-        mixed = mix_updates(updates, rng_from_seed(1))
+        mixed = mix_round(updates, seed=1)
         attack = RelinkAttack(references, base)
         truth = {u.sender_id: u.sender_id % 2 for u in updates}
         report = attack.run(mixed, true_attributes=truth)
@@ -87,7 +88,7 @@ class TestRelinkAttack:
                 for k, v in base.items()
             )
             updates.append(ModelUpdate(sender_id=sender, round_index=0, state=state))
-        mixed = mix_updates(updates, rng_from_seed(1))
+        mixed = mix_round(updates, seed=1)
         attack = RelinkAttack(references, base)
         truth = {u.sender_id: u.sender_id % 2 for u in updates}
         report = attack.run(mixed, true_attributes=truth)
@@ -100,7 +101,7 @@ class TestRelinkAttack:
             ModelUpdate(sender_id=i, round_index=0, state=OrderedDict(base))
             for i in range(4)
         ]
-        mixed = mix_updates(updates, rng_from_seed(2))
+        mixed = mix_round(updates, seed=2)
         report = RelinkAttack(references, base).run(mixed)
         assert 0.0 <= report.consistency_rate <= 1.0
         assert len(report.piece_assignments) == 4

@@ -1,4 +1,5 @@
-"""Shared fixtures: cached key pairs, tiny datasets, small models, updates."""
+"""Shared fixtures: cached key pairs, tiny datasets, small models, updates,
+and a full-round MixNN proxy."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from repro.experiments.models import paper_cnn
 from repro.federated.update import ModelUpdate
 from repro.mixnn.crypto import process_keypair
 from repro.mixnn.enclave import SGXEnclaveSim
+from repro.mixnn.proxy import MixNNProxy
 from repro.utils.rng import rng_from_seed
 
 
@@ -79,6 +81,18 @@ def make_updates(model, count: int, seed: int = 0, round_index: int = 0) -> list
         )
         updates.append(ModelUpdate(sender_id=sender, round_index=round_index, state=state))
     return updates
+
+
+def mix_round(updates: list[ModelUpdate], seed: int = 0, granularity: str = "layer") -> list[ModelUpdate]:
+    """``updates`` mixed by a full-round proxy (``k`` = cohort), encrypted and
+    decrypted as a round of the MixNN defense is: one chimera per update."""
+    proxy = MixNNProxy(
+        enclave=SGXEnclaveSim(keypair=process_keypair()),
+        k=max(1, len(updates)),
+        rng=rng_from_seed(seed),
+        granularity=granularity,
+    )
+    return proxy.process_round([proxy.encrypt_for_proxy(update) for update in updates])
 
 
 @pytest.fixture()

@@ -7,10 +7,8 @@ import pytest
 
 from repro.federated.aggregation import coordinate_median, norm_filtered_mean, trimmed_mean
 from repro.federated.update import ModelUpdate
-from repro.mixnn.mixing import mix_updates
-from repro.utils.rng import rng_from_seed
 
-from ..conftest import make_updates
+from ..conftest import make_updates, mix_round
 
 
 def scalar_updates(values: list[float]) -> list[ModelUpdate]:
@@ -68,7 +66,7 @@ class TestMixingCommutation:
 
     def test_median_is_mixing_invariant(self, small_model):
         updates = make_updates(small_model, 7)
-        mixed = mix_updates(updates, rng_from_seed(0))
+        mixed = mix_round(updates, seed=0)
         before = coordinate_median(updates)
         after = coordinate_median(mixed)
         for name in before:
@@ -76,7 +74,7 @@ class TestMixingCommutation:
 
     def test_trimmed_mean_is_mixing_invariant(self, small_model):
         updates = make_updates(small_model, 7)
-        mixed = mix_updates(updates, rng_from_seed(1))
+        mixed = mix_round(updates, seed=1)
         before = trimmed_mean(updates, trim=1)
         after = trimmed_mean(mixed, trim=1)
         for name in before:
@@ -96,7 +94,7 @@ class TestMixingCommutation:
         # Inflate one participant far beyond the filter bound.
         for name in updates[3].state:
             updates[3].state[name] = updates[3].state[name] + 100.0
-        mixed = mix_updates(updates, rng_from_seed(2))
+        mixed = mix_round(updates, seed=2)
         bound = 150.0  # keeps honest updates, drops the inflated one
         before = norm_filtered_mean(updates, reference, max_norm=bound)
         after = norm_filtered_mean(mixed, reference, max_norm=bound)

@@ -37,9 +37,12 @@ from repro.federated.update import (
     aggregate_updates,
     state_delta,
 )
-from repro.mixnn.mixing import mix_updates, mixing_matrix
+from repro.mixnn.enclave import SGXEnclaveSim
+from repro.mixnn.proxy import MixNNProxy
 from repro.nn.serialization import schema_of
 from repro.utils.rng import rng_from_seed
+
+from ..conftest import mix_round
 
 from ..oracles.algebra import (
     aggregate_states_reference,
@@ -47,10 +50,10 @@ from ..oracles.algebra import (
     coordinate_median_reference,
     krum_reference,
     krum_scores_reference,
-    mix_updates_reference,
     multi_krum_reference,
     norm_filtered_mean_reference,
     pairwise_sq_distances_reference,
+    proxy_mix_reference,
     reference_deltas,
     score_updates_reference,
     state_delta_reference,
@@ -409,53 +412,45 @@ class TestDeltaEquivalence:
 
 
 class TestMixingEquivalence:
+    """The proxy's §4.3 stream, encrypted and decrypted, against its list
+    oracle: emitted states byte for byte, identities, unit sources and the
+    generator's state after the round."""
+
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("count", [1, 2, 5, 16])
     @pytest.mark.parametrize("granularity", ["model", "layer", "parameter"])
-    def test_mix_bit_identical(self, seed, count, granularity):
+    @pytest.mark.parametrize("mode", ["streaming", "full-round"])
+    def test_proxy_matches_oracle_bit_for_bit(self, seed, count, granularity, mode, keypair):
         rng = rng_from_seed(seed)
         template = random_schema_state(rng)
         updates = updates_from(states_like(template, rng, count), rng)
-        flat = mix_updates(
-            [u.copy() for u in updates], rng_from_seed(seed + 100), granularity=granularity
+        k = count if mode == "full-round" else max(1, count // 2)
+        proxy = MixNNProxy(
+            enclave=SGXEnclaveSim(keypair=keypair),
+            k=k,
+            rng=rng_from_seed(seed + 100),
+            granularity=granularity,
         )
-        reference = mix_updates_reference(
-            [u.copy() for u in updates], rng_from_seed(seed + 100), granularity=granularity
-        )
-        assert len(flat) == len(reference)
-        for f, r in zip(flat, reference):
-            assert f.sender_id == r.sender_id
-            assert f.apparent_id == r.apparent_id
-            assert f.round_index == r.round_index
-            assert f.num_samples == r.num_samples
-            assert f.metadata["unit_sources"] == r.metadata["unit_sources"]
-            assert f.metadata["granularity"] == r.metadata["granularity"]
-            assert_states_identical(f.state, r.state)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_mix_with_explicit_matrix_bit_identical(self, seed):
-        rng = rng_from_seed(seed)
-        template = random_schema_state(rng)
-        updates = updates_from(states_like(template, rng, 4), rng)
-        units = len(updates[0].layers)
-        matrix = mixing_matrix(4, units, rng_from_seed(seed + 1))
-        flat = mix_updates([u.copy() for u in updates], rng_from_seed(0), matrix=matrix)
-        reference = mix_updates_reference(
-            [u.copy() for u in updates], rng_from_seed(0), matrix=matrix
-        )
-        for f, r in zip(flat, reference):
-            assert_states_identical(f.state, r.state)
-            assert f.metadata["unit_sources"] == r.metadata["unit_sources"]
-
-    def test_mix_consumes_identical_rng_stream(self):
-        """Flat and reference mixing draw the same generator sequence."""
-        rng = rng_from_seed(21)
-        template = random_schema_state(rng)
-        updates = updates_from(states_like(template, rng, 6), rng)
-        rng_a, rng_b = rng_from_seed(7), rng_from_seed(7)
-        mix_updates([u.copy() for u in updates], rng_a)
-        mix_updates_reference([u.copy() for u in updates], rng_b)
-        assert rng_a.integers(0, 2**31) == rng_b.integers(0, 2**31)
+        emitted = proxy.process_round([proxy.encrypt_for_proxy(u) for u in updates])
+        oracle_rng = rng_from_seed(seed + 100)
+        reference = proxy_mix_reference(updates, k, oracle_rng, granularity)
+        assert proxy.rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert len(emitted) == len(reference) == count
+        for got, want in zip(emitted, reference):
+            assert (got.sender_id, got.apparent_id, got.round_index, got.num_samples) == (
+                want.sender_id,
+                want.apparent_id,
+                want.round_index,
+                want.num_samples,
+            )
+            assert got.metadata["unit_sources"] == want.metadata["unit_sources"]
+            assert got.metadata["granularity"] == want.metadata["granularity"] == granularity
+            assert list(got.state) == list(want.state)
+            for name, value in want.state.items():
+                value = np.asarray(value)
+                assert got.state[name].dtype == value.dtype == np.float32
+                assert got.state[name].shape == value.shape
+                assert got.state[name].tobytes() == value.tobytes()
 
 
 class TestAttackScoringEquivalence:
@@ -611,7 +606,7 @@ class TestReorderedReferenceStates:
         reordered_plus = OrderedDict((k, plus[k]) for k in reversed(list(plus)))
         rng = rng_from_seed(0)
         updates = updates_from(states_like(base, rng, 4), rng)
-        mixed = mix_updates(updates, rng_from_seed(1))
+        mixed = mix_round(updates, seed=1)
         straight = RelinkAttack({0: minus, 1: plus}, base).run(mixed)
         shuffled = RelinkAttack({0: minus, 1: reordered_plus}, base).run(mixed)
         assert straight.piece_assignments == shuffled.piece_assignments

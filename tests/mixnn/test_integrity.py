@@ -14,6 +14,7 @@ from repro.mixnn.proxy import MixNNProxy, ReplayError
 from repro.mixnn.transport import (
     EncryptedUpdate,
     IntegrityError,
+    _envelope,
     envelope_nonce,
     pack_update,
     unpack_update,
@@ -203,6 +204,26 @@ class TestStreamRejection:
         emitted.extend(proxy.flush())
         assert (proxy.stats.received, proxy.stats.rejected, len(emitted)) == (2, 1, 2)
         assert proxy.stats.replays_rejected == 0
+        assert enclave.memory.used_bytes == resident_before
+
+    def test_zip_body_under_a_valid_digest_is_rejected(self, small_model, enclave):
+        # A body that is not RW01-framed (here a zip archive's magic) passes
+        # the envelope digest and must still be a FrameError, so the batch
+        # keeps streaming and every plaintext is freed.
+        proxy = build_proxy(enclave, k=3)
+        updates = make_updates(small_model, 4)
+        body = b"PK\x03\x04" + bytes(64)
+        forged = EncryptedUpdate(
+            ciphertext=encrypt(enclave.public_key, _envelope(updates[1], body) + body),
+            transport_id=updates[1].sender_id,
+        )
+        messages = [proxy.encrypt_for_proxy(u) for u in updates]
+        messages[1] = forged
+        resident_before = enclave.memory.used_bytes
+        emitted = proxy.stream(messages)
+        assert (proxy.stats.received, proxy.stats.rejected, proxy.pending()) == (3, 1, 3)
+        emitted.extend(proxy.flush())
+        assert sorted(m.apparent_id for m in emitted) == [0, 2, 3]
         assert enclave.memory.used_bytes == resident_before
 
     def test_receive_still_raises(self, small_model, enclave):

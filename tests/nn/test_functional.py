@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.nn import functional as F
 from repro.nn.tensor import GradTape, Tensor
 
-from .test_tensor_autograd import numerical_grad
+from .test_tensor_autograd import backprop, numerical_grad
 
 
 class TestIm2Col:
@@ -91,7 +91,7 @@ class TestConv2d:
             return F.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1).sum().item()
 
         tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
-        F.conv2d(tx, tw, tb, stride=1, padding=1).sum().backward()
+        backprop(lambda: F.conv2d(tx, tw, tb, stride=1, padding=1).sum())
         for tensor, array in ((tx, x), (tw, w), (tb, b)):
             np.testing.assert_allclose(tensor.grad, numerical_grad(forward, array), atol=2e-2)
 
@@ -109,7 +109,7 @@ class TestMaxPool2d:
     def test_gradient_routes_to_max(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
         t = Tensor(x, requires_grad=True)
-        F.max_pool2d(t, 2).sum().backward()
+        backprop(lambda: F.max_pool2d(t, 2).sum())
         expected = np.zeros((4, 4))
         expected[1, 1] = expected[1, 3] = expected[3, 1] = expected[3, 3] = 1.0
         np.testing.assert_allclose(t.grad[0, 0], expected)
@@ -117,7 +117,7 @@ class TestMaxPool2d:
     def test_gradient_splits_ties(self):
         x = np.zeros((1, 1, 2, 2), dtype=np.float32)
         t = Tensor(x, requires_grad=True)
-        F.max_pool2d(t, 2).sum().backward()
+        backprop(lambda: F.max_pool2d(t, 2).sum())
         np.testing.assert_allclose(t.grad[0, 0], np.full((2, 2), 0.25))
 
 
@@ -147,7 +147,7 @@ class TestLocallyConnected2d:
             return F.locally_connected2d(Tensor(x), Tensor(w), Tensor(b)).sum().item()
 
         tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
-        F.locally_connected2d(tx, tw, tb).sum().backward()
+        backprop(lambda: F.locally_connected2d(tx, tw, tb).sum())
         for tensor, array in ((tx, x), (tw, w), (tb, b)):
             np.testing.assert_allclose(tensor.grad, numerical_grad(forward, array), atol=2e-2)
 
@@ -177,7 +177,7 @@ class TestSoftmaxAndLosses:
         logits = np.random.default_rng(7).standard_normal((4, 3)).astype(np.float32)
         labels = np.array([0, 2, 1, 1])
         t = Tensor(logits, requires_grad=True)
-        F.cross_entropy(t, labels).backward()
+        backprop(lambda: F.cross_entropy(t, labels))
         probs = F.softmax(Tensor(logits)).numpy()
         expected = (probs - F.one_hot(labels, 3)) / 4
         np.testing.assert_allclose(t.grad, expected, atol=1e-5)

@@ -20,6 +20,8 @@ from repro.nn import (
 from repro.nn.tensor import Tensor
 from repro.utils.rng import rng_from_seed
 
+from .test_tensor_autograd import backprop
+
 
 class TestModuleRegistration:
     def test_parameters_discovered_in_order(self):
@@ -53,7 +55,7 @@ class TestModuleRegistration:
 
     def test_zero_grad(self):
         model = Linear(2, 2, rng=rng_from_seed(0))
-        model(Tensor(np.ones((1, 2)))).sum().backward()
+        backprop(lambda: model(Tensor(np.ones((1, 2)))).sum())
         assert model.weight.grad is not None
         model.zero_grad()
         assert model.weight.grad is None

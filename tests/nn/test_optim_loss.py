@@ -6,7 +6,7 @@ import pytest
 from repro.nn import SGD, Adam, BCEWithLogitsLoss, CrossEntropyLoss, Linear, MSELoss
 from repro.nn.module import Parameter
 from repro.nn.optim import Optimizer
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import GradTape, Tensor
 from repro.utils.rng import rng_from_seed
 
 
@@ -17,9 +17,10 @@ def quadratic_param(start: float = 5.0) -> Parameter:
 def step_quadratic(optimizer, param, steps: int) -> float:
     """Minimize f(x) = x² with the given optimizer."""
     for _ in range(steps):
-        loss = (param * param).sum()
+        with GradTape() as tape:
+            loss = (param * param).sum()
         optimizer.zero_grad()
-        loss.backward()
+        tape.backward(loss)
         optimizer.step()
     return abs(float(param.data[0]))
 
@@ -38,7 +39,9 @@ class TestOptimizerBase:
     def test_zero_grad_clears(self):
         p = quadratic_param()
         opt = SGD([p], lr=0.1)
-        (p * p).sum().backward()
+        with GradTape() as tape:
+            loss = (p * p).sum()
+        tape.backward(loss)
         assert p.grad is not None
         opt.zero_grad()
         assert p.grad is None
@@ -69,9 +72,10 @@ class TestSGD:
     def test_weight_decay_shrinks_weights(self):
         p = Parameter(np.array([1.0], dtype=np.float32))
         opt = SGD([p], lr=0.1, weight_decay=0.5)
-        loss = (p * 0.0).sum()  # zero task gradient
+        with GradTape() as tape:
+            loss = (p * 0.0).sum()  # zero task gradient
         opt.zero_grad()
-        loss.backward()
+        tape.backward(loss)
         opt.step()
         assert p.data[0] == pytest.approx(1.0 - 0.1 * 0.5)
 
@@ -123,9 +127,10 @@ class TestAdam:
         p = quadratic_param(5.0)
         Adam([p], lr=0.1).params  # construct separately for clarity
         opt = Adam([p], lr=0.1)
-        loss = (p * p).sum()
+        with GradTape() as tape:
+            loss = (p * p).sum()
         opt.zero_grad()
-        loss.backward()
+        tape.backward(loss)
         opt.step()
         assert p.data[0] == pytest.approx(5.0 - 0.1, abs=1e-4)
 
@@ -138,9 +143,10 @@ class TestAdam:
         opt = Adam(model.parameters(), lr=0.05)
         loss_fn = MSELoss()
         for _ in range(200):
-            loss = loss_fn(model(Tensor(x)), Tensor(y))
+            with GradTape() as tape:
+                loss = loss_fn(model(Tensor(x)), Tensor(y))
             opt.zero_grad()
-            loss.backward()
+            tape.backward(loss)
             opt.step()
         np.testing.assert_allclose(model.weight.data, true_w, atol=0.05)
 
@@ -153,9 +159,10 @@ class TestAdam:
         pristine = {name: value.copy() for name, value in snapshot.items()}
         opt = Adam(model.parameters(), lr=0.1)
         for _ in range(3):
-            loss = (model(Tensor(np.ones((4, 3), dtype=np.float32))) ** 2).sum()
+            with GradTape() as tape:
+                loss = (model(Tensor(np.ones((4, 3), dtype=np.float32))) ** 2).sum()
             opt.zero_grad()
-            loss.backward()
+            tape.backward(loss)
             opt.step()
         for name, value in snapshot.items():
             np.testing.assert_array_equal(value, pristine[name])
@@ -167,9 +174,10 @@ class TestAdam:
         p = Parameter(store[1])
         opt = Adam([p], lr=0.1)
         for _ in range(3):
-            loss = ((p - 1.0) ** 2).sum()
+            with GradTape() as tape:
+                loss = ((p - 1.0) ** 2).sum()
             opt.zero_grad()
-            loss.backward()
+            tape.backward(loss)
             opt.step()
         assert np.shares_memory(p.data, store)
         np.testing.assert_array_equal(store[1], p.data)
@@ -178,9 +186,10 @@ class TestAdam:
     def test_weight_decay(self):
         p = Parameter(np.array([1.0], dtype=np.float32))
         opt = Adam([p], lr=0.1, weight_decay=1.0)
-        loss = (p * 0.0).sum()
+        with GradTape() as tape:
+            loss = (p * 0.0).sum()
         opt.zero_grad()
-        loss.backward()
+        tape.backward(loss)
         opt.step()
         assert p.data[0] < 1.0
 

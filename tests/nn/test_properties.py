@@ -11,6 +11,8 @@ from repro.nn import functional as F
 from repro.nn.serialization import flatten, schema_of
 from repro.nn.tensor import Tensor
 
+from .test_tensor_autograd import backprop
+
 small_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, width=32)
 
 
@@ -57,21 +59,21 @@ class TestGradientProperties:
     @settings(max_examples=30, deadline=None)
     def test_sum_gradient_is_ones(self, a):
         t = Tensor(a, requires_grad=True)
-        t.sum().backward()
+        backprop(lambda: t.sum())
         np.testing.assert_array_equal(t.grad, np.ones_like(a))
 
     @given(arrays(max_side=3), st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, width=32))
     @settings(max_examples=30, deadline=None)
     def test_linear_gradient_is_coefficient(self, a, c):
         t = Tensor(a, requires_grad=True)
-        (t * float(c)).sum().backward()
+        backprop(lambda: (t * float(c)).sum())
         np.testing.assert_allclose(t.grad, np.full_like(a, np.float32(c)), rtol=1e-5)
 
     @given(arrays(max_side=3))
     @settings(max_examples=30, deadline=None)
     def test_gradient_shape_matches_input(self, a):
         t = Tensor(a, requires_grad=True)
-        (t * t).sum().backward()
+        backprop(lambda: (t * t).sum())
         assert t.grad.shape == a.shape
 
 

@@ -93,16 +93,17 @@ class TestRawWireFormat:
     def test_raw_magic_prefix(self, model):
         assert state_to_bytes(model.state_dict())[:4] == b"RW01"
 
-    def test_legacy_npz_blob_still_loads(self, model):
+    def test_legacy_npz_blob_is_rejected(self, model):
         import io
 
-        state = model.state_dict()
         buffer = io.BytesIO()
-        np.savez(buffer, **state)
-        restored = state_from_bytes(buffer.getvalue())
-        assert list(restored.keys()) == list(state.keys())
-        for name in state:
-            np.testing.assert_array_equal(state[name], restored[name])
+        np.savez(buffer, **model.state_dict())
+        blob = buffer.getvalue()
+        assert blob[:4] == b"PK\x03\x04"
+        with pytest.raises(FrameError, match="RW01"):
+            state_from_bytes(blob)
+        with pytest.raises(FrameError, match="RW01"):
+            flat_from_bytes(blob)
 
     def test_unpacked_arrays_are_zero_copy_views(self, model):
         state = model.state_dict()

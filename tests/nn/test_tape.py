@@ -1,8 +1,8 @@
-"""Autograd engine internals: topo-sort dedupe, lean mode, GradTape, threading.
+"""Autograd engine internals: the tape walk, lean mode, GradTape, threading.
 
 Marked ``cohort`` together with the stacked-training tests — every local
-training step, serial or stacked, backpropagates through ``GradTape``, with
-graph-mode ``Tensor.backward`` as its reference::
+training step, serial or stacked, backpropagates through ``GradTape``, the
+one backward engine, checked here against closed-form gradients::
 
     PYTHONPATH=src python -m pytest -m cohort -q
 """
@@ -18,66 +18,65 @@ from repro.nn import functional as F
 pytestmark = pytest.mark.cohort
 
 
-def _count_firings(root: Tensor) -> dict[int, int]:
-    """Wrap every reachable backward closure with a firing counter."""
+def _count_firings(tape: GradTape) -> dict[int, int]:
+    """Wrap every recorded backward closure with a firing counter."""
     counts: dict[int, int] = {}
-    seen = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node._backward is not None:
-            counts[id(node)] = 0
-            original = node._backward
+    for node in tape.nodes:
+        counts[id(node)] = 0
+        original = node._backward
 
-            def wrapped(grad, _original=original, _key=id(node)):
-                counts[_key] += 1
-                _original(grad)
+        def wrapped(grad, _original=original, _key=id(node)):
+            counts[_key] += 1
+            _original(grad)
 
-            node._backward = wrapped
-        stack.extend(node._parents)
+        node._backward = wrapped
     return counts
 
 
-class TestBackwardTopoSort:
+class TestTapeWalkOrder:
     def test_diamond_fires_each_closure_exactly_once(self):
         a = Tensor([2.0], requires_grad=True)
-        left = a * 3.0
-        right = a * 5.0
-        out = (left + right).sum()
-        counts = _count_firings(out)
-        out.backward()
-        assert all(count == 1 for count in counts.values())
+        with GradTape() as tape:
+            left = a * 3.0
+            right = a * 5.0
+            out = (left + right).sum()
+        counts = _count_firings(tape)
+        tape.backward(out)
+        assert list(counts.values()) == [1] * 4
         np.testing.assert_allclose(a.grad, [8.0])
 
     def test_dependent_parents_ordering(self):
-        # out's parents are (c, b) with b itself a child of c: a correct
-        # topological order must fire b before c so c's gradient is complete.
+        # out's inputs are (c, b) with b itself a child of c: the reverse
+        # walk must fire b before c so c's gradient is complete.
         a = Tensor([1.0], requires_grad=True)
-        c = a * 2.0
-        b = c * 3.0
-        out = (c + b).sum()
-        out.backward()
+        with GradTape() as tape:
+            c = a * 2.0
+            b = c * 3.0
+            out = (c + b).sum()
+        tape.backward(out)
         np.testing.assert_allclose(a.grad, [8.0])  # 2 + 2*3
 
     def test_deep_fanout_chain_terminates_with_correct_grad(self):
         # 60 levels of y = y*0.5 + y*0.5: every node has two consumers.  The
-        # deduped DFS visits each node once (stack stays O(nodes), not
-        # O(edges)) and the chain's gradient telescopes to exactly 1.
+        # walk fires each of the 180 closures once and the chain's gradient
+        # telescopes to exactly 1.
         a = Tensor([1.0], requires_grad=True)
-        y = a
-        for _ in range(60):
-            y = y * 0.5 + y * 0.5
-        y.sum().backward()
+        with GradTape() as tape:
+            y = a
+            for _ in range(60):
+                y = y * 0.5 + y * 0.5
+            out = y.sum()
+        counts = _count_firings(tape)
+        tape.backward(out)
+        assert list(counts.values()) == [1] * (3 * 60 + 1)
         np.testing.assert_allclose(a.grad, [1.0])
 
     def test_wide_fanout_grad(self):
         a = Tensor(np.ones(4, dtype=np.float32), requires_grad=True)
-        out = sum((a * float(i) for i in range(1, 9)), a * 0.0).sum()
-        counts = _count_firings(out)
-        out.backward()
+        with GradTape() as tape:
+            out = sum((a * float(i) for i in range(1, 9)), a * 0.0).sum()
+        counts = _count_firings(tape)
+        tape.backward(out)
         assert all(count == 1 for count in counts.values())
         np.testing.assert_allclose(a.grad, np.full(4, 36.0))
 
@@ -85,38 +84,40 @@ class TestBackwardTopoSort:
 class TestLeanMode:
     def test_no_grad_outputs_carry_no_graph(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
-        with no_grad():
+        with GradTape() as tape, no_grad():
             out = (a * 2.0 + 1.0).exp().sum()
         assert not out.requires_grad
         assert out._backward is None
-        assert out._parents == ()
+        assert tape.nodes == []
 
     def test_untracked_inputs_skip_graph_construction(self):
         a = Tensor([1.0, 2.0])
-        out = a * 3.0
+        with GradTape() as tape:
+            out = a * 3.0
         assert not out.requires_grad
-        assert out._backward is None and out._parents == ()
+        assert out._backward is None and tape.nodes == []
 
 
 class TestGradTape:
-    def test_tape_matches_graph_backward(self):
+    def test_tape_matches_closed_form_softmax_gradient(self):
+        # d/dW mean CE(x W^T + b) = (softmax - onehot)^T x / B, and the bias
+        # gradient is the column sum of the same residual.
         rng = np.random.default_rng(0)
         x = rng.standard_normal((5, 3)).astype(np.float32)
         labels = rng.integers(0, 4, 5)
-        w_graph = Tensor(rng.standard_normal((4, 3)).astype(np.float32), requires_grad=True)
-        b_graph = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
-        w_tape = Tensor(w_graph.data.copy(), requires_grad=True)
-        b_tape = Tensor(b_graph.data.copy(), requires_grad=True)
-
-        loss = F.cross_entropy(F.linear(Tensor(x), w_graph, b_graph), labels)
-        loss.backward()
+        w = Tensor(rng.standard_normal((4, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
 
         with GradTape() as tape:
-            loss_t = F.cross_entropy(F.linear(Tensor(x), w_tape, b_tape), labels)
-        tape.backward(loss_t)
+            loss = F.cross_entropy(F.linear(Tensor(x), w, b), labels)
+        tape.backward(loss)
 
-        np.testing.assert_array_equal(w_graph.grad, w_tape.grad)
-        np.testing.assert_array_equal(b_graph.grad, b_tape.grad)
+        logits = x.astype(np.float64) @ w.data.T.astype(np.float64)
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        residual = (probs - np.eye(4)[labels]) / len(labels)
+        np.testing.assert_allclose(w.grad, residual.T @ x, atol=1e-6)
+        np.testing.assert_allclose(b.grad, residual.sum(axis=0), atol=1e-6)
 
     def test_tape_records_only_inside_context(self):
         w = Tensor([1.0], requires_grad=True)
@@ -126,6 +127,20 @@ class TestGradTape:
             inside = w * 3.0
         _ = w * 4.0
         assert tape.nodes == [inside]
+
+    def test_backward_rejects_an_output_recorded_off_the_tape(self):
+        # A forward pass run before entering the tape: nothing of it is on
+        # the tape, so backpropagating it would silently reach no parameter.
+        w = Tensor([1.0], requires_grad=True)
+        out = (w * 2.0).sum()
+        tape = GradTape()
+        with pytest.raises(RuntimeError, match="not recorded on this tape"):
+            tape.backward(out)
+        with tape:
+            _ = w * 3.0
+        with pytest.raises(RuntimeError, match="not recorded on this tape"):
+            tape.backward(out)
+        assert w.grad is None and out.grad is None
 
     def test_tape_clears_intermediate_grads_keeps_leaves(self):
         w = Tensor([2.0], requires_grad=True)
@@ -184,9 +199,10 @@ class TestThreadLocalGrad:
         def train_thread():
             in_no_grad.wait(timeout=10)
             w = Tensor([1.0], requires_grad=True)
-            out = (w * 2.0).sum()
+            with GradTape() as tape:
+                out = (w * 2.0).sum()
             results["train_requires_grad"] = out.requires_grad
-            out.backward()
+            tape.backward(out)
             results["train_grad"] = float(w.grad[0])
             release.set()
 
@@ -215,11 +231,12 @@ class TestThreadLocalGrad:
         def trainer():
             for _ in range(300):
                 w = Tensor([1.0], requires_grad=True)
-                out = (w * 2.0).sum()
+                with GradTape() as tape:
+                    out = (w * 2.0).sum()
                 if not out.requires_grad:
                     failures.append("training lost grad recording")
                     break
-                out.backward()
+                tape.backward(out)
             stop.set()
 
         eval_worker = threading.Thread(target=evaluator)

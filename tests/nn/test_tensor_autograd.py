@@ -1,9 +1,10 @@
-"""Backward-pass correctness: analytic vs numerical gradients."""
+"""Backward-pass correctness: analytic vs numerical gradients, every one
+backpropagated by :class:`GradTape`, the engine that trains."""
 
 import numpy as np
 import pytest
 
-from repro.nn.tensor import Tensor, concatenate, is_grad_enabled, no_grad, stack
+from repro.nn.tensor import GradTape, Tensor, concatenate, is_grad_enabled, no_grad, stack
 
 
 def numerical_grad(f, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:
@@ -22,10 +23,19 @@ def numerical_grad(f, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:
     return grad
 
 
+def backprop(forward, grad=None) -> Tensor:
+    """Record ``forward()`` on a fresh :class:`GradTape` and backpropagate
+    from its output (seeded with ``grad``)."""
+    with GradTape() as tape:
+        out = forward()
+    tape.backward(out, grad)
+    return out
+
+
 def check_gradient(build, x: np.ndarray, atol: float = 2e-2):
-    """Compare autograd gradient of ``build(Tensor)`` against finite differences."""
+    """Compare the tape gradient of ``build(Tensor)`` against finite differences."""
     t = Tensor(x, requires_grad=True)
-    build(t).backward()
+    backprop(lambda: build(t))
     expected = numerical_grad(lambda: build(Tensor(x)).item(), x)
     np.testing.assert_allclose(t.grad, expected, atol=atol)
 
@@ -54,13 +64,13 @@ class TestElementwiseGradients:
     def test_relu_subgradient(self):
         x = np.array([-1.0, 2.0, 3.0])
         t = Tensor(x, requires_grad=True)
-        t.relu().sum().backward()
+        backprop(lambda: t.relu().sum())
         np.testing.assert_allclose(t.grad, [0.0, 1.0, 1.0])
 
     def test_abs_and_clip(self):
         x = np.array([-2.0, -0.5, 0.5, 2.0])
         t = Tensor(x, requires_grad=True)
-        (t.abs() + t.clip(-1.0, 1.0)).sum().backward()
+        backprop(lambda: (t.abs() + t.clip(-1.0, 1.0)).sum())
         np.testing.assert_allclose(t.grad, [-1.0, 0.0, 2.0, 1.0])
 
 
@@ -68,21 +78,21 @@ class TestBroadcastGradients:
     def test_add_broadcast_sums_over_expanded_axes(self):
         a = Tensor(np.ones((2, 3)), requires_grad=True)
         b = Tensor(np.ones((3,)), requires_grad=True)
-        (a + b).sum().backward()
+        backprop(lambda: (a + b).sum())
         assert a.grad.shape == (2, 3)
         np.testing.assert_allclose(b.grad, [2.0, 2.0, 2.0])
 
     def test_mul_broadcast_keepdim_axis(self):
         a = Tensor(np.ones((2, 3)), requires_grad=True)
         b = Tensor(np.full((2, 1), 2.0), requires_grad=True)
-        (a * b).sum().backward()
+        backprop(lambda: (a * b).sum())
         np.testing.assert_allclose(a.grad, np.full((2, 3), 2.0))
         np.testing.assert_allclose(b.grad, np.full((2, 1), 3.0))
 
     def test_scalar_broadcast(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         s = Tensor(3.0, requires_grad=True)
-        (a * s).sum().backward()
+        backprop(lambda: (a * s).sum())
         assert s.grad.shape == ()
         assert s.grad == pytest.approx(4.0)
 
@@ -94,7 +104,7 @@ class TestMatmulGradients:
         b = rng.standard_normal((4, 2))
         ta = Tensor(a, requires_grad=True)
         tb = Tensor(b, requires_grad=True)
-        (ta @ tb).sum().backward()
+        backprop(lambda: (ta @ tb).sum())
         np.testing.assert_allclose(ta.grad, np.ones((3, 2)) @ b.T, atol=1e-5)
         np.testing.assert_allclose(tb.grad, a.T @ np.ones((3, 2)), atol=1e-5)
 
@@ -111,13 +121,13 @@ class TestReductionGradients:
     def test_max_routes_to_argmax(self):
         x = np.array([[1.0, 5.0, 2.0]])
         t = Tensor(x, requires_grad=True)
-        t.max(axis=1).sum().backward()
+        backprop(lambda: t.max(axis=1).sum())
         np.testing.assert_allclose(t.grad, [[0.0, 1.0, 0.0]])
 
     def test_max_splits_ties(self):
         x = np.array([[3.0, 3.0]])
         t = Tensor(x, requires_grad=True)
-        t.max(axis=1).sum().backward()
+        backprop(lambda: t.max(axis=1).sum())
         np.testing.assert_allclose(t.grad, [[0.5, 0.5]])
 
     def test_var(self):
@@ -137,14 +147,14 @@ class TestShapeGradients:
     def test_concatenate_routes_segments(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         b = Tensor(np.ones((1, 2)), requires_grad=True)
-        out = concatenate([a, b], axis=0)
-        (out * Tensor(np.arange(6, dtype=np.float32).reshape(3, 2))).sum().backward()
+        weights = Tensor(np.arange(6, dtype=np.float32).reshape(3, 2))
+        backprop(lambda: (concatenate([a, b], axis=0) * weights).sum())
         np.testing.assert_allclose(a.grad, [[0.0, 1.0], [2.0, 3.0]])
         np.testing.assert_allclose(b.grad, [[4.0, 5.0]])
 
     def test_stack_gradients(self):
         parts = [Tensor(np.ones(3), requires_grad=True) for _ in range(2)]
-        stack(parts, axis=0).sum().backward()
+        backprop(lambda: stack(parts, axis=0).sum())
         for part in parts:
             np.testing.assert_allclose(part.grad, np.ones(3))
 
@@ -152,46 +162,46 @@ class TestShapeGradients:
 class TestGraphMechanics:
     def test_gradient_accumulates_across_uses(self):
         t = Tensor([2.0], requires_grad=True)
-        (t * t).backward(np.array([1.0]))
+        backprop(lambda: t * t, np.array([1.0]))
         np.testing.assert_allclose(t.grad, [4.0])
 
     def test_backward_twice_accumulates(self):
         t = Tensor([1.0], requires_grad=True)
-        out = t * 3.0
-        out.backward(np.array([1.0]))
+        backprop(lambda: t * 3.0, np.array([1.0]))
         t_grad_first = t.grad.copy()
-        out2 = t * 3.0
-        out2.backward(np.array([1.0]))
+        backprop(lambda: t * 3.0, np.array([1.0]))
         np.testing.assert_allclose(t.grad, t_grad_first * 2)
 
     def test_zero_grad(self):
         t = Tensor([1.0], requires_grad=True)
-        (t * 2.0).backward(np.array([1.0]))
+        backprop(lambda: t * 2.0, np.array([1.0]))
         t.zero_grad()
         assert t.grad is None
 
     def test_backward_requires_grad(self):
-        with pytest.raises(RuntimeError):
-            Tensor([1.0]).backward()
+        with pytest.raises(RuntimeError, match="grad tracking"):
+            GradTape().backward(Tensor([1.0]))
 
     def test_backward_nonscalar_needs_grad(self):
         t = Tensor([1.0, 2.0], requires_grad=True)
-        with pytest.raises(RuntimeError):
-            (t * 2.0).backward()
+        with pytest.raises(RuntimeError, match="non-scalar"):
+            backprop(lambda: t * 2.0)
 
     def test_diamond_graph(self):
         t = Tensor([1.0], requires_grad=True)
-        a = t * 2.0
-        b = t * 3.0
-        (a + b).backward(np.array([1.0]))
+        backprop(lambda: t * 2.0 + t * 3.0, np.array([1.0]))
         np.testing.assert_allclose(t.grad, [5.0])
 
     def test_deep_chain_does_not_recurse(self):
         t = Tensor([1.0], requires_grad=True)
-        out = t
-        for _ in range(3000):  # would overflow a recursive topo sort
-            out = out + 0.0
-        out.backward(np.array([1.0]))
+
+        def chain():
+            out = t
+            for _ in range(3000):  # would overflow a recursive walk
+                out = out + 0.0
+            return out
+
+        backprop(chain, np.array([1.0]))
         np.testing.assert_allclose(t.grad, [1.0])
 
 

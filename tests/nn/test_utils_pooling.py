@@ -18,13 +18,13 @@ from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.utils.rng import rng_from_seed
 
-from .test_tensor_autograd import numerical_grad
+from .test_tensor_autograd import backprop, numerical_grad
 
 
 class TestGlobalGradNorm:
     def _model_with_grads(self):
         model = Linear(3, 2, rng=rng_from_seed(0))
-        model(Tensor(np.ones((4, 3)))).sum().backward()
+        backprop(lambda: model(Tensor(np.ones((4, 3)))).sum())
         return model
 
     def test_norm_positive_after_backward(self):
@@ -46,14 +46,14 @@ class TestGlobalGradNorm:
 class TestClipGradNorm:
     def test_clips_to_bound(self):
         model = Linear(3, 2, rng=rng_from_seed(0))
-        (model(Tensor(np.ones((4, 3)))) * 100.0).sum().backward()
+        backprop(lambda: (model(Tensor(np.ones((4, 3)))) * 100.0).sum())
         before = clip_grad_norm_(model.parameters(), max_norm=1.0)
         assert before > 1.0
         assert global_grad_norm(model.parameters()) == pytest.approx(1.0, rel=1e-4)
 
     def test_noop_below_bound(self):
         model = Linear(3, 2, rng=rng_from_seed(0))
-        (model(Tensor(np.ones((1, 3)))) * 1e-4).sum().backward()
+        backprop(lambda: (model(Tensor(np.ones((1, 3)))) * 1e-4).sum())
         grads = [p.grad.copy() for p in model.parameters()]
         clip_grad_norm_(model.parameters(), max_norm=100.0)
         for param, grad in zip(model.parameters(), grads):
@@ -93,7 +93,7 @@ class TestAvgPool2d:
             return (F.avg_pool2d(Tensor(x), 2) ** 2).sum().item()
 
         t = Tensor(x, requires_grad=True)
-        (F.avg_pool2d(t, 2) ** 2).sum().backward()
+        backprop(lambda: (F.avg_pool2d(t, 2) ** 2).sum())
         np.testing.assert_allclose(t.grad, numerical_grad(forward, x), atol=2e-2)
 
     def test_layer_module(self):

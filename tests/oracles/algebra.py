@@ -2,13 +2,14 @@
 
 Each function is the dict-of-arrays form of a production path that now runs
 on the ``(N, D)`` matrix of :mod:`repro.federated.flat` — FedAvg and its
-staleness discounts, deltas, the robust rules, the §4.2 mix, ∇Sim scoring
-and DP-FedAvg clipping.  ``tests/federated/test_flat.py`` holds each flat
-path to its oracle bit for bit (∇Sim scoring to float32 precision).  They
-share the production validation and small helpers, so an oracle differs
-from its production path only in the data layout it computes on — and the
-Krum oracles score row by row (:func:`krum_scores_reference`), where
-production sorts blocks of rows.
+staleness discounts, deltas, the robust rules, ∇Sim scoring and DP-FedAvg
+clipping — or, for :func:`proxy_mix_reference`, of the MixNN proxy's §4.3
+stream over oblivious lists.  ``tests/federated/test_flat.py`` holds each
+production path to its oracle bit for bit (∇Sim scoring to float32
+precision).  They share the production validation and small helpers, so an
+oracle differs from its production path only in the data layout it computes
+on — and the Krum oracles score row by row (:func:`krum_scores_reference`),
+where production sorts blocks of rows.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.federated.aggregation import (
 )
 from repro.federated.scenario import staleness_weight
 from repro.federated.update import ModelUpdate, update_weights
-from repro.mixnn.mixing import _mixing_units, is_valid_mixing_matrix, mixing_matrix
+from repro.mixnn.proxy import _mixing_units
 from repro.nn.serialization import flatten
 
 
@@ -225,50 +226,56 @@ def multi_krum_reference(
     return (state, selected) if return_selected else state
 
 
-def mix_updates_reference(
-    updates: list[ModelUpdate],
-    rng: np.random.Generator,
-    granularity: str = "layer",
-    matrix: np.ndarray | None = None,
+def proxy_mix_reference(
+    updates: list[ModelUpdate], k: int, rng: np.random.Generator, granularity: str = "layer"
 ) -> list[ModelUpdate]:
-    """Per-parameter implementation of :func:`~repro.mixnn.mixing.mix_updates`."""
-    if not updates:
-        raise ValueError("cannot mix an empty update batch")
-    schema = updates[0].parameter_names
-    for update in updates[1:]:
-        if update.parameter_names != schema:
-            raise KeyError("all updates must share the same parameter schema")
-    units = _mixing_units(updates[0], granularity)
-    if matrix is None:
-        matrix = mixing_matrix(len(updates), len(units), rng)
-    elif not is_valid_mixing_matrix(matrix, len(updates)):
-        raise ValueError("provided mixing matrix is not a per-column permutation")
-    if matrix.shape != (len(updates), len(units)):
-        raise ValueError(f"matrix shape {matrix.shape} != {(len(updates), len(units))}")
+    """The §4.3 stream of :meth:`~repro.mixnn.proxy.MixNNProxy.process_round`
+    over plain Python lists.
 
-    # Build the name→unit map once per batch, so each emitted update's state
-    # is assembled in schema order in a single pass (no per-update rebuild).
-    unit_of = {name: j for j, unit in enumerate(units) for name in unit}
-    column_of = [unit_of[name] for name in schema]
-
+    Each mixing unit owns a list of ``k`` slots (``None`` is free).  An
+    arrival is inserted into each list's first free slot; once the lists are
+    full, every arrival first emits and then stores.  An emission draws one
+    ``rng.integers(len)`` per unit, in unit order, and takes that unit's
+    index-th occupied slot; it is attributed to the oldest arrival not yet
+    attributed and carries the round of the latest one.  The flush emits
+    until the lists are drained.
+    """
+    names = updates[0].parameter_names
+    units = _mixing_units(names, granularity)
+    lists: list[list] = [[None] * k for _ in units]
+    arrivals: list[int] = []
     mixed: list[ModelUpdate] = []
-    for i, slot in enumerate(updates):
-        row = matrix[i]
-        state: "OrderedDict[str, np.ndarray]" = OrderedDict(
-            (name, updates[int(row[j])].state[name].copy())
-            for name, j in zip(schema, column_of)
-        )
-        sources = [updates[int(row[j])].sender_id for j in range(len(units))]
+    round_index = 0
+
+    def emit() -> None:
+        values: dict[str, np.ndarray] = {}
+        sources: list[int] = []
+        for slots in lists:
+            occupied = [slot for slot, piece in enumerate(slots) if piece is not None]
+            slot = occupied[int(rng.integers(len(occupied)))]
+            piece, source = slots[slot]
+            slots[slot] = None
+            values.update(piece)
+            sources.append(source)
         mixed.append(
             ModelUpdate(
-                sender_id=-1,  # the server cannot name a true sender
-                apparent_id=slot.sender_id,
-                round_index=slot.round_index,
-                state=state,
-                num_samples=slot.num_samples,
+                sender_id=-1,
+                apparent_id=arrivals.pop(0),
+                round_index=round_index,
+                state=OrderedDict((name, values[name]) for name in names),
                 metadata={"mixed": True, "granularity": granularity, "unit_sources": sources},
             )
         )
+
+    for update in updates:
+        round_index = update.round_index
+        if None not in lists[0]:
+            emit()
+        for unit, slots in zip(units, lists):
+            slots[slots.index(None)] = ({name: update.state[name] for name in unit}, update.sender_id)
+        arrivals.append(update.sender_id)
+    while any(piece is not None for piece in lists[0]):
+        emit()
     return mixed
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import col2im, im2col
+from repro.nn.functional import _any_requires_grad, col2im, im2col
 from repro.nn.tensor import Tensor, as_tensor, is_grad_enabled
 
 #: einsum labels of the leading client axes
@@ -42,8 +42,7 @@ def conv2d_reference(x, weight, bias=None, stride: int = 1, padding: int = 0) ->
     if bias is not None:
         out_data = out_data + bias.data.reshape(*lead, 1, o, 1, 1)
 
-    parents = (x, weight) + ((bias,) if bias is not None else ())
-    if not (is_grad_enabled() and any(p.requires_grad for p in parents)):
+    if not (is_grad_enabled() and _any_requires_grad(x, weight, bias)):
         return Tensor._lean(out_data, "conv2d")
 
     def backward(grad: np.ndarray) -> None:
@@ -61,7 +60,7 @@ def conv2d_reference(x, weight, bias=None, stride: int = 1, padding: int = 0) ->
                 dx = dx[..., pad:-pad, pad:-pad]
             x._accumulate(dx)
 
-    return Tensor._record(out_data, parents, backward, "conv2d")
+    return Tensor._record(out_data, backward, "conv2d")
 
 
 def max_pool2d_reference(x, kernel: int) -> Tensor:
@@ -81,4 +80,4 @@ def max_pool2d_reference(x, kernel: int) -> Tensor:
         g = grad[..., :, None, :, None] * mask / counts
         x._accumulate(g.reshape(x.shape))
 
-    return Tensor._record(out_data, (x,), backward, "max_pool2d")
+    return Tensor._record(out_data, backward, "max_pool2d")
